@@ -13,6 +13,7 @@ framed plaintext survives into the ciphertext bytes it can see.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -413,16 +414,18 @@ def eavesdropper_report(messages, dump_limit: int = 3) -> EavesdropperReport:
             if plain[off : off + window] in cipher_windows:
                 hits += 1
 
+    counts = Counter()
     by_payload = {}
     for rec, blob in zip(messages, sealed):
-        by_payload.setdefault(rec.plain[HEADER_SIZE:], set()).add(blob)
+        payload = rec.plain[HEADER_SIZE:]
+        counts[payload] += 1
+        by_payload.setdefault(payload, set()).add(blob)
     repeated = 0
     distinct = 0
     for p, blobs in by_payload.items():
-        count = sum(1 for rec in messages if rec.plain[HEADER_SIZE:] == p)
-        if count >= 2:
+        if counts[p] >= 2:
             repeated += 1
-            if len(blobs) == count:
+            if len(blobs) == counts[p]:
                 distinct += 1
 
     from .channel import hex_dump_pair

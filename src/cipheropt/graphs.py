@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,16 +37,26 @@ class DirectedGraph:
             if not (1 <= l <= self.m and 1 <= i <= self.m):
                 raise ValueError(f"edge ({l}, {i}) outside 1..{self.m}")
 
+    @cached_property
+    def _adjacency(self):
+        """Sorted (in-neighbours, out-neighbours) of every agent, built once."""
+        ins = {v: [] for v in range(1, self.m + 1)}
+        outs = {v: [] for v in range(1, self.m + 1)}
+        for (l, i) in sorted(self.edges):
+            ins[l].append(i)
+            outs[i].append(l)
+        return ins, outs
+
     def in_neighbors(self, l):
         """Agents that l receives from."""
-        return sorted(i for (r, i) in self.edges if r == l)
+        return list(self._adjacency[0].get(l, ()))
 
     def out_neighbors(self, i):
         """Agents that receive from i."""
-        return sorted(l for (l, s) in self.edges if s == i)
+        return list(self._adjacency[1].get(i, ()))
 
     def out_degree(self, i):
-        return sum(1 for (_, s) in self.edges if s == i)
+        return len(self._adjacency[1].get(i, ()))
 
     def sorted_edges(self):
         """Canonical edge order used for activation draws and file output."""
@@ -124,10 +135,6 @@ class ScriptedSchedule:
         self.graphs = list(graphs)
         self.mode = mode
         self.m = ms.pop()
-
-    @classmethod
-    def from_repeat_flag(cls, graphs, repeat):
-        return cls(graphs, mode="cycle" if repeat else "once")
 
     def graph_at(self, k: int) -> DirectedGraph:
         if k < 0:

@@ -8,6 +8,7 @@ closes the column to an exact sum of 1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +23,10 @@ class MixingParams:
     k0_range: float = 1.0
 
     def __post_init__(self):
-        if not (self.c0 > 0.0):
-            raise ValueError("c0 must be positive")
-        if not (self.k0_range > 0.0):
-            raise ValueError("k0_range must be positive")
+        if not (math.isfinite(self.c0) and self.c0 > 0.0):
+            raise ValueError(f"c0 must be positive and finite, got {self.c0}")
+        if not (math.isfinite(self.k0_range) and self.k0_range > 0.0):
+            raise ValueError(f"k0_range must be positive and finite, got {self.k0_range}")
 
     def validate_for(self, m: int):
         if not (self.c0 < 1.0 / m):
@@ -82,8 +83,7 @@ def generate_weight_column(i, out_neighbors, k, params: MixingParams, stream) ->
             hi = (1.0 - params.c0) / d_out
             weights = lo + u * (hi - lo)
         total = 0.0
-        for l, w in zip(receivers, weights):
-            w = float(w)
+        for l, w in zip(receivers, weights.tolist()):
             entries[l] = w
             total += w
         entries[i] = 1.0 - total

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cipheropt.engine import (
     BASELINES,
@@ -215,6 +217,31 @@ class TestGuards:
             RunConfig(step_size=1e-3, horizon=0)
         with pytest.raises(ValueError):
             RunConfig(step_size=0.0, horizon=10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(step=st.one_of(st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+                          st.floats(max_value=0.0)))
+    def test_rejects_nonfinite_or_nonpositive_step(self, step):
+        with pytest.raises(ValueError, match="step size"):
+            RunConfig(step_size=step, horizon=10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(stop=st.one_of(st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+                          st.floats(max_value=-1e-300)))
+    def test_rejects_nonfinite_or_negative_stop_residual(self, stop):
+        with pytest.raises(ValueError, match="stop residual"):
+            RunConfig(step_size=1e-3, horizon=10, stop_residual=stop)
+
+    @settings(max_examples=40, deadline=None)
+    @given(horizon=st.one_of(st.floats(min_value=1.0, max_value=1e6), st.just(float("nan")),
+                             st.just(True)))
+    def test_rejects_non_integer_horizon(self, horizon):
+        with pytest.raises(ValueError, match="whole number"):
+            RunConfig(step_size=1e-3, horizon=horizon)
+
+    def test_accepts_numpy_integer_horizon_and_zero_stop(self):
+        cfg = RunConfig(step_size=1e-3, horizon=np.int64(5), stop_residual=0.0)
+        assert cfg.horizon == 5
 
     def test_schedule_problem_size_mismatch(self):
         problem = make_problem(m=3)

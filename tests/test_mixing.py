@@ -30,6 +30,18 @@ class TestParams:
     def test_accepts_c0_below_one_over_m(self):
         MixingParams(c0=0.24).validate_for(4)
 
+    @settings(max_examples=40, deadline=None)
+    @given(r=st.one_of(st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+                       st.floats(max_value=0.0)))
+    def test_rejects_nonfinite_or_nonpositive_k0_range(self, r):
+        with pytest.raises(ValueError, match="k0_range"):
+            MixingParams(c0=0.1, k0_range=r)
+
+    @pytest.mark.parametrize("c0", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_c0(self, c0):
+        with pytest.raises(ValueError, match="c0"):
+            MixingParams(c0=c0)
+
 
 class TestSingleColumn:
     def test_isolated_agent_keeps_everything(self):
