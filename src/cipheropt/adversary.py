@@ -56,6 +56,12 @@ class AdversaryView:
     def rounds(self):
         return sorted(self.triples)
 
+    def require(self, K: int):
+        """ScenarioMismatchError unless a triple arrived in every round 0..K."""
+        need = [k for k in range(K + 1) if k not in self.triples]
+        if need:
+            raise ScenarioMismatchError(f"missing triples for rounds {need}")
+
     def triple(self, k: int) -> JTriple:
         try:
             return self.triples[k]
@@ -165,9 +171,7 @@ def infer_states_scenario_b(view: AdversaryView, K: int) -> InferenceReport:
     """
     if K < 2:
         raise ValueError("need K >= 2 rounds of recovered trackers")
-    need = [k for k in range(K + 1) if k not in view.triples]
-    if need:
-        raise ScenarioMismatchError(f"missing triples for rounds {need}")
+    view.require(K)
     d = view.triples[1].j_y.shape[0]
     w, a, y, s = _recover_states_from_unit_mass(view, K)
     c = _difference_rhs(view, s, K)
@@ -200,9 +204,7 @@ def infer_scenario_a(view: AdversaryView, K: int) -> InferenceReport:
     """
     if K < 2:
         raise ValueError("need K >= 2")
-    need = [k for k in range(K + 1) if k not in view.triples]
-    if need:
-        raise ScenarioMismatchError(f"missing triples for rounds {need}")
+    view.require(K)
     t1 = view.triple(1)
     d = t1.j_y.shape[0]
     x1 = t1.j_y / t1.j_w  # mass is exactly one in round 1
@@ -247,9 +249,7 @@ def infer_scenario_c(view: AdversaryView, K: int) -> InferenceReport:
     """
     if K < 1:
         raise ValueError("need K >= 1")
-    need = [k for k in range(K + 1) if k not in view.triples]
-    if need:
-        raise ScenarioMismatchError(f"missing triples for rounds {need}")
+    view.require(K)
     if K == 1:
         w = {1: 1.0}
         a1 = view.triple(1).j_w
@@ -287,9 +287,7 @@ def attack_fixed_weight_baseline(view: AdversaryView, out_degree: int, K: int) -
     expected mass trajectory flags a wrong weight guess (or a target that
     was actually drawing random weights).
     """
-    need = [k for k in range(K + 1) if k not in view.triples]
-    if need:
-        raise ScenarioMismatchError(f"missing triples for rounds {need}")
+    view.require(K)
     share = 1.0 / (out_degree + 1)
     w = {}
     y = {}

@@ -100,20 +100,13 @@ class CipherEnvelope:
     ciphertext: bytes
 
     def to_bytes(self) -> bytes:
-        header = _HEADER.pack(
-            MAGIC, VERSION, self.sender, self.receiver, self.k,
-            _KIND_BYTES[self.kind], 0,
-        )
-        return header + self.nonce + self.ciphertext
+        return _header(self) + self.nonce + self.ciphertext
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "CipherEnvelope":
-        magic, version, sender, receiver, k, kind_byte, _ = _HEADER.unpack_from(raw, 0)
-        if magic != MAGIC or version != VERSION or kind_byte not in _BYTE_KINDS:
-            raise DecodeError("bad envelope header")
+        sender, receiver, k, kind, _ = _read_header(raw)
         nonce = raw[HEADER_SIZE : HEADER_SIZE + NONCE_SIZE]
-        return cls(sender, receiver, k, _BYTE_KINDS[kind_byte], nonce,
-                   raw[HEADER_SIZE + NONCE_SIZE :])
+        return cls(sender, receiver, k, kind, nonce, raw[HEADER_SIZE + NONCE_SIZE :])
 
 
 class NonceCounter:
@@ -135,20 +128,16 @@ class NonceCounter:
         return nonce
 
 
-def encode_payload(p: PlainPayload) -> bytes:
-    """Canonical self-delimiting bytes for a payload; exact float round trip."""
-    n = len(p.data)
-    if n > 0xFFFF:
-        raise ValueError(f"payload too long: {n} entries")
-    header = _HEADER.pack(
-        MAGIC, VERSION, p.sender, p.receiver, p.k, _KIND_BYTES[p.kind], n
-    )
-    return header + struct.pack(f"<{n}d", *p.data)
+def _header(p_or_e, count=0) -> bytes:
+    """The clear header of a payload or envelope; count 0 outside a framed payload."""
+    return _HEADER.pack(MAGIC, VERSION, p_or_e.sender, p_or_e.receiver, p_or_e.k,
+                        _KIND_BYTES[p_or_e.kind], count)
 
 
-def decode_payload(raw: bytes) -> PlainPayload:
+def _read_header(raw: bytes):
+    """(sender, receiver, k, kind, count) of a header; DecodeError if it is not one."""
     if len(raw) < HEADER_SIZE:
-        raise DecodeError(f"short payload: {len(raw)} bytes")
+        raise DecodeError(f"short header: {len(raw)} bytes")
     magic, version, sender, receiver, k, kind_byte, n = _HEADER.unpack_from(raw, 0)
     if magic != MAGIC:
         raise DecodeError("bad magic")
@@ -156,10 +145,23 @@ def decode_payload(raw: bytes) -> PlainPayload:
         raise DecodeError(f"unsupported version {version}")
     if kind_byte not in _BYTE_KINDS:
         raise DecodeError(f"unknown kind byte {kind_byte:#x}")
+    return sender, receiver, k, _BYTE_KINDS[kind_byte], n
+
+
+def encode_payload(p: PlainPayload) -> bytes:
+    """Canonical self-delimiting bytes for a payload; exact float round trip."""
+    n = len(p.data)
+    if n > 0xFFFF:
+        raise ValueError(f"payload too long: {n} entries")
+    return _header(p, n) + struct.pack(f"<{n}d", *p.data)
+
+
+def decode_payload(raw: bytes) -> PlainPayload:
+    sender, receiver, k, kind, n = _read_header(raw)
     if len(raw) != HEADER_SIZE + 8 * n:
         raise DecodeError(f"length mismatch: header promises {n} entries")
     data = struct.unpack_from(f"<{n}d", raw, HEADER_SIZE)
-    return PlainPayload(sender=sender, receiver=receiver, k=k, kind=_BYTE_KINDS[kind_byte], data=data)
+    return PlainPayload(sender=sender, receiver=receiver, k=k, kind=kind, data=data)
 
 
 @lru_cache(maxsize=8)
@@ -167,17 +169,10 @@ def _aead(key_bytes: bytes) -> AESGCM:
     return AESGCM(key_bytes)
 
 
-def _associated_data(p_or_e) -> bytes:
-    return _HEADER.pack(
-        MAGIC, VERSION, p_or_e.sender, p_or_e.receiver, p_or_e.k,
-        _KIND_BYTES[p_or_e.kind], 0,
-    )
-
-
 def encrypt(key: SharedKey, p: PlainPayload, nonce_source: NonceCounter) -> CipherEnvelope:
     """Seal a payload. The clear header is bound as associated data."""
     nonce = nonce_source.next()
-    sealed = _aead(key.key).encrypt(nonce, encode_payload(p), _associated_data(p))
+    sealed = _aead(key.key).encrypt(nonce, encode_payload(p), _header(p))
     return CipherEnvelope(
         sender=p.sender, receiver=p.receiver, k=p.k, kind=p.kind,
         nonce=nonce, ciphertext=sealed,
@@ -187,7 +182,7 @@ def encrypt(key: SharedKey, p: PlainPayload, nonce_source: NonceCounter) -> Ciph
 def decrypt(key: SharedKey, e: CipherEnvelope) -> PlainPayload:
     """Open an envelope; TamperError on any authentication failure."""
     try:
-        raw = _aead(key.key).decrypt(e.nonce, e.ciphertext, _associated_data(e))
+        raw = _aead(key.key).decrypt(e.nonce, e.ciphertext, _header(e))
     except InvalidTag as exc:
         raise TamperError("envelope failed authentication") from exc
     p = decode_payload(raw)

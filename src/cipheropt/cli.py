@@ -122,17 +122,8 @@ def resolve_config(command: str, args) -> dict:
             raise ConfigError(f"{path}: top level must be an object")
         config = _merge(config, loaded, str(path))
 
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.encryption is not None:
-        overrides["encryption"] = args.encryption
-    if getattr(args, "algorithm", None) is not None:
-        overrides["algorithm"] = args.algorithm
+    overrides = {key: value for key in ("seed", "trials", "out", "encryption", "algorithm")
+                 if (value := getattr(args, key, None)) is not None}
     if getattr(args, "stop", None):
         try:
             overrides["stop"] = [float(v) for chunk in args.stop for v in chunk.split(",") if v]
@@ -166,7 +157,10 @@ def _load_schedule(config: dict, trial: int):
         path = Path(name)
         if not path.is_file():
             raise ConfigError(f"schedule file not found: {path}")
-        sched = graphs.load_graph_file(path)
+        try:
+            sched = graphs.load_graph_file(path)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     if isinstance(sched, graphs.RandomActivationSchedule):
         p = sched.p if config["activation"] is None else float(config["activation"])
         # distinct integer activation seed per trial, stable across runs
@@ -296,16 +290,16 @@ def cmd_privacy(config: dict) -> ExperimentResult:
     K = horizon - 1
     adv = int(config["adversary"])
     target = int(config["target"])
+    rc = engine.RunConfig(
+        step_size=step, horizon=horizon, encryption=encryption,
+        seed=int(config["seed"]), trial=0,
+        record_states=True, record_messages=True,
+    )
 
     if "b" in scenarios:
         base = _instance(config)
         problem = _trial_problem(config, base, 0)
         sched = _load_schedule(config, 0)
-        rc = engine.RunConfig(
-            step_size=step, horizon=horizon, encryption=encryption,
-            seed=int(config["seed"]), trial=0,
-            record_states=True, record_messages=True,
-        )
         traj = engine.run(problem, sched, _mixing(config), rc)
         view = adversary.capture_view(traj.messages, adv, target)
         report = adversary.infer_states_scenario_b(view, K)
@@ -345,11 +339,6 @@ def cmd_privacy(config: dict) -> ExperimentResult:
         problem = _trial_problem(c_config, base, 0)
 
     if "c" in scenarios:
-        rc = engine.RunConfig(
-            step_size=step, horizon=horizon, encryption=encryption,
-            seed=int(config["seed"]), trial=0,
-            record_states=True, record_messages=True,
-        )
         traj = engine.run(problem, _scenario_c_schedule(), _mixing(c_config), rc)
         view = adversary.capture_view(traj.messages, 2, 1)
         report = adversary.infer_scenario_c(view, K)
@@ -361,11 +350,6 @@ def cmd_privacy(config: dict) -> ExperimentResult:
         result.summary["scenario_c_error"] = err
 
     if "addopt" in scenarios:
-        rc = engine.RunConfig(
-            step_size=step, horizon=horizon, encryption=encryption,
-            seed=int(config["seed"]), trial=0,
-            record_states=True, record_messages=True,
-        )
         traj = engine.run_baseline(problem, _scenario_c_schedule(), rc, "push-diging")
         view = adversary.capture_view(traj.messages, 2, 1)
         report = adversary.attack_fixed_weight_baseline(view, out_degree=1, K=K)

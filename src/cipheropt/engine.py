@@ -411,25 +411,13 @@ def run_baseline(problem: GlobalProblem, schedule, config: RunConfig, algorithm:
     raise ValueError(f"unknown baseline {algorithm!r}; expected one of {BASELINES}")
 
 
-def _uniform_out_matrix(graph) -> np.ndarray:
-    a = np.zeros((graph.m, graph.m))
-    for i in range(1, graph.m + 1):
-        share = 1.0 / (graph.out_degree(i) + 1)
-        a[i - 1, i - 1] = share
-        for l in graph.out_neighbors(i):
-            a[l - 1, i - 1] = share
-    return a
-
-
-def _uniform_in_matrix(graph) -> np.ndarray:
-    a = np.zeros((graph.m, graph.m))
-    for i in range(1, graph.m + 1):
-        ins = graph.in_neighbors(i)
-        share = 1.0 / (len(ins) + 1)
-        a[i - 1, i - 1] = share
-        for j in ins:
-            a[i - 1, j - 1] = share
-    return a
+def _uniform_matrix(graph, axis) -> np.ndarray:
+    """Equal shares for each agent and its neighbours: column-stochastic over
+    out-neighbours for axis 0, row-stochastic over in-neighbours for axis 1."""
+    a = np.eye(graph.m)
+    for (l, i) in graph.edges:
+        a[l - 1, i - 1] = 1.0
+    return a / a.sum(axis=axis, keepdims=True)
 
 
 def _run_subgradient_push(problem, schedule, config):
@@ -441,7 +429,7 @@ def _run_subgradient_push(problem, schedule, config):
 
     def advance(st, k):
         x, mass, _ = st
-        a = _uniform_out_matrix(graph_at(schedule, k))
+        a = _uniform_matrix(graph_at(schedule, k), 0)
         mixed = a @ x
         mass = a @ mass
         z = mixed / mass[:, None]
@@ -462,8 +450,8 @@ def _run_ab_push_pull(problem, schedule, config):
     def advance(st, k):
         x, y, g = st
         graph = graph_at(schedule, k)
-        r = _uniform_in_matrix(graph)
-        c = _uniform_out_matrix(graph)
+        r = _uniform_matrix(graph, 1)
+        c = _uniform_matrix(graph, 0)
         x_new = r @ (x - config.step_size * y)
         g_new = problem.gradients(x_new)
         return x_new, c @ y + g_new - g, g_new

@@ -80,12 +80,8 @@ def is_strongly_connected(g: DirectedGraph) -> bool:
     """
     if g.m == 1:
         return True
-    fwd = {v: [] for v in range(1, g.m + 1)}
-    rev = {v: [] for v in range(1, g.m + 1)}
-    for (l, i) in g.edges:
-        fwd[i].append(l)  # information flows sender -> receiver
-        rev[l].append(i)
-    for adj in (fwd, rev):
+    ins, outs = g._adjacency
+    for adj in (outs, ins):
         seen = {1}
         queue = deque([1])
         while queue:
@@ -264,42 +260,66 @@ def load_graph_file(path, seed=None):
     """Read a schedule from a description file.
 
     seed overrides the file's activation seed when given; required if a
-    random_activation file carries none.
+    random_activation file carries none. A malformed line raises ValueError
+    naming `path:line`.
     """
-    keys = {}
+    keys = {}  # name -> (text, "path:line")
     edges = []
     graphs = []
     current = None
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
+        for n, raw in enumerate(fh, 1):
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
                 continue
-            parts = line.split()
-            if parts[0] == "edge":
-                pair = (int(parts[1]), int(parts[2]))
-                (current if current is not None else edges).append(pair)
-            elif parts[0] == "begin" and parts[1] == "graph":
-                current = []
-            elif parts[0] == "end" and parts[1] == "graph":
-                graphs.append(current)
-                current = None
+            head, where = parts[0], f"{path}:{n}"
+            if head == "edge":
+                try:
+                    l, i = map(int, parts[1:])
+                except ValueError:
+                    raise ValueError(f"{where}: expected 'edge <receiver> <sender>'") from None
+                (current if current is not None else edges).append((l, i))
+            elif head in ("begin", "end"):
+                # "begin graph" only outside a graph, "end graph" only inside one
+                if parts[1:] != ["graph"] or (head == "begin") != (current is None):
+                    raise ValueError(f"{where}: unexpected {' '.join(parts)!r}")
+                if head == "begin":
+                    current = []
+                else:
+                    graphs.append(current)
+                    current = None
+            elif len(parts) == 1:
+                raise ValueError(f"{where}: {head!r} needs a value")
             else:
-                keys[parts[0]] = " ".join(parts[1:])
-    m = int(keys["m"])
-    kind = keys.get("schedule", "static")
+                keys[head] = (" ".join(parts[1:]), where)
+    if current is not None:
+        raise ValueError(f"{path}: 'begin graph' without 'end graph'")
+
+    def value(name, convert=str, default=None):
+        if name not in keys:
+            if default is not None:
+                return default
+            raise ValueError(f"{path}: missing {name!r} line")
+        text, where = keys[name]
+        try:
+            return convert(text)
+        except ValueError:
+            raise ValueError(f"{where}: bad {name} {text!r}") from None
+
+    m = value("m", int)
+    kind = value("schedule", default="static")
     if kind == "static":
         return StaticSchedule(DirectedGraph(m=m, edges=frozenset(edges)))
     if kind == "scripted":
-        mode = keys.get("mode", "once")
+        mode = value("mode", default="once")
         gs = [DirectedGraph(m=m, edges=frozenset(g)) for g in graphs]
         return ScriptedSchedule(gs, mode=mode)
     if kind == "random_activation":
-        p = float(keys["p"])
+        p = value("p", float)
         if seed is None:
             if "seed" not in keys:
                 raise ValueError(f"{path}: random_activation file needs a seed")
-            seed = int(keys["seed"])
+            seed = value("seed", int)
         base = DirectedGraph(m=m, edges=frozenset(edges))
         return RandomActivationSchedule(base, p=p, seed=seed)
     raise ValueError(f"{path}: unknown schedule kind {kind!r}")

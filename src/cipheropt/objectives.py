@@ -2,8 +2,10 @@
 
 The shipped objective is the regularized least-squares form
 f_i(x) = ||z_i - M_i x||^2 + omega_i ||x||^2, which is smooth and strongly
-convex with constants read off the Gram matrix of M_i. The interface is open
-so other smooth strongly convex objectives can be plugged into the engine.
+convex with constants read off the Gram matrix of M_i. It is the only
+objective the package supports: `optimal_solution`, which every residual is
+measured against, solves the normal equations of these quadratics and
+rejects anything else.
 """
 from __future__ import annotations
 
@@ -15,25 +17,7 @@ _INSTANCE_STREAM = 21
 _NOISE_STREAM = 22
 
 
-class LocalObjective:
-    """Interface: value(x), gradient(x), lipschitz, strong_convexity."""
-
-    def value(self, x):
-        raise NotImplementedError
-
-    def gradient(self, x):
-        raise NotImplementedError
-
-    @property
-    def lipschitz(self):
-        raise NotImplementedError
-
-    @property
-    def strong_convexity(self):
-        raise NotImplementedError
-
-
-class QuadraticSensorObjective(LocalObjective):
+class QuadraticSensorObjective:
     """f(x) = ||z - M x||^2 + omega ||x||^2 with analytic gradient and curvature."""
 
     def __init__(self, measurement, observation, omega):

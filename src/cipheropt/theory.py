@@ -427,12 +427,8 @@ def trajectory_series(trajectory, problem) -> TrajectorySeries:
     if not xs:
         raise ValueError("trajectory was not recorded with full state")
     x_star = trajectory.x_star
-    m = xs[0].shape[0]
     K = len(xs) - 1
-
-    grads = []
-    for k in range(K + 1):
-        grads.append(np.stack([problem.gradient(i, xs[k][i - 1]) for i in range(1, m + 1)]))
+    grads = [problem.gradients(x) for x in xs]
 
     r_norm = np.zeros(K + 1)
     v_norm = np.zeros(K + 1)
@@ -589,38 +585,45 @@ def verify_lemma_inequalities(trajectory, problem, consts: TheoryConstants,
         )
 
 
+def _fmt(v, digits=12) -> str:
+    """v to `digits` significant digits, huge or tiny values in exponent form.
+
+    The copy is rounded to a few more digits than shown first: a value carried
+    at thousands of digits of precision would otherwise go through a decimal
+    conversion of its full mantissa, which Python refuses past 4300 digits.
+    """
+    with mp.workdps(digits + 20):
+        return mp.nstr(+mp.mpf(v), digits, max_fixed=6, min_fixed=-5)
+
+
 def format_certificate(cert: Certificate) -> str:
     """Structured text export; huge numbers appear as mantissa/exponent."""
     c = cert.consts
-
-    def s(v, digits=12):
-        return mp.nstr(v, digits, max_fixed=6, min_fixed=-5)
-
     lines = [
         f"agents: {c.m}",
         f"window: b_tilde={c.b_tilde} b={c.b} b0={c.b0}",
-        f"c0: {s(c.c0)}",
-        f"sigma: {s(c.sigma)}",
-        f"epsilon: {s(c.epsilon)}",
-        f"contraction factor: {s(c.varepsilon, 20)}",
-        f"one minus contraction factor: {s(1 - c.varepsilon, 8)}",
-        f"curvature: L_hat={s(c.l_hat)} L_bar={s(c.l_bar)} mu_hat={s(c.mu_hat)} mu_bar={s(c.mu_bar)} kappa={s(c.kappa)}",
-        f"alpha: {s(c.alpha)}  beta: {s(c.beta)}",
-        f"mass inverse bound: {s(c.w_inv_max_bound)}",
-        f"C1: {s(cert.c1)}",
-        f"C2: {s(cert.c2)}",
-        f"theta0: {s(cert.theta0, 30)}",
-        f"theta_used: {s(cert.theta_used, 30)}",
-        f"one minus theta0: {s(1 - cert.theta0, 8)}",
-        f"step ceiling (theorem): {s(cert.eta_upper)}",
-        f"step at critical rate: {s(cert.eta_star)}",
-        f"interval at theta_used: [{s(cert.interval_at_theta0[0])}, {s(cert.interval_at_theta0[1])}]",
+        f"c0: {_fmt(c.c0)}",
+        f"sigma: {_fmt(c.sigma)}",
+        f"epsilon: {_fmt(c.epsilon)}",
+        f"contraction factor: {_fmt(c.varepsilon, 20)}",
+        f"one minus contraction factor: {_fmt(1 - c.varepsilon, 8)}",
+        f"curvature: L_hat={_fmt(c.l_hat)} L_bar={_fmt(c.l_bar)} mu_hat={_fmt(c.mu_hat)} mu_bar={_fmt(c.mu_bar)} kappa={_fmt(c.kappa)}",
+        f"alpha: {_fmt(c.alpha)}  beta: {_fmt(c.beta)}",
+        f"mass inverse bound: {_fmt(c.w_inv_max_bound)}",
+        f"C1: {_fmt(cert.c1)}",
+        f"C2: {_fmt(cert.c2)}",
+        f"theta0: {_fmt(cert.theta0, 30)}",
+        f"theta_used: {_fmt(cert.theta_used, 30)}",
+        f"one minus theta0: {_fmt(1 - cert.theta0, 8)}",
+        f"step ceiling (theorem): {_fmt(cert.eta_upper)}",
+        f"step at critical rate: {_fmt(cert.eta_star)}",
+        f"interval at theta_used: [{_fmt(cert.interval_at_theta0[0])}, {_fmt(cert.interval_at_theta0[1])}]",
     ]
     if cert.gains is not None:
         g = cert.gains
         lines.append(
-            f"gains: {s(g.gamma1)} {s(g.gamma2)} {s(g.gamma3)} {s(g.gamma4)} "
-            f"product {s(g.product)}"
+            f"gains: {_fmt(g.gamma1)} {_fmt(g.gamma2)} {_fmt(g.gamma3)} {_fmt(g.gamma4)} "
+            f"product {_fmt(g.product)}"
         )
     for name, ok in cert.preconditions.items():
         lines.append(f"check [{'pass' if ok else 'FAIL'}] {name}")
@@ -630,27 +633,24 @@ def format_certificate(cert: Certificate) -> str:
 
 
 def format_lemma_report(report: LemmaReport) -> str:
-    def s(v, digits=12):
-        return mp.nstr(v, digits, max_fixed=6, min_fixed=-5)
-
     lines = [
-        f"theta: {s(report.theta, 30)}",
-        f"eta: {s(report.eta)}",
+        f"theta: {_fmt(report.theta, 30)}",
+        f"eta: {_fmt(report.eta)}",
         f"horizon: {report.horizon}",
-        f"mass inverse: actual {report.w_inv_actual!r} bound {s(report.w_inv_bound)}",
+        f"mass inverse: actual {report.w_inv_actual!r} bound {_fmt(report.w_inv_bound)}",
     ]
     for name, v in report.norms.items():
-        lines.append(f"norm {name}: {s(v)}")
+        lines.append(f"norm {name}: {_fmt(v)}")
     for chk in report.checks:
         if chk.skipped:
             lines.append(f"lemma [skip] {chk.name}: {chk.reason}")
         else:
             verdict = "pass" if chk.holds else "FAIL"
             lines.append(
-                f"lemma [{verdict}] {chk.name}: lhs {s(chk.lhs)} <= gain {s(chk.gain)} "
-                f"* other + offset {s(chk.offset)} = {s(chk.rhs)}"
+                f"lemma [{verdict}] {chk.name}: lhs {_fmt(chk.lhs)} <= gain {_fmt(chk.gain)} "
+                f"* other + offset {_fmt(chk.offset)} = {_fmt(chk.rhs)}"
             )
     if report.c3 is not None:
-        lines.append(f"trajectory bound constant: {s(report.c3)}")
+        lines.append(f"trajectory bound constant: {_fmt(report.c3)}")
         lines.append(f"distance norm within bound: {report.r_bounded_by_c3}")
     return "\n".join(lines) + "\n"

@@ -178,6 +178,12 @@ class TestEncryption:
         with pytest.raises(DecodeError):
             CipherEnvelope.from_bytes(b"\x00" * 64)
 
+    @pytest.mark.parametrize("n", [0, 4, HEADER_SIZE - 1])
+    def test_short_envelope_bytes_rejected(self, n):
+        raw = encrypt(KEY, payload(), NonceCounter(1)).to_bytes()
+        with pytest.raises(DecodeError, match="short"):
+            CipherEnvelope.from_bytes(raw[:n])
+
 
 class TestHexDump:
     def test_rows_cover_longest_side(self):

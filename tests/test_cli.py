@@ -140,6 +140,15 @@ class TestScheduleLoading:
         with pytest.raises(ConfigError, match="schedule file"):
             cli._load_schedule(config, 0)
 
+    @pytest.mark.parametrize("body", ["m 2\nbegin\n", "m 2\nedge 1\n", "edge 1 2\n"])
+    def test_malformed_schedule_file_is_config_error(self, tmp_path, body):
+        path = tmp_path / "bad.graph"
+        path.write_text(body)
+        config = resolve_config("converge", parse("converge"))
+        config["schedule"] = str(path)
+        with pytest.raises(ConfigError, match="bad.graph"):
+            cli._load_schedule(config, 0)
+
 
 class TestExitCodes:
     def test_success(self, tmp_path, capsys):
@@ -162,6 +171,13 @@ class TestExitCodes:
         code = main(["converge", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_malformed_schedule_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.graph"
+        path.write_text("m 2\nbegin\n")
+        cfg = write_config(tmp_path, {"schedule": str(path)})
+        assert main(["theory", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert f"config error: {path}:2:" in capsys.readouterr().err
 
     def test_unknown_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:

@@ -191,6 +191,23 @@ class TestGraphFiles:
         loaded = load_graph_file(path)
         assert loaded.graph == DirectedGraph(2, frozenset({(2, 1), (1, 2)}))
 
+    @pytest.mark.parametrize("body, where", [
+        ("m 2\nbegin\nedge 1 2\nend graph\n", ":2: "),        # bare begin
+        ("m 2\nedge 1\n", ":2: "),                              # edge missing its sender
+        ("m 2\nedge 1 x\n", ":2: "),                            # non-integer agent
+        ("schedule static\nedge 1 2\n", ": missing 'm'"),       # no m line
+        ("m two\n", ":1: "),                                      # m not an integer
+        ("m 2\nend graph\n", ":2: "),                           # end without begin
+        ("m 2\nschedule scripted\nbegin graph\nedge 1 2\n", ": 'begin graph'"),
+        ("m 2\nschedule random_activation\np high\nseed 1\n", ":3: "),
+    ])
+    def test_malformed_file_names_path_and_line(self, tmp_path, body, where):
+        path = tmp_path / "bad.graph"
+        path.write_text(body)
+        with pytest.raises(ValueError) as exc:
+            load_graph_file(path)
+        assert str(exc.value).startswith(f"{path}{where}")
+
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "g.graph"
         path.write_text("m 2\nschedule mystery\n")

@@ -319,6 +319,19 @@ class TestLemmaInequalities:
         with pytest.raises(ValueError, match="B0"):
             verify_lemma_inequalities(short, problem, consts, cert.theta_used)
 
+    def test_formatted_report_survives_huge_mantissas(self):
+        # a constant carried at thousands of digits must not go through a
+        # full-mantissa decimal conversion (Python caps those at 4300 digits)
+        with mp.workdps(6000):
+            huge = mp.mpf(7) * mp.mpf(10) ** 3885 / 3
+        report = theory.LemmaReport(
+            theta=huge, eta=mp.mpf("1e-3"), horizon=1, checks=[], norms={"r": huge},
+            w_inv_actual=1.0, w_inv_bound=huge, gains=None, c3=huge, r_bounded_by_c3=True,
+        )
+        text = format_lemma_report(report)
+        assert "norm r: 2.33333333333e+3885" in text
+        assert "trajectory bound constant: 2.33333333333e+3885" in text
+
     def test_formatted_report(self, desk, desk_run):
         problem, consts = desk
         cert = theorem1_certificate(consts)
