@@ -12,8 +12,12 @@ Wire layout of a framed payload (all integers little-endian):
     magic "PPDO" | version u8 | sender u32 | receiver u32 | k u32
     | kind u8 | count u16 | count * f64
 
-An envelope on the wire is that header in clear, then nonce (12 bytes),
-then ciphertext || 16-byte tag.
+An envelope on the wire is that header in clear, with count 0, then nonce
+(12 bytes), then ciphertext || 16-byte tag.
+
+Payloads and envelopes are immutable records that hold exactly those bytes
+and read their fields from them, so frames packed a round at once are sealed
+and opened without being parsed or packed again.
 """
 from __future__ import annotations
 
@@ -22,6 +26,7 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
@@ -35,8 +40,12 @@ _KIND_BYTES = {KIND_Y: 0x59, KIND_S: 0x53, KIND_W: 0x57}
 _BYTE_KINDS = {v: k for k, v in _KIND_BYTES.items()}
 
 _HEADER = struct.Struct("<4sBIIIBH")  # magic, version, sender, receiver, k, kind, count
+_FRAME_HEADER = [("magic", "S4"), ("version", "u1"), ("sender", "<u4"), ("receiver", "<u4"),
+                 ("k", "<u4"), ("kind", "u1"), ("count", "<u2")]  # the same, as numpy fields
 HEADER_SIZE = _HEADER.size
+_ROUTE_SIZE = HEADER_SIZE - 2  # the header up to the count: magic .. kind
 NONCE_SIZE = 12
+_NONCE = struct.Struct("<QI")
 
 
 class TamperError(ValueError):
@@ -68,45 +77,82 @@ class SharedKey:
         return cls(AESGCM.generate_key(bit_length=256))
 
 
-@dataclass(frozen=True)
-class PlainPayload:
-    """One weighted message: who, when, which kind, and the scaled numbers."""
+@dataclass(frozen=True, init=False)
+class _Record:
+    """An immutable record that is its bytes, `_wire`; sender, receiver, k and
+    kind are read from the header those bytes start with."""
 
-    sender: int
-    receiver: int
-    k: int
-    kind: str
-    data: tuple
+    __slots__ = ("_wire",)
+    _wire: bytes
 
-    def __post_init__(self):
-        if self.kind not in _KIND_BYTES:
-            raise ValueError(f"kind must be one of Y, S, W, got {self.kind!r}")
-        if self.kind == KIND_W and len(self.data) != 1:
+    @classmethod
+    def wrap(cls, wire: bytes):
+        """The record whose bytes are `wire`, taken as they are: unchecked, uncopied."""
+        rec = object.__new__(cls)
+        _set_wire(rec, wire)
+        return rec
+
+    sender = property(lambda self: _read_header(self._wire)[0])
+    receiver = property(lambda self: _read_header(self._wire)[1])
+    k = property(lambda self: _read_header(self._wire)[2])
+    kind = property(lambda self: _read_header(self._wire)[3])
+
+    def __reduce__(self):
+        return type(self).wrap, (self._wire,)
+
+
+_set_wire = _Record._wire.__set__  # the one way to give a record its bytes
+
+
+@dataclass(frozen=True, init=False)
+class PlainPayload(_Record):
+    """One weighted message: who, when, which kind, and the scaled numbers.
+
+    It is its frame, `frame`; `data` is the tuple of floats read from it.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, sender: int, receiver: int, k: int, kind: str, data):
+        if kind not in _KIND_BYTES:
+            raise ValueError(f"kind must be one of Y, S, W, got {kind!r}")
+        if kind == KIND_W and len(data) != 1:
             raise ValueError("a W payload carries exactly one entry")
-        if len(self.data) == 0:
+        if len(data) == 0:
             raise ValueError("payload data must be non-empty")
-        object.__setattr__(self, "data", tuple(float(v) for v in self.data))
+        if len(data) > 0xFFFF:
+            raise ValueError(f"payload too long: {len(data)} entries")
+        values = np.array([float(v) for v in data], dtype="<f8")
+        _set_wire(self, _header(sender, receiver, k, kind, len(values)) + values.tobytes())
+
+    frame = property(lambda self: self._wire)
+    data = property(lambda self: tuple(np.frombuffer(self._wire, "<f8", offset=HEADER_SIZE).tolist()))
 
 
-@dataclass(frozen=True)
-class CipherEnvelope:
-    """Clear header, unique nonce, and AESGCM ciphertext (tag appended)."""
+@dataclass(frozen=True, init=False)
+class CipherEnvelope(_Record):
+    """Clear header, unique nonce, and AESGCM ciphertext (tag appended).
 
-    sender: int
-    receiver: int
-    k: int
-    kind: str
-    nonce: bytes
-    ciphertext: bytes
+    It is its wire bytes; the header they start with is the associated
+    data the ciphertext was sealed under.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, sender: int, receiver: int, k: int, kind: str, nonce: bytes,
+                 ciphertext: bytes):
+        _set_wire(self, _header(sender, receiver, k, kind) + bytes(nonce) + bytes(ciphertext))
+
+    nonce = property(lambda self: self._wire[HEADER_SIZE : HEADER_SIZE + NONCE_SIZE])
+    ciphertext = property(lambda self: self._wire[HEADER_SIZE + NONCE_SIZE :])
 
     def to_bytes(self) -> bytes:
-        return _header(self) + self.nonce + self.ciphertext
+        return self._wire
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "CipherEnvelope":
-        sender, receiver, k, kind, _ = _read_header(raw)
-        nonce = raw[HEADER_SIZE : HEADER_SIZE + NONCE_SIZE]
-        return cls(sender, receiver, k, kind, nonce, raw[HEADER_SIZE + NONCE_SIZE :])
+        _read_header(raw)
+        return cls.wrap(b"".join((raw[:_ROUTE_SIZE], b"\0\0", raw[HEADER_SIZE:])))
 
 
 class NonceCounter:
@@ -123,15 +169,14 @@ class NonceCounter:
     def next(self) -> bytes:
         if self.count >= 2**64:
             raise OverflowError("nonce counter exhausted")
-        nonce = struct.pack("<QI", self.count, self.sender)
+        nonce = _NONCE.pack(self.count, self.sender)
         self.count += 1
         return nonce
 
 
-def _header(p_or_e, count=0) -> bytes:
-    """The clear header of a payload or envelope; count 0 outside a framed payload."""
-    return _HEADER.pack(MAGIC, VERSION, p_or_e.sender, p_or_e.receiver, p_or_e.k,
-                        _KIND_BYTES[p_or_e.kind], count)
+def _header(sender, receiver, k, kind, count=0) -> bytes:
+    """The clear header; count 0 outside a framed payload."""
+    return _HEADER.pack(MAGIC, VERSION, sender, receiver, k, _KIND_BYTES[kind], count)
 
 
 def _read_header(raw: bytes):
@@ -148,20 +193,38 @@ def _read_header(raw: bytes):
     return sender, receiver, k, _BYTE_KINDS[kind_byte], n
 
 
+def pack_frames(k, senders, receivers, parts):
+    """Frames of round k, for each t and each (kind, values) in `parts`:
+    values[t] from senders[t] to receivers[t], packed in one pass.
+
+    Returns the bytes (message t's frames back to back, in `parts` order),
+    the length of one message's frames, and each frame's (kind, start, end).
+    """
+    layout = np.dtype([(kind, _FRAME_HEADER + [("data", "<f8", values.shape[1:])])
+                       for kind, values in parts])
+    frames = np.zeros(len(senders), layout)
+    for kind, values in parts:
+        f = frames[kind]
+        f["magic"], f["version"], f["k"], f["kind"] = MAGIC, VERSION, k, _KIND_BYTES[kind]
+        f["sender"], f["receiver"] = senders, receivers
+        f["count"], f["data"] = values.shape[1], values
+    offsets = [(kind, layout.fields[kind][1], layout.fields[kind][1] + layout[kind].itemsize)
+               for kind, _ in parts]
+    return frames.tobytes(), layout.itemsize, offsets
+
+
 def encode_payload(p: PlainPayload) -> bytes:
     """Canonical self-delimiting bytes for a payload; exact float round trip."""
-    n = len(p.data)
-    if n > 0xFFFF:
-        raise ValueError(f"payload too long: {n} entries")
-    return _header(p, n) + struct.pack(f"<{n}d", *p.data)
+    return p.frame
 
 
 def decode_payload(raw: bytes) -> PlainPayload:
-    sender, receiver, k, kind, n = _read_header(raw)
+    _, _, _, kind, n = _read_header(raw)
     if len(raw) != HEADER_SIZE + 8 * n:
         raise DecodeError(f"length mismatch: header promises {n} entries")
-    data = struct.unpack_from(f"<{n}d", raw, HEADER_SIZE)
-    return PlainPayload(sender=sender, receiver=receiver, k=k, kind=kind, data=data)
+    if n == 0 or (kind == KIND_W and n != 1):
+        raise DecodeError(f"a {kind} payload cannot carry {n} entries")
+    return PlainPayload.wrap(bytes(raw))
 
 
 @lru_cache(maxsize=8)
@@ -172,21 +235,21 @@ def _aead(key_bytes: bytes) -> AESGCM:
 def encrypt(key: SharedKey, p: PlainPayload, nonce_source: NonceCounter) -> CipherEnvelope:
     """Seal a payload. The clear header is bound as associated data."""
     nonce = nonce_source.next()
-    sealed = _aead(key.key).encrypt(nonce, encode_payload(p), _header(p))
-    return CipherEnvelope(
-        sender=p.sender, receiver=p.receiver, k=p.k, kind=p.kind,
-        nonce=nonce, ciphertext=sealed,
-    )
+    frame = p._wire
+    header = frame[:_ROUTE_SIZE] + b"\0\0"
+    return CipherEnvelope.wrap(header + nonce + _aead(key.key).encrypt(nonce, frame, header))
 
 
 def decrypt(key: SharedKey, e: CipherEnvelope) -> PlainPayload:
     """Open an envelope; TamperError on any authentication failure."""
+    wire = e._wire
     try:
-        raw = _aead(key.key).decrypt(e.nonce, e.ciphertext, _header(e))
+        raw = _aead(key.key).decrypt(wire[HEADER_SIZE : HEADER_SIZE + NONCE_SIZE],
+                                     wire[HEADER_SIZE + NONCE_SIZE :], wire[:HEADER_SIZE])
     except InvalidTag as exc:
         raise TamperError("envelope failed authentication") from exc
     p = decode_payload(raw)
-    if (p.sender, p.receiver, p.k, p.kind) != (e.sender, e.receiver, e.k, e.kind):
+    if raw[:_ROUTE_SIZE] != wire[:_ROUTE_SIZE]:
         raise TamperError("header does not match sealed payload")
     return p
 

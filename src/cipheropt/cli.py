@@ -40,6 +40,8 @@ DEFAULT_STEPS = {
     "ab_pushpull": 1.2e-3,
 }
 
+PRIVACY_SCENARIOS = ("b", "c", "addopt")  # "all" runs each
+
 _COMMON_DEFAULTS = {
     "problem": {"m": 6, "s": 3, "d": 2, "omega": 0.01, "instance_seed": 7},
     "schedule": "fig5b",
@@ -137,6 +139,9 @@ def resolve_config(command: str, args) -> dict:
         raise ConfigError("encryption must be 'on' or 'off'")
     if config["algorithm"] not in ALGORITHM_NAMES and config["algorithm"] != "all":
         raise ConfigError(f"unknown algorithm {config['algorithm']!r}")
+    if config["scenario"] not in ("all", *PRIVACY_SCENARIOS):
+        raise ConfigError(f"scenario must be 'all', 'b', 'c' or 'addopt', "
+                          f"got {config['scenario']!r}")
     return config
 
 
@@ -283,7 +288,7 @@ def cmd_privacy(config: dict) -> ExperimentResult:
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     result = ExperimentResult()
-    scenarios = ("b", "c", "addopt") if config["scenario"] == "all" else (config["scenario"],)
+    scenarios = PRIVACY_SCENARIOS if config["scenario"] == "all" else (config["scenario"],)
     encryption = config["encryption"] == "on"
     step = _resolve_step(config, "algorithm1")
     horizon = int(config["horizon"])

@@ -10,10 +10,11 @@ the first round's results land, which erases the random initial masses
 from the trajectory. All local gradients then come from one batched call.
 
 Those per-edge shares are also what goes on the wire: a `Transport`
-frames them in a fixed order, seals and opens each under AES-GCM when
-encryption is on, checks that what was opened is what was sent, and logs
-the traffic when asked. The trajectory never reads from the transport, so
-sealed and plain runs are the same computation.
+packs all of a round's frames at once, in a fixed order, seals and opens
+each under AES-GCM when encryption is on, checks that every opened frame
+is byte for byte the frame sent, and logs the traffic when asked. The
+trajectory never reads from the transport, so sealed and plain runs are
+the same computation.
 
 The fixed-weight baseline (`push-diging`) is the same kernel with uniform
 columns, so an eavesdropper or a curious neighbor sees exactly the traffic
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import struct
 import time
 from dataclasses import dataclass, field, replace
 
@@ -41,6 +41,7 @@ from .channel import (
     decrypt,
     encode_payload,
     encrypt,
+    pack_frames,
 )
 from .graphs import graph_at
 from .mixing import MixingParams, WeightColumn, assemble_weight_matrix, generate_weight_column
@@ -139,10 +140,18 @@ class Trajectory:
     messages: list = field(default_factory=list)
 
 
-def relative_residual(x, x_init, x_star) -> float:
-    """Squared distance of the stacked estimates to the optimum, relative to start."""
-    num = float(np.sum((np.asarray(x) - x_star) ** 2))
-    den = float(np.sum((np.asarray(x_init) - x_star) ** 2))
+def _squared_distance(x, x_star) -> float:
+    return float(np.sum((np.asarray(x) - x_star) ** 2))
+
+
+def relative_residual(x, x_init, x_star, *, den=None) -> float:
+    """Squared distance of the stacked estimates to the optimum, relative to start.
+
+    `den`, the start's squared distance, is computed from `x_init` unless given.
+    """
+    num = _squared_distance(x, x_star)
+    if den is None:
+        den = _squared_distance(x_init, x_star)
     if den == 0.0:
         return 0.0 if num == 0.0 else float("inf")
     return num / den
@@ -205,10 +214,10 @@ class Transport:
     """The wire under a run: per-edge values in, framed (and sealed) messages out.
 
     Messages go out sender ascending, then receiver ascending, then Y, S,
-    W, so nonces and bytes are reproducible. With a key every message is
-    sealed and opened again, and a message whose opened numbers differ in
-    any bit from those sent fails the round. Without a key messages are
-    only framed, for the log.
+    W, so nonces and bytes are reproducible. Every frame of a round is
+    packed at once; with a key each frame is then sealed and opened again,
+    and a message that does not open to exactly the bytes sent fails the
+    round. Without a key messages are only framed, for the log.
     """
 
     def __init__(self, m: int, key: SharedKey | None, log: list | None):
@@ -218,30 +227,27 @@ class Transport:
 
     def send(self, k, columns, jy, js, jw):
         """Ship round k: jy[r-1, i-1] (and js, jw) is what sender i owes receiver r."""
-        for i in sorted(columns):
-            for r in sorted(columns[i].entries):
-                if r == i:
-                    continue
-                sent = ((KIND_Y, jy[r - 1, i - 1]), (KIND_S, js[r - 1, i - 1]),
-                        (KIND_W, jw[r - 1, i - 1 : i]))
-                for kind, values in sent:
-                    p = PlainPayload(sender=i, receiver=r, k=k, kind=kind, data=values.tolist())
-                    cipher = None
-                    if self.key is not None:
-                        env = encrypt(self.key, p, self.counters[i])
-                        opened = decrypt(self.key, env).data
-                        if _bits(opened) != _bits(p.data):
-                            raise TamperError(
-                                f"k={k} {kind} message {i}->{r} opened to other numbers")
-                        if self.log is not None:
-                            cipher = env.to_bytes()
+        pairs = [(i, r) for i in sorted(columns) for r in sorted(columns[i].entries) if r != i]
+        if not pairs:
+            return
+        snd, rcv = np.array(pairs).T
+        raw, step, offsets = pack_frames(k, snd, rcv, (
+            (KIND_Y, jy[rcv - 1, snd - 1]), (KIND_S, js[rcv - 1, snd - 1]),
+            (KIND_W, jw[rcv - 1, snd - 1, None])))
+        for at, (i, r) in zip(range(0, len(raw), step), pairs):
+            for kind, lo, hi in offsets:
+                frame = raw[at + lo : at + hi]
+                p = PlainPayload.wrap(frame)
+                cipher = None
+                if self.key is not None:
+                    env = encrypt(self.key, p, self.counters[i])
+                    if decrypt(self.key, env).frame != frame:
+                        raise TamperError(f"k={k} {kind} message {i}->{r} opened to other bytes")
                     if self.log is not None:
-                        self.log.append(MessageRecord(k, i, r, kind, p.data,
-                                                      encode_payload(p), cipher))
-
-
-def _bits(values: tuple) -> bytes:
-    return struct.pack(f"<{len(values)}d", *values)
+                        cipher = env.to_bytes()
+                if self.log is not None:
+                    self.log.append(
+                        MessageRecord(k, i, r, kind, p.data, encode_payload(p), cipher))
 
 
 def _mixing_matrix(columns, m: int):
@@ -317,7 +323,8 @@ def _run_rounds(problem, config: RunConfig, algorithm, x_init, state, advance, e
     x_star = optimal_solution(problem)
     traj = Trajectory(algorithm=algorithm, residuals=np.empty(0), iterations=0,
                       x_star=x_star, config=config)
-    residuals = [relative_residual(estimate(state), x_init, x_star)]
+    den = _squared_distance(x_init, x_star)  # fixed for the run
+    residuals = [relative_residual(estimate(state), x_init, x_star, den=den)]
     if record is not None:
         record(traj, state)
     if config.stop_residual is not None and residuals[0] <= config.stop_residual:
@@ -330,7 +337,7 @@ def _run_rounds(problem, config: RunConfig, algorithm, x_init, state, advance, e
         state = advance(state, k)
         if record is not None:
             record(traj, state)
-        res = relative_residual(estimate(state), x_init, x_star)
+        res = relative_residual(estimate(state), x_init, x_star, den=den)
         residuals.append(res)
         if config.stop_residual is not None and res <= config.stop_residual:
             traj.stopped_at = k + 1

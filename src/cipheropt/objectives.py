@@ -244,26 +244,55 @@ def save_instance(instance: SensorFusionInstance, path):
         fh.write("\n".join(lines) + "\n")
 
 
+_INSTANCE_KEYS = ("m", "s", "d", "omega", "x_tilde")
+_INSTANCE_ROWS = ("measurement", "noise")  # one line per agent
+
+
 def load_instance(path) -> SensorFusionInstance:
-    keys = {}
-    measurements = {}
-    noises = {}
+    """Read an instance written by `save_instance`.
+
+    A malformed line raises ValueError naming `path:line`, a missing one
+    ValueError naming `path`.
+    """
+    lines = {}  # "m", ..., "measurement 1", ... -> (numbers, "path:line")
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
+        for n, raw in enumerate(fh, 1):
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
                 continue
-            parts = line.split()
-            if parts[0] == "measurement":
-                measurements[int(parts[1])] = np.array([float(v) for v in parts[2:]])
-            elif parts[0] == "noise":
-                noises[int(parts[1])] = np.array([float(v) for v in parts[2:]])
-            else:
-                keys[parts[0]] = parts[1:]
-    m, s, d = int(keys["m"][0]), int(keys["s"][0]), int(keys["d"][0])
+            head, where = parts[0], f"{path}:{n}"
+            per_agent = head in _INSTANCE_ROWS
+            if not per_agent and head not in _INSTANCE_KEYS:
+                raise ValueError(f"{where}: unknown key {head!r}")
+            try:
+                key = f"{head} {int(parts[1])}" if per_agent else head
+                values = [float(v) for v in parts[1 + per_agent :]]
+            except (IndexError, ValueError):
+                values = []
+            if not values:
+                form = "<agent> <numbers>" if per_agent else "<numbers>"
+                raise ValueError(f"{where}: expected '{head} {form}'")
+            lines[key] = (values, where)
+
+    def numbers(key, size):
+        if key not in lines:
+            raise ValueError(f"{path}: missing {key!r} line")
+        values, where = lines[key]
+        if len(values) != size:
+            raise ValueError(f"{where}: {key!r} needs {size} numbers, got {len(values)}")
+        return values
+
+    def whole(key):
+        (v,) = numbers(key, 1)
+        if not (v.is_integer() and v >= 1):
+            raise ValueError(f"{lines[key][1]}: {key} must be a positive whole number")
+        return int(v)
+
+    m, s, d = whole("m"), whole("s"), whole("d")
     return SensorFusionInstance(
-        omega=float(keys["omega"][0]),
-        x_tilde=np.array([float(v) for v in keys["x_tilde"]]),
-        measurements=tuple(measurements[i].reshape(s, d) for i in range(1, m + 1)),
-        noises=tuple(noises[i] for i in range(1, m + 1)),
+        omega=numbers("omega", 1)[0],
+        x_tilde=np.array(numbers("x_tilde", d)),
+        measurements=tuple(np.array(numbers(f"measurement {i}", s * d)).reshape(s, d)
+                           for i in range(1, m + 1)),
+        noises=tuple(np.array(numbers(f"noise {i}", s)) for i in range(1, m + 1)),
     )

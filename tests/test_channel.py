@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import struct
 
 import pytest
@@ -178,11 +180,71 @@ class TestEncryption:
         with pytest.raises(DecodeError):
             CipherEnvelope.from_bytes(b"\x00" * 64)
 
+    def test_envelope_header_count_is_ignored(self):
+        raw = bytearray(encrypt(KEY, payload(), NonceCounter(1)).to_bytes())
+        raw[18:20] = struct.pack("<H", 2)
+        env = CipherEnvelope.from_bytes(bytes(raw))
+        assert env.to_bytes()[18:20] == b"\0\0"
+        assert decrypt(KEY, env) == payload()
+
     @pytest.mark.parametrize("n", [0, 4, HEADER_SIZE - 1])
     def test_short_envelope_bytes_rejected(self, n):
         raw = encrypt(KEY, payload(), NonceCounter(1)).to_bytes()
         with pytest.raises(DecodeError, match="short"):
             CipherEnvelope.from_bytes(raw[:n])
+
+
+class TestRecords:
+    @pytest.mark.parametrize("field", ["sender", "receiver", "k", "kind", "data", "frame"])
+    def test_payload_rejects_assignment(self, field):
+        p = payload()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, field, 1)
+        with pytest.raises(AttributeError):
+            p.extra = 1
+        assert p == payload()
+
+    @pytest.mark.parametrize("field", ["sender", "receiver", "k", "kind", "nonce", "ciphertext"])
+    def test_envelope_rejects_assignment(self, field):
+        env = encrypt(KEY, payload(), NonceCounter(1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(env, field, 1)
+        with pytest.raises(AttributeError):
+            del env.nonce
+
+    def test_fields_read_back(self):
+        p = PlainPayload(4, 9, 2**32 - 1, KIND_S, [1, -0.0, 2.5])
+        assert (p.sender, p.receiver, p.k, p.kind) == (4, 9, 2**32 - 1, KIND_S)
+        assert p.data == (1.0, -0.0, 2.5) and all(type(v) is float for v in p.data)
+        env = encrypt(KEY, p, NonceCounter(4))
+        assert (env.sender, env.receiver, env.k, env.kind) == (4, 9, 2**32 - 1, KIND_S)
+        assert env.nonce == struct.pack("<QI", 0, 4)
+        assert env == CipherEnvelope(4, 9, 2**32 - 1, KIND_S, env.nonce, env.ciphertext)
+
+    def test_round_trips_compare_and_hash_equal(self):
+        p = payload(data=(float("nan"), -0.0, 5e-324))
+        env = encrypt(KEY, p, NonceCounter(1))
+        again = CipherEnvelope.from_bytes(env.to_bytes())
+        opened = decrypt(KEY, again)
+        assert again == env and hash(again) == hash(env)
+        assert opened == p and hash(opened) == hash(p)
+        assert decode_payload(encode_payload(p)) == p
+        assert pickle.loads(pickle.dumps(p)) == p
+        assert pickle.loads(pickle.dumps(env)) == env
+        assert p != payload(data=(float("nan"), 0.0, 5e-324))
+        assert p != env
+
+    def test_oversized_payload_rejected(self):
+        with pytest.raises(ValueError, match="too long"):
+            PlainPayload(1, 2, 0, KIND_Y, [0.0] * 0x10000)
+
+    @pytest.mark.parametrize("kind,n", [(KIND_Y, 0), (KIND_W, 2)])
+    def test_decode_rejects_impossible_counts(self, kind, n):
+        raw = bytearray(encode_payload(payload(kind=KIND_Y, data=(1.0, 2.0))))
+        raw[17] = {KIND_Y: 0x59, KIND_W: 0x57}[kind]
+        raw[18:20] = struct.pack("<H", n)
+        with pytest.raises(DecodeError, match="cannot carry"):
+            decode_payload(bytes(raw[:HEADER_SIZE + 8 * n]))
 
 
 class TestHexDump:

@@ -110,6 +110,18 @@ class TestConfigResolution:
             resolve_config("converge", parse("converge", "--config", cfg))
 
 
+    @pytest.mark.parametrize("scenario", ["x", "B", "", None, ["b"]])
+    def test_bad_scenario_rejected(self, tmp_path, scenario):
+        cfg = write_config(tmp_path, {"scenario": scenario})
+        with pytest.raises(ConfigError, match="scenario"):
+            resolve_config("privacy", parse("privacy", "--config", cfg))
+
+    @pytest.mark.parametrize("scenario", ["all", "b", "c", "addopt"])
+    def test_known_scenarios_accepted(self, tmp_path, scenario):
+        cfg = write_config(tmp_path, {"scenario": scenario})
+        assert resolve_config("privacy", parse("privacy", "--config", cfg))["scenario"] == scenario
+
+
 class TestScheduleLoading:
     def test_packaged_schedules(self):
         config = resolve_config("converge", parse("converge"))
@@ -287,6 +299,13 @@ class TestPrivacyCommand:
                      "--encryption", "off"])
         assert code == 0
         assert not (out / "privacy_hexdump.txt").exists()
+
+    def test_unknown_scenario_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"scenario": "x"})
+        out = tmp_path / "out"
+        assert main(["privacy", "--config", cfg, "--out", str(out)]) == 1
+        assert "scenario" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_capture_required(self, tmp_path):
         cfg = write_config(tmp_path, {"capture": False})

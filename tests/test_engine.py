@@ -256,6 +256,16 @@ class TestGuards:
         assert relative_residual(x, x, x) == 0.0
         assert relative_residual(x + 1, x, x) == float("inf")
 
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**16))
+    def test_relative_residual_with_given_denominator_is_identical(self, seed):
+        x, x_init, x_star = np.random.default_rng(seed).standard_normal((3, 4, 2))
+        den = float(np.sum((x_init - x_star) ** 2))
+        assert relative_residual(x, x_init, x_star, den=den) == \
+            relative_residual(x, x_init, x_star)
+        assert relative_residual(x, None, x_star, den=den) == \
+            relative_residual(x, x_init, x_star)
+
 
 class TestMessageLog:
     def test_log_shape_and_kinds(self):

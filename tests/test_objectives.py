@@ -157,3 +157,54 @@ class TestInstanceFiles:
         x = np.array([0.3, -0.7])
         for i in range(1, instance.m + 1):
             assert loaded.objective(i).value(x) == instance.objective(i).value(x)
+
+
+def _instance_lines(instance, tmp_path):
+    path = tmp_path / "good.txt"
+    save_instance(instance, path)
+    return path.read_text().splitlines()
+
+
+class TestMalformedInstanceFiles:
+    """Each case: the lines of a valid m=4, s=3, d=2 file, edited; then the
+    line number (None for a missing line) and the message expected."""
+
+    CASES = {
+        "bare measurement": (lambda ls: ls + ["measurement"], 14, "expected 'measurement"),
+        "measurement without numbers": (lambda ls: ls + ["measurement 2"], 14, "expected"),
+        "non-integer agent": (lambda ls: ls + ["noise two 1.0 2.0 3.0"], 14, "expected 'noise"),
+        "non-numeric value": (lambda ls: ["m four"] + ls[1:], 1, "expected 'm <numbers>'"),
+        "bare key": (lambda ls: ls[:1] + ["s"] + ls[2:], 2, "expected 's <numbers>'"),
+        "fractional m": (lambda ls: ["m 2.5"] + ls[1:], 1, "m must be a positive whole"),
+        "zero d": (lambda ls: ls[:2] + ["d 0"] + ls[3:], 3, "d must be a positive whole"),
+        "unknown key": (lambda ls: ls + ["sigma 1.0"], 14, "unknown key 'sigma'"),
+        "short measurement": (lambda ls: ls[:5] + ["measurement 1 1.0 2.0"] + ls[6:], 6,
+                              "'measurement 1' needs 6 numbers, got 2"),
+        "long x_tilde": (lambda ls: ls[:4] + ["x_tilde 1 2 3"] + ls[5:], 5,
+                         "'x_tilde' needs 2 numbers, got 3"),
+        "missing m": (lambda ls: ls[1:], None, "missing 'm' line"),
+        "missing omega": (lambda ls: ls[:3] + ls[4:], None, "missing 'omega' line"),
+        "missing x_tilde": (lambda ls: ls[:4] + ls[5:], None, "missing 'x_tilde' line"),
+        "missing measurement": (lambda ls: [l for l in ls if not l.startswith("measurement 3 ")],
+                                None, "missing 'measurement 3' line"),
+        "missing noise": (lambda ls: [l for l in ls if not l.startswith("noise 4 ")],
+                          None, "missing 'noise 4' line"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected_with_location(self, tmp_path, instance, case):
+        edit, line, message = self.CASES[case]
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(edit(_instance_lines(instance, tmp_path))) + "\n")
+        where = f"{path}:{line}: " if line is not None else f"{path}: "
+        with pytest.raises(ValueError) as exc:
+            load_instance(path)
+        assert str(exc.value).startswith(where)
+        assert message in str(exc.value)
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path, instance):
+        path = tmp_path / "commented.txt"
+        lines = _instance_lines(instance, tmp_path)
+        path.write_text("# header\n\n" + "\n\n".join(lines) + "\n")
+        loaded = load_instance(path)
+        assert all(np.array_equal(a, b) for a, b in zip(loaded.noises, instance.noises))
