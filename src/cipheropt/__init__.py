@@ -10,7 +10,7 @@ cli (experiment harness).
 """
 
 from .channel import PlainPayload, SharedKey, TamperError
-from .engine import RunConfig, Trajectory, run, run_baseline
+from .engine import RunConfig, Trajectory, run, run_baseline, run_baseline_trials, run_trials
 from .graphs import (
     DirectedGraph,
     RandomActivationSchedule,
@@ -52,6 +52,8 @@ __all__ = [
     "problem_from_instance",
     "run",
     "run_baseline",
+    "run_baseline_trials",
+    "run_trials",
     "save_graph_file",
     "theorem1_certificate",
     "with_noise",

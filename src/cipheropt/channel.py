@@ -45,6 +45,8 @@ _FRAME_HEADER = [("magic", "S4"), ("version", "u1"), ("sender", "<u4"), ("receiv
 HEADER_SIZE = _HEADER.size
 _ROUTE_SIZE = HEADER_SIZE - 2  # the header up to the count: magic .. kind
 NONCE_SIZE = 12
+TAG_SIZE = 16
+_U32 = 0xFFFFFFFF
 _NONCE = struct.Struct("<QI")
 
 
@@ -152,6 +154,9 @@ class CipherEnvelope(_Record):
     @classmethod
     def from_bytes(cls, raw: bytes) -> "CipherEnvelope":
         _read_header(raw)
+        if len(raw) < HEADER_SIZE + NONCE_SIZE + TAG_SIZE:
+            raise DecodeError(f"short envelope: {len(raw)} bytes, a header, nonce and tag "
+                              f"take {HEADER_SIZE + NONCE_SIZE + TAG_SIZE}")
         return cls.wrap(b"".join((raw[:_ROUTE_SIZE], b"\0\0", raw[HEADER_SIZE:])))
 
 
@@ -176,6 +181,9 @@ class NonceCounter:
 
 def _header(sender, receiver, k, kind, count=0) -> bytes:
     """The clear header; count 0 outside a framed payload."""
+    for name, value in (("sender", sender), ("receiver", receiver), ("k", k)):
+        if not 0 <= value <= _U32:
+            raise ValueError(f"{name} must lie in 0..{_U32}, got {value}")
     return _HEADER.pack(MAGIC, VERSION, sender, receiver, k, _KIND_BYTES[kind], count)
 
 

@@ -192,10 +192,12 @@ def _mixing(config: dict) -> MixingParams:
     return MixingParams(c0=float(config["c0"]), k0_range=float(config["k0_range"]))
 
 
-def _run_algorithm(config, problem, sched, algorithm, run_config):
+def _run_trials(config, problems, schedules, algorithm, run_config, trials):
+    """Every trial of `trials` at once, in lockstep where the algorithm allows."""
     if algorithm == "algorithm1":
-        return engine.run(problem, sched, _mixing(config), run_config)
-    return engine.run_baseline(problem, sched, run_config, ALGORITHM_NAMES[algorithm])
+        return engine.run_trials(problems, schedules, _mixing(config), run_config, trials)
+    return engine.run_baseline_trials(problems, schedules, run_config,
+                                      ALGORITHM_NAMES[algorithm], trials)
 
 
 def _write_csv(path: Path, header, rows):
@@ -214,18 +216,20 @@ def cmd_converge(config: dict) -> ExperimentResult:
     out_dir = Path(config["out"])
     result = ExperimentResult()
 
+    trials = range(int(config["trials"]))
+    # one problem object unless trials redraw the noise: the kernel then
+    # takes every trial's gradients in one call
+    problems = ([_trial_problem(config, base, t) for t in trials] if config["redraw_noise"]
+                else [_trial_problem(config, base, 0)] * len(trials))
+    schedules = [_load_schedule(config, t) for t in trials]
+
     for algorithm in algorithms:
-        step = _resolve_step(config, algorithm)
+        rc = engine.RunConfig(
+            step_size=_resolve_step(config, algorithm), horizon=horizon,
+            encryption=config["encryption"] == "on", seed=int(config["seed"]),
+        )
         total = np.zeros(horizon + 1)
-        for trial in range(int(config["trials"])):
-            problem = _trial_problem(config, base, trial)
-            sched = _load_schedule(config, trial)
-            rc = engine.RunConfig(
-                step_size=step, horizon=horizon,
-                encryption=config["encryption"] == "on",
-                seed=int(config["seed"]), trial=trial,
-            )
-            traj = _run_algorithm(config, problem, sched, algorithm, rc)
+        for traj in _run_trials(config, problems, schedules, algorithm, rc, trials):
             total += traj.residuals
         mean = total / config["trials"]
         path = out_dir / f"converge_{algorithm}.csv"
@@ -255,7 +259,7 @@ def cmd_stoptime(config: dict) -> ExperimentResult:
                 stop_residual=float(criterion), encryption=enc == "on",
                 seed=int(config["seed"]), trial=0,
             )
-            traj = _run_algorithm(config, problem, sched, algorithm, rc)
+            (traj,) = _run_trials(config, [problem], [sched], algorithm, rc, [0])
             reached = traj.stopped_at is not None
             iterations = traj.stopped_at if reached else traj.iterations
             rows.append((float(criterion), enc, iterations, int(reached)))

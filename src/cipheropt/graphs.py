@@ -99,17 +99,37 @@ def is_strongly_connected(g: DirectedGraph) -> bool:
 # Schedules
 # ---------------------------------------------------------------------------
 
+def _edge_matrix(m, edges) -> np.ndarray:
+    """Read-only m-by-m boolean matrix, True at [l-1, i-1] for each edge (l, i)."""
+    a = np.zeros((m, m), dtype=bool)
+    for (l, i) in edges:
+        a[l - 1, i - 1] = True
+    a.flags.writeable = False
+    return a
+
+
+def _check_index(k):
+    if k < 0:
+        raise ValueError("iteration index must be >= 0")
+
+
 class StaticSchedule:
     """The same graph at every iteration."""
 
     def __init__(self, graph: DirectedGraph):
         self.graph = graph
         self.m = graph.m
+        self._matrix = _edge_matrix(graph.m, graph.edges)
 
     def graph_at(self, k: int) -> DirectedGraph:
-        if k < 0:
-            raise ValueError("iteration index must be >= 0")
+        _check_index(k)
         return self.graph
+
+    def adjacency(self, k: int) -> np.ndarray:
+        """The graph at iteration k as a read-only m-by-m boolean matrix, [l-1, i-1]
+        for edge (l, i)."""
+        _check_index(k)
+        return self._matrix
 
 
 class ScriptedSchedule:
@@ -131,18 +151,25 @@ class ScriptedSchedule:
         self.graphs = list(graphs)
         self.mode = mode
         self.m = ms.pop()
+        self._matrices = [_edge_matrix(self.m, g.edges) for g in self.graphs]
 
-    def graph_at(self, k: int) -> DirectedGraph:
-        if k < 0:
-            raise ValueError("iteration index must be >= 0")
+    def _position(self, k: int) -> int:
+        _check_index(k)
         n = len(self.graphs)
         if self.mode == "cycle":
-            return self.graphs[k % n]
+            return k % n
         if self.mode == "hold":
-            return self.graphs[min(k, n - 1)]
+            return min(k, n - 1)
         if k >= n:
             raise ScheduleExhausted(f"scripted schedule has {n} graphs, asked for k={k}")
-        return self.graphs[k]
+        return k
+
+    def graph_at(self, k: int) -> DirectedGraph:
+        return self.graphs[self._position(k)]
+
+    def adjacency(self, k: int) -> np.ndarray:
+        """`StaticSchedule.adjacency` of the graph played at iteration k."""
+        return self._matrices[self._position(k)]
 
 
 class RandomActivationSchedule:
@@ -161,16 +188,26 @@ class RandomActivationSchedule:
         self.seed = int(seed)
         self.m = base.m
         self._edges = base.sorted_edges()
+        self._flat = np.array([(l - 1) * self.m + i - 1 for (l, i) in self._edges],
+                              dtype=np.intp)
 
-    def graph_at(self, k: int) -> DirectedGraph:
-        if k < 0:
-            raise ValueError("iteration index must be >= 0")
+    def edge_mask(self, k: int) -> np.ndarray:
+        """Which of the sorted base edges are active at iteration k."""
+        _check_index(k)
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=self.seed, spawn_key=(_ACTIVATION_STREAM, k))
         )
-        draws = rng.random(len(self._edges))
-        kept = [e for e, u in zip(self._edges, draws) if u < self.p]
+        return rng.random(len(self._edges)) < self.p
+
+    def graph_at(self, k: int) -> DirectedGraph:
+        kept = [e for e, keep in zip(self._edges, self.edge_mask(k)) if keep]
         return DirectedGraph(m=self.m, edges=frozenset(kept))
+
+    def adjacency(self, k: int) -> np.ndarray:
+        """`StaticSchedule.adjacency` of the graph at iteration k, from its edge mask."""
+        a = np.zeros(self.m * self.m, dtype=bool)
+        a[self._flat[self.edge_mask(k)]] = True
+        return a.reshape(self.m, self.m)
 
 
 def graph_at(schedule, k: int) -> DirectedGraph:

@@ -140,15 +140,18 @@ class GlobalProblem:
     def gradients(self, x):
         """Every local gradient at once: row i-1 is agent i's gradient at x[i-1].
 
-        Quadratic objectives of one shape go through two batched matmuls,
-        which run the same BLAS product per agent as `gradient` does, so the
-        rows are bit-identical to it (einsum's are not).
+        x is m-by-d, or carries leading batch axes (T, m, d). Quadratic
+        objectives of one shape go through two batched matmuls, which run
+        the same BLAS product per agent as `gradient` does, so the rows are
+        bit-identical to it (einsum's are not).
         """
         if self._stacked is None:
+            if x.ndim > 2:
+                return np.stack([self.gradients(xb) for xb in x])
             return np.stack([self.gradient(i, x[i - 1]) for i in range(1, self.m + 1)])
         measurement, twice_transposed, observation, twice_omega = self._stacked
-        r = np.matmul(measurement, x[:, :, None])[:, :, 0] - observation
-        return np.matmul(twice_transposed, r[:, :, None])[:, :, 0] + twice_omega * x
+        r = np.matmul(measurement, x[..., None])[..., 0] - observation
+        return np.matmul(twice_transposed, r[..., None])[..., 0] + twice_omega * x
 
 
 def generate_sensor_fusion(m, s, d, omega, seed) -> SensorFusionInstance:

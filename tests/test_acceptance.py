@@ -12,7 +12,7 @@ import pytest
 
 from cipheropt import adversary, cli, theory
 from cipheropt.channel import CipherEnvelope, SharedKey, TamperError, decrypt
-from cipheropt.engine import RunConfig, run, run_baseline
+from cipheropt.engine import RunConfig, run, run_baseline, run_baseline_trials, run_trials
 from cipheropt.graphs import (
     DirectedGraph,
     StaticSchedule,
@@ -42,15 +42,15 @@ def flagship_schedule(trial):
 
 
 def mean_curve(problem, algorithm, step, trials=TRIALS):
+    rc = RunConfig(step_size=step, horizon=HORIZON, encryption=False, seed=0)
+    problems = [problem] * trials
+    schedules = [flagship_schedule(trial) for trial in range(trials)]
+    if algorithm == "algorithm1":
+        trajs = run_trials(problems, schedules, MIX, rc, range(trials))
+    else:
+        trajs = run_baseline_trials(problems, schedules, rc, algorithm, range(trials))
     total = np.zeros(HORIZON + 1)
-    for trial in range(trials):
-        rc = RunConfig(step_size=step, horizon=HORIZON, encryption=False,
-                       seed=0, trial=trial)
-        sched = flagship_schedule(trial)
-        if algorithm == "algorithm1":
-            traj = run(problem, sched, MIX, rc)
-        else:
-            traj = run_baseline(problem, sched, rc, algorithm)
+    for traj in trajs:
         total += traj.residuals
     return total / trials
 

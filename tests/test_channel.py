@@ -13,6 +13,7 @@ from cipheropt.channel import (
     KIND_W,
     KIND_Y,
     NONCE_SIZE,
+    TAG_SIZE,
     CipherEnvelope,
     DecodeError,
     NonceCounter,
@@ -187,7 +188,8 @@ class TestEncryption:
         assert env.to_bytes()[18:20] == b"\0\0"
         assert decrypt(KEY, env) == payload()
 
-    @pytest.mark.parametrize("n", [0, 4, HEADER_SIZE - 1])
+    @pytest.mark.parametrize("n", [0, 4, HEADER_SIZE - 1, HEADER_SIZE, 25,
+                                   HEADER_SIZE + NONCE_SIZE + TAG_SIZE - 1])
     def test_short_envelope_bytes_rejected(self, n):
         raw = encrypt(KEY, payload(), NonceCounter(1)).to_bytes()
         with pytest.raises(DecodeError, match="short"):
@@ -233,6 +235,16 @@ class TestRecords:
         assert pickle.loads(pickle.dumps(env)) == env
         assert p != payload(data=(float("nan"), 0.0, 5e-324))
         assert p != env
+
+    @pytest.mark.parametrize("field,value", [("sender", -1), ("receiver", 2**32), ("k", -5),
+                                             ("k", 2**32)])
+    def test_header_field_outside_u32_rejected(self, field, value):
+        fields = {"sender": 1, "receiver": 2, "k": 3, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must lie in 0..4294967295, got {value}$"):
+            PlainPayload(kind=KIND_Y, data=(1.0,), **fields)
+        with pytest.raises(ValueError, match=f"^{field} must lie in 0..4294967295, got {value}$"):
+            CipherEnvelope(kind=KIND_Y, nonce=bytes(NONCE_SIZE), ciphertext=bytes(TAG_SIZE),
+                           **fields)
 
     def test_oversized_payload_rejected(self):
         with pytest.raises(ValueError, match="too long"):

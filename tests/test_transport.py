@@ -17,7 +17,6 @@ from cipheropt.channel import (
     encode_payload,
 )
 from cipheropt.engine import Transport
-from cipheropt.mixing import WeightColumn
 
 KEY = SharedKey.from_seed(3)
 
@@ -29,14 +28,10 @@ FLOATS = st.one_of(
 )
 
 
-def columns_for(m, edges, k=0):
-    """{sender: WeightColumn} with a column entry per (receiver, sender) edge."""
-    cols = {}
-    for i in range(1, m + 1):
-        entries = {i: 1.0}
-        entries.update({l: 1.0 for (l, j) in edges if j == i})
-        cols[i] = WeightColumn(owner=i, k=k, entries=entries)
-    return cols
+def wire_pairs(edges):
+    """(senders, receivers) of the (receiver, sender) edges, in wire order."""
+    pairs = np.array(sorted((i, l) for (l, i) in edges), dtype=np.intp).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
 
 
 @st.composite
@@ -69,7 +64,7 @@ class TestRoundFraming:
     def test_bulk_frames_match_per_message_framing(self, case):
         m, edges, jy, js, jw, k = case
         log = []
-        Transport(m, None, log).send(k, columns_for(m, edges, k), jy, js, jw)
+        Transport(m, None, log).send(k, *wire_pairs(edges), jy, js, jw)
         assert [(rec.sender, rec.receiver, rec.kind, rec.plain) for rec in log] == \
             expected_messages(m, edges, jy, js, jw, k)
 
@@ -78,7 +73,7 @@ class TestRoundFraming:
     def test_sealed_round_opens_to_the_same_bits(self, case):
         m, edges, jy, js, jw, k = case
         log = []
-        Transport(m, KEY, log).send(k, columns_for(m, edges, k), jy, js, jw)
+        Transport(m, KEY, log).send(k, *wire_pairs(edges), jy, js, jw)
         expected = expected_messages(m, edges, jy, js, jw, k)
         assert [rec.plain for rec in log] == [frame for *_, frame in expected]
         assert all(rec.cipher is not None for rec in log)
@@ -86,7 +81,7 @@ class TestRoundFraming:
     def test_round_without_an_active_edge_sends_nothing(self):
         log = []
         z = np.zeros((3, 3, 2))
-        Transport(3, KEY, log).send(0, columns_for(3, []), z, z, z[:, :, 0])
+        Transport(3, KEY, log).send(0, *wire_pairs([]), z, z, z[:, :, 0])
         assert log == []
 
 
@@ -117,6 +112,6 @@ class TestOpenedFrameCheck:
         y = np.arange(18.0).reshape(3, 3, 2)
         message = {0: r"k=7 Y message 1->2", 4: r"k=7 S message 1->3"}[victim]
         with pytest.raises(TamperError, match=message):
-            Transport(3, KEY, None).send(7, columns_for(3, [(2, 1), (3, 1), (1, 2)], 7),
+            Transport(3, KEY, None).send(7, *wire_pairs([(2, 1), (3, 1), (1, 2)]),
                                          y, -y, y[:, :, 0])
         assert len(opened) == victim + 1
