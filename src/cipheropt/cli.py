@@ -19,6 +19,7 @@ import numpy as np
 
 from . import adversary, engine, graphs, objectives, theory
 from .mixing import MixingParams
+from .streams import check_seed
 
 
 class ConfigError(ValueError):
@@ -135,6 +136,11 @@ def resolve_config(command: str, args) -> dict:
 
     if config["trials"] < 1:
         raise ConfigError("trials must be at least 1")
+    for name in ("seed", "schedule_seed"):
+        try:
+            check_seed(name, config[name])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     if config["encryption"] not in ("on", "off"):
         raise ConfigError("encryption must be 'on' or 'off'")
     if config["algorithm"] not in ALGORITHM_NAMES and config["algorithm"] != "all":

@@ -4,11 +4,13 @@ The private algorithm is a matrix recursion on row-stacked arrays: y, s
 (m-by-d) and the mass w (m,). `run_trials` advances any number of trials
 in lockstep as (T, m, d) arrays, and `run` is its one-trial case. Each
 round every trial's schedule gives an edge mask over its sorted base
-edges, and the trial's drawn weight columns fill its A(k); sender i owes
-receiver l the shares A[l, i] * (y_i, s_i, w_i), and every receiver sums
-the shares it is owed, its own diagonal share included, in ascending
-sender order with numpy's own reductions, so the bits match a per-agent
-message loop whichever trials share the batch. The index plan of a round
+edges, and the trial's drawn weight columns fill its A(k); both are
+numpy's keyed uniform streams, derived a block of rounds at a time by
+`streams.KeyedStream`. Sender i owes receiver l the shares
+A[l, i] * (y_i, s_i, w_i), and every receiver sums the shares it is
+owed, its own diagonal share included, in ascending sender order with
+numpy's own reductions, so the bits match a per-agent message loop
+whichever trials share the batch. The index plan of a round
 (ranks, receiver groups, wire order) is derived once per edge pattern the
 run meets, up to a bound. The mass is forced back to one when the first round's results
 land, which erases the random initial masses from the trajectory. All
@@ -53,6 +55,7 @@ from .channel import (
 from .graphs import graph_at  # noqa: F401  (kept as engine.graph_at for perfbench's tracer)
 from .mixing import MixingParams, WeightColumn, assemble_weight_matrix, generate_weight_column
 from .objectives import GlobalProblem, optimal_solution
+from .streams import KeyedStream, check_seed
 
 _INIT_STREAM = 31
 _WEIGHT_STREAM = 32
@@ -115,6 +118,8 @@ class RunConfig:
     w0: np.ndarray | None = None
 
     def __post_init__(self):
+        self.seed = check_seed("seed", self.seed)
+        self.trial = check_seed("trial", self.trial)
         if isinstance(self.horizon, bool) or not isinstance(self.horizon, numbers.Integral):
             raise ValueError(f"horizon must be a whole number of rounds, got {self.horizon!r}")
         if self.horizon < 1:
@@ -207,7 +212,8 @@ def draw_weight_columns(graph, params: MixingParams, seed, trial, k) -> dict:
     Row i-1 of the block belongs to agent i alone, so the draws stay
     independent across agents even though one generator fills the block.
     The round kernel draws the same weights on arrays (`_drawn_weights`);
-    this per-agent form is the reference it is tested against.
+    this per-agent form, on numpy's own `SeedSequence` chain, is the
+    reference it is tested against.
     """
     m = graph.m
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(_WEIGHT_STREAM, trial, k))
@@ -325,19 +331,22 @@ def _weight_matrices(plan, edge_weights, diagonal):
 def _drawn_weights(params: MixingParams, seed):
     """The private algorithm's A(k) per batch row: `draw_weight_columns`, on arrays.
 
-    Each trial fills its (seed, trial, k) uniform block; a sender's first
-    out-degree draws become its out-weights in receiver order, and the
-    diagonal is one minus their sequential sum, so every weight has the bits
-    `generate_weight_column` gives it.
+    Each trial fills its (seed, trial, k) uniform block from its own
+    `KeyedStream`, the block numpy's `SeedSequence` chain gives; a sender's
+    first out-degree draws become its out-weights in receiver order, and
+    the diagonal is one minus their sequential sum, so every weight has the
+    bits `generate_weight_column` gives it.
     """
+    streams = {}  # by trial
 
     def weights(plan, trials, k):
         nb, m = plan.out_degree.shape
         n = _draws_per_agent(m)
         u = np.empty((nb, m, n))
         for b, trial in enumerate(trials):
-            ss = np.random.SeedSequence(entropy=seed, spawn_key=(_WEIGHT_STREAM, trial, k))
-            np.random.default_rng(ss).random(out=u[b])
+            if (stream := streams.get(trial)) is None:
+                stream = streams[trial] = KeyedStream(seed, (_WEIGHT_STREAM, trial))
+            stream.fill(k, u[b])
         w = u.reshape(-1)[plan.edge_draws]
         if k == 0:
             r = params.k0_range

@@ -12,6 +12,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .streams import KeyedStream, check_seed
+
 # stream label for activation draws, keeps them disjoint from other uses of a seed
 _ACTIVATION_STREAM = 11
 
@@ -175,9 +177,11 @@ class ScriptedSchedule:
 class RandomActivationSchedule:
     """Each base edge is kept independently with probability p at every k.
 
-    The draw for iteration k is re-derived from (seed, k) over the base
-    graph's canonically sorted edges, so graph_at is replayable and
-    order-independent across calls.
+    The draw for iteration k is numpy's uniform stream keyed (seed, 11, k),
+    one uniform per edge of the base graph in canonical sorted order, so
+    graph_at is replayable and order-independent across calls. The streams
+    are derived a block of iterations at a time (`streams.KeyedStream`), bit
+    for bit the ones a `SeedSequence` per iteration would give.
     """
 
     def __init__(self, base: DirectedGraph, p: float, seed: int):
@@ -185,19 +189,17 @@ class RandomActivationSchedule:
             raise ValueError("activation probability must lie in (0, 1]")
         self.base = base
         self.p = float(p)
-        self.seed = int(seed)
+        self.seed = check_seed("activation seed", seed)
         self.m = base.m
         self._edges = base.sorted_edges()
         self._flat = np.array([(l - 1) * self.m + i - 1 for (l, i) in self._edges],
                               dtype=np.intp)
+        self._stream = KeyedStream(self.seed, (_ACTIVATION_STREAM,))
 
     def edge_mask(self, k: int) -> np.ndarray:
         """Which of the sorted base edges are active at iteration k."""
         _check_index(k)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=self.seed, spawn_key=(_ACTIVATION_STREAM, k))
-        )
-        return rng.random(len(self._edges)) < self.p
+        return self._stream.fill(k, np.empty(len(self._edges))) < self.p
 
     def graph_at(self, k: int) -> DirectedGraph:
         kept = [e for e, keep in zip(self._edges, self.edge_mask(k)) if keep]
@@ -356,7 +358,7 @@ def load_graph_file(path, seed=None):
         if seed is None:
             if "seed" not in keys:
                 raise ValueError(f"{path}: random_activation file needs a seed")
-            seed = value("seed", int)
+            seed = value("seed", lambda text: check_seed("seed", int(text)))
         base = DirectedGraph(m=m, edges=frozenset(edges))
         return RandomActivationSchedule(base, p=p, seed=seed)
     raise ValueError(f"{path}: unknown schedule kind {kind!r}")

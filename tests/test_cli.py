@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cipheropt import cli
 from cipheropt.cli import ConfigError, main, resolve_config
@@ -109,6 +111,20 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match="unknown algorithm"):
             resolve_config("converge", parse("converge", "--config", cfg))
 
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=st.sampled_from(["seed", "schedule_seed"]),
+           value=st.one_of(st.integers(max_value=-1), st.floats(allow_nan=False),
+                           st.booleans(), st.text(max_size=3), st.none()))
+    def test_bad_seed_in_file(self, tmp_path, field, value):
+        cfg = write_config(tmp_path, {field: value})
+        with pytest.raises(ConfigError, match=f"^{field} must be a non-negative whole number"):
+            resolve_config("converge", parse("converge", "--config", cfg))
+
+    def test_negative_seed_flag_exits_1_naming_the_field(self, tmp_path, capsys):
+        assert main(["converge", "--seed", "-1", "--out", str(tmp_path)]) == 1
+        assert "config error: seed must be a non-negative whole number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scenario", ["x", "B", "", None, ["b"]])
     def test_bad_scenario_rejected(self, tmp_path, scenario):

@@ -12,6 +12,7 @@ from cipheropt.engine import (
     relative_residual,
     run,
     run_baseline,
+    run_trials,
     uniform_out_columns,
 )
 from cipheropt.graphs import (
@@ -24,6 +25,8 @@ from cipheropt.mixing import MixingParams, assemble_weight_matrix
 from cipheropt.objectives import generate_sensor_fusion, problem_from_instance
 
 PARAMS = MixingParams(c0=0.15, k0_range=1.0)
+# not a seed: negative, fractional, non-finite or bool
+BAD_SEEDS = st.one_of(st.integers(max_value=-1), st.floats(), st.booleans())
 
 
 def ring(m):
@@ -238,6 +241,17 @@ class TestGuards:
     def test_rejects_non_integer_horizon(self, horizon):
         with pytest.raises(ValueError, match="whole number"):
             RunConfig(step_size=1e-3, horizon=horizon)
+
+    @settings(max_examples=60, deadline=None)
+    @given(field=st.sampled_from(["seed", "trial"]), value=BAD_SEEDS)
+    def test_rejects_negative_fractional_or_bool_seed_and_trial(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a non-negative whole number"):
+            RunConfig(step_size=1e-3, horizon=10, **{field: value})
+
+    def test_bad_trial_in_a_batch_is_named_before_any_round(self):
+        config = RunConfig(step_size=1e-3, horizon=5, encryption=False)
+        with pytest.raises(ValueError, match="^trial must"):
+            run_trials([make_problem()], [StaticSchedule(ring(5))], PARAMS, config, [-2])
 
     def test_accepts_numpy_integer_horizon_and_zero_stop(self):
         cfg = RunConfig(step_size=1e-3, horizon=np.int64(5), stop_residual=0.0)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cipheropt.graphs import (
     ConnectivityCertificate,
@@ -118,6 +120,12 @@ class TestSchedules:
             RandomActivationSchedule(ring(3), 0.0, seed=0)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.one_of(st.integers(max_value=-1), st.floats(), st.booleans()))
+    def test_random_activation_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="^activation seed must be a non-negative whole"):
+            RandomActivationSchedule(ring(3), 0.5, seed)
+
 class TestCertification:
     def test_static_strongly_connected_gives_window_one(self):
         cert = certify_uniform_connectivity(StaticSchedule(ring(4)), horizon=40)
@@ -200,6 +208,8 @@ class TestGraphFiles:
         ("m 2\nend graph\n", ":2: "),                           # end without begin
         ("m 2\nschedule scripted\nbegin graph\nedge 1 2\n", ": 'begin graph'"),
         ("m 2\nschedule random_activation\np high\nseed 1\n", ":3: "),
+        ("m 2\nschedule random_activation\np 0.5\nseed -1\n", ":4: "),
+        ("m 2\nschedule random_activation\np 0.5\nseed 2.5\n", ":4: "),
     ])
     def test_malformed_file_names_path_and_line(self, tmp_path, body, where):
         path = tmp_path / "bad.graph"
