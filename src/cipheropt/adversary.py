@@ -380,6 +380,24 @@ class EavesdropperReport:
     hex_dump: str
 
 
+_WINDOW = 8  # bytes the eavesdropper matches at a time
+
+
+def _windows(blobs) -> np.ndarray:
+    """Every `_WINDOW`-byte window that lies inside one of `blobs`, read as a
+    little-endian uint64, in order (a window spanning two blobs is dropped)."""
+    joined = b"".join(blobs)
+    count = len(joined) - _WINDOW + 1
+    if count <= 0:
+        return np.empty(0, dtype="<u8")
+    view = np.ndarray((count,), dtype="<u8", buffer=joined, strides=(1,))  # no copy
+    ends = np.cumsum([len(blob) for blob in blobs])
+    spanning = (ends[:, None] - np.arange(1, _WINDOW)).ravel()
+    inside = np.ones(count, dtype=bool)
+    inside[spanning[(spanning >= 0) & (spanning < count)]] = False
+    return view[inside]
+
+
 def eavesdropper_report(messages, dump_limit: int = 3) -> EavesdropperReport:
     """What a wiretap learns from sealed traffic: nothing recognizable.
 
@@ -397,20 +415,14 @@ def eavesdropper_report(messages, dump_limit: int = 3) -> EavesdropperReport:
             raise ValueError("encryption was off; eavesdropping analysis does not apply")
         sealed.append(rec.cipher[HEADER_SIZE + NONCE_SIZE :])
 
-    window = 8
-    cipher_windows = set()
-    for blob in sealed:
-        for off in range(len(blob) - window + 1):
-            cipher_windows.add(blob[off : off + window])
-
+    cipher_windows = _windows(sealed)
+    cipher_windows.sort()
+    plain_windows = _windows([rec.plain for rec in messages])
+    checked = len(plain_windows)
     hits = 0
-    checked = 0
-    for rec in messages:
-        plain = rec.plain
-        for off in range(len(plain) - window + 1):
-            checked += 1
-            if plain[off : off + window] in cipher_windows:
-                hits += 1
+    if len(cipher_windows):
+        at = np.minimum(np.searchsorted(cipher_windows, plain_windows), len(cipher_windows) - 1)
+        hits = int(np.count_nonzero(cipher_windows[at] == plain_windows))
 
     counts = Counter()
     by_payload = {}

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import numbers
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -42,6 +43,9 @@ DEFAULT_STEPS = {
 }
 
 PRIVACY_SCENARIOS = ("b", "c", "addopt")  # "all" runs each
+
+# keys that count something: trials, rounds, samples or an agent
+_COUNT_KEYS = ("trials", "horizon", "certify_horizon", "samples", "adversary", "target")
 
 _COMMON_DEFAULTS = {
     "problem": {"m": 6, "s": 3, "d": 2, "omega": 0.01, "instance_seed": 7},
@@ -134,6 +138,10 @@ def resolve_config(command: str, args) -> dict:
             raise ConfigError(f"--stop: {exc}") from None
     config = _merge(config, overrides, "flags")
 
+    for name in _COUNT_KEYS:
+        value = config[name]
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be a whole number, got {value!r}")
     if config["trials"] < 1:
         raise ConfigError("trials must be at least 1")
     for name in ("seed", "schedule_seed"):
@@ -218,11 +226,11 @@ def _write_csv(path: Path, header, rows):
 def cmd_converge(config: dict) -> ExperimentResult:
     algorithms = list(ALGORITHM_NAMES) if config["algorithm"] == "all" else [config["algorithm"]]
     base = _instance(config)
-    horizon = int(config["horizon"])
+    horizon = config["horizon"]
     out_dir = Path(config["out"])
     result = ExperimentResult()
 
-    trials = range(int(config["trials"]))
+    trials = range(config["trials"])
     # one problem object unless trials redraw the noise: the kernel then
     # takes every trial's gradients in one call
     problems = ([_trial_problem(config, base, t) for t in trials] if config["redraw_noise"]
@@ -261,7 +269,7 @@ def cmd_stoptime(config: dict) -> ExperimentResult:
         for enc in ("on", "off"):
             sched = _load_schedule(config, 0)
             rc = engine.RunConfig(
-                step_size=step, horizon=int(config["horizon"]),
+                step_size=step, horizon=config["horizon"],
                 stop_residual=float(criterion), encryption=enc == "on",
                 seed=int(config["seed"]), trial=0,
             )
@@ -301,10 +309,10 @@ def cmd_privacy(config: dict) -> ExperimentResult:
     scenarios = PRIVACY_SCENARIOS if config["scenario"] == "all" else (config["scenario"],)
     encryption = config["encryption"] == "on"
     step = _resolve_step(config, "algorithm1")
-    horizon = int(config["horizon"])
+    horizon = config["horizon"]
     K = horizon - 1
-    adv = int(config["adversary"])
-    target = int(config["target"])
+    adv = config["adversary"]
+    target = config["target"]
     rc = engine.RunConfig(
         step_size=step, horizon=horizon, encryption=encryption,
         seed=int(config["seed"]), trial=0,
@@ -320,7 +328,7 @@ def cmd_privacy(config: dict) -> ExperimentResult:
         report = adversary.infer_states_scenario_b(view, K)
         truth = adversary.gradient_ground_truth(traj.x_series, problem, target, range(1, K + 1))
         adversary.sample_gradient_solutions(
-            report, n=int(config["samples"]), bound=float(config["box"]),
+            report, n=config["samples"], bound=float(config["box"]),
             seed=int(config["seed"]), truth=truth.reshape(-1),
         )
         path = out_dir / "privacy_scenario_b.txt"
@@ -393,7 +401,7 @@ def cmd_theory(config: dict) -> ExperimentResult:
     problem = _trial_problem(config, base, 0)
     sched = _load_schedule(config, 0)
     connectivity = graphs.certify_uniform_connectivity(
-        sched, horizon=int(config["certify_horizon"])
+        sched, horizon=config["certify_horizon"]
     )
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -10,12 +10,14 @@ numpy's keyed uniform streams, derived a block of rounds at a time by
 A[l, i] * (y_i, s_i, w_i), and every receiver sums the shares it is
 owed, its own diagonal share included, in ascending sender order with
 numpy's own reductions, so the bits match a per-agent message loop
-whichever trials share the batch. The index plan of a round
-(ranks, receiver groups, wire order) is derived once per edge pattern the
-run meets, up to a bound. The mass is forced back to one when the first round's results
-land, which erases the random initial masses from the trajectory. All
-local gradients then come from one batched call, and a trial that meets
-its stopping rule leaves the batch.
+whichever trials share the batch. Masks and weights do not depend on the
+state, so the run derives them a block of rounds at a time: every running
+trial's adjacency for up to 64 rounds, one index plan (ranks, receiver
+groups) over all of them and every A(k) of the block, from one weight
+call. The mass is forced back to one when the first round's results land,
+which erases the random initial masses from the trajectory. All local
+gradients then come from one batched call, all residuals from one
+reduction, and a trial that meets its stopping rule leaves the batch.
 
 Those per-edge shares are also what goes on the wire: each trial's
 `Transport` packs all of a round's frames at once, in a fixed order,
@@ -35,7 +37,6 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -55,19 +56,18 @@ from .channel import (
 from .graphs import graph_at  # noqa: F401  (kept as engine.graph_at for perfbench's tracer)
 from .mixing import MixingParams, WeightColumn, assemble_weight_matrix, generate_weight_column
 from .objectives import GlobalProblem, optimal_solution
-from .streams import KeyedStream, check_seed
+from .streams import BLOCK, KeyedStream, check_seed
 
 _INIT_STREAM = 31
 _WEIGHT_STREAM = 32
 
 W_EPS = 1e-12
-# A run keeps each new index plan while its kept plans, counted in cells of
-# this round's (trials, m, m) pattern, stay under this many. The first plan
-# is always kept, so static and held schedules plan once; a small random
-# schedule repeats its likely patterns (one fig5b trial meets 95 patterns in
-# 1000 rounds, and 88% of its rounds find their plan among the 57 it keeps),
-# while a large one never repeats and keeps only its first.
-_PLAN_CELLS = 2**11
+# A block of rounds covers at most this many cells of its (rounds, trials, m,
+# m) adjacency, and as many of its A(k); always at least one round. Blocks
+# never straddle a multiple of `BLOCK`, so each keyed stream derives once per
+# block. Two 6-agent trials take up to 56 rounds at once, while a sealed
+# 48-agent trial takes one and keeps the peak memory of a round at a time.
+_BLOCK_CELLS = 2**12
 
 BASELINES = ("push-diging", "subgradient-push", "ab-push-pull")
 
@@ -162,21 +162,28 @@ class Trajectory:
     messages: list = field(default_factory=list)
 
 
-def _squared_distance(x, x_star) -> float:
-    return float(np.sum((np.asarray(x) - x_star) ** 2))
+def _squared_distance(x, x_star):
+    """sum((x - x_star)^2) over the last two (agent, coordinate) axes, one per
+    leading batch row; each row sums as `np.sum` sums it alone."""
+    sq = (np.asarray(x) - x_star) ** 2
+    return np.add.reduce(sq.reshape(sq.shape[:-2] + (-1,)), axis=-1)
 
 
-def relative_residual(x, x_init, x_star, *, den=None) -> float:
+def relative_residual(x, x_init, x_star, *, den=None):
     """Squared distance of the stacked estimates to the optimum, relative to start.
 
     `den`, the start's squared distance, is computed from `x_init` unless given.
+    An (m, d) estimate gives a float; a (T, m, d) batch, with `x_star` and
+    `den` broadcast per trial, gives one residual per trial.
     """
     num = _squared_distance(x, x_star)
-    if den is None:
-        den = _squared_distance(x_init, x_star)
-    if den == 0.0:
-        return 0.0 if num == 0.0 else float("inf")
-    return num / den
+    den = _squared_distance(x_init, x_star) if den is None else np.asarray(den)
+    if den.all():
+        res = num / den
+    else:  # a start at the optimum: 0 while the estimate stays there, inf once it leaves
+        with np.errstate(divide="ignore", invalid="ignore"):
+            res = np.where(den == 0.0, np.where(num == 0.0, 0.0, np.inf), num / den)
+    return res if res.ndim else float(res)
 
 
 def _initial_positions(problem: GlobalProblem, config: RunConfig):
@@ -276,43 +283,54 @@ class Transport:
 
 
 class _RoundPlan:
-    """Index plan of one round's edge pattern over a batch of trials.
+    """Index plan of a block of rounds over a batch of trials.
 
-    `adj[b, l, i]` is edge (l+1, i+1) of batch row b. The plan derives, once
-    per pattern, each sender's out-degree; where each active edge's weight
-    goes in A(k) (`edges`, ascending flat positions), whose row of per-sender
-    values it takes (`edge_senders`) and which draw of that sender's uniform
-    block it takes (`edge_draws`, by the receiver's rank among the sender's
-    receivers); the receiver groups `_receive` sums by; and, on demand, each
-    row's messages in wire order.
+    `adj[b, l, i]` is edge (l+1, i+1) of batch row b; rows are ordered
+    (round, trial), `rounds` rounds of equally many trials. The plan derives
+    each sender's out-degree; where each active edge's weight goes in A(k)
+    (`edges`, ascending flat positions), whose row of per-sender values it
+    takes (`edge_senders`) and which draw of that sender's uniform block it
+    takes (`edge_draws`, by the receiver's rank among the sender's
+    receivers); and, per round r, the receiver groups `_receive` sums by
+    (`groups[r]`, over that round's rows).
     """
 
-    def __init__(self, adj):
+    def __init__(self, adj, rounds=1):
         nb, m, _ = adj.shape
-        self.adj = adj
         self.out_degree = adj.sum(axis=1)
         self.edges = np.flatnonzero(adj)
         b, _, i = np.unravel_index(self.edges, adj.shape)
         self.edge_senders = b * m + i
         rank = np.cumsum(adj, axis=1).reshape(-1)[self.edges] - 1
         self.edge_draws = self.edge_senders * _draws_per_agent(m) + rank
-        # receivers (batch rows b*m + l) by their number of parts, own share included
+        # receivers (batch rows b*m + l) by their number of parts, own share
+        # included; a group's rows ascend, so each round's rows are a run of them
         parts = (adj | np.eye(m, dtype=bool)).reshape(nb * m, m)
         counts = parts.sum(axis=1)
         order = np.argsort(counts, kind="stable")
         senders = np.nonzero(parts[order])[1]
-        self.groups = []
+        span = nb * m // rounds  # receiver rows per round
+        bounds = np.arange(rounds + 1) * span
+        self.groups = [[] for _ in range(rounds)]
         row = part = 0
         for count, size in enumerate(np.bincount(counts).tolist()):
             if size:
-                self.groups.append((order[row : row + size],
-                                    senders[part : part + size * count].reshape(size, count)))
+                rows = order[row : row + size]
+                group = senders[part : part + size * count].reshape(size, count)
+                if rounds == 1:  # nothing to cut: one round costs what it did alone
+                    self.groups[0].append((rows, group))
+                else:
+                    cuts = np.searchsorted(rows, bounds).tolist()
+                    rows = rows % span
+                    for r, lo, hi in zip(range(rounds), cuts, cuts[1:]):
+                        if lo < hi:
+                            self.groups[r].append((rows[lo:hi], group[lo:hi]))
                 row, part = row + size, part + size * count
 
-    @cached_property
-    def wires(self):
-        """Per batch row, the 1-based (senders, receivers) of its messages in wire order."""
-        return [tuple(ix + 1 for ix in np.nonzero(a.T)) for a in self.adj]
+
+def _wire_order(adj):
+    """The 1-based (senders, receivers) of one round's messages in wire order."""
+    return tuple(ix + 1 for ix in np.nonzero(adj.T))
 
 
 def _draws_per_agent(m: int) -> int:
@@ -331,29 +349,33 @@ def _weight_matrices(plan, edge_weights, diagonal):
 def _drawn_weights(params: MixingParams, seed):
     """The private algorithm's A(k) per batch row: `draw_weight_columns`, on arrays.
 
-    Each trial fills its (seed, trial, k) uniform block from its own
-    `KeyedStream`, the block numpy's `SeedSequence` chain gives; a sender's
-    first out-degree draws become its out-weights in receiver order, and
-    the diagonal is one minus their sequential sum, so every weight has the
-    bits `generate_weight_column` gives it.
+    `weights(plan, trials, k0, rounds)` gives A(k0) .. A(k0+rounds-1) of the
+    trials, rows ordered as the plan's. Each trial fills its (seed, trial, k)
+    uniform blocks from its own `KeyedStream`, the blocks numpy's
+    `SeedSequence` chain gives; a sender's first out-degree draws become its
+    out-weights in receiver order, and the diagonal is one minus their
+    sequential sum, so every weight has the bits `generate_weight_column`
+    gives it.
     """
     streams = {}  # by trial
 
-    def weights(plan, trials, k):
+    def weights(plan, trials, k0, rounds):
         nb, m = plan.out_degree.shape
         n = _draws_per_agent(m)
-        u = np.empty((nb, m, n))
+        u = np.empty((rounds, len(trials), m, n))
         for b, trial in enumerate(trials):
             if (stream := streams.get(trial)) is None:
                 stream = streams[trial] = KeyedStream(seed, (_WEIGHT_STREAM, trial))
-            stream.fill(k, u[b])
-        w = u.reshape(-1)[plan.edge_draws]
-        if k == 0:
+            for r in range(rounds):
+                stream.fill(k0 + r, u[r, b])
+        drawn = u.reshape(-1)[plan.edge_draws]
+        # c0 < 1/m, checked by `run_trials`, leaves every column room for c0 floors
+        lo = params.c0
+        w = lo + drawn * ((1.0 - lo) / plan.out_degree.reshape(-1)[plan.edge_senders] - lo)
+        if k0 == 0:  # round 0's edges come first
+            first = np.searchsorted(plan.edges, nb // rounds * m * m)
             r = params.k0_range
-            w = w * (2.0 * r) - r
-        else:  # c0 < 1/m, checked by `run_trials`, leaves every column room for c0 floors
-            lo = params.c0
-            w = lo + w * ((1.0 - lo) / plan.out_degree.reshape(-1)[plan.edge_senders] - lo)
+            w[:first] = drawn[:first] * (2.0 * r) - r
         ranked = np.zeros(nb * m * n)  # each sender's out-weights by rank, zero-padded
         ranked[plan.edge_draws] = w
         total = ranked.reshape(nb, m, n).cumsum(axis=2)[..., -1]
@@ -362,7 +384,7 @@ def _drawn_weights(params: MixingParams, seed):
     return weights
 
 
-def _uniform_weights(plan, trials, k):
+def _uniform_weights(plan, trials, k0, rounds):
     """push-diging's fixed 1/(out-degree+1) shares per batch row, as `uniform_out_columns`."""
     share = 1.0 / (plan.out_degree + 1)
     return _weight_matrices(plan, share.reshape(-1)[plan.edge_senders], share)
@@ -384,23 +406,24 @@ def _receive(parts, groups, spans):
     return out
 
 
-def _advance(state: RoundState, a, plan: _RoundPlan, step, k, gradients, *, reset_mass,
+def _advance(state: RoundState, a, groups, adj, step, k, gradients, *, reset_mass,
              transports, trials=None) -> RoundState:
     """One synchronous round of every batch row of `state` (arrays with a leading
-    batch axis) under its A(k), a[b]. Returns the states at k+1."""
+    batch axis) under its A(k), a[b], over its edges adj[b], with the round's
+    receiver `groups` of a `_RoundPlan`. Returns the states at k+1."""
     nb, m, d = state.y.shape
     jy = a[..., None] * state.y[:, None]
     js = a[..., None] * state.s[:, None]
     jw = a * state.w[:, None]
     for b, transport in enumerate(transports):
         if transport is not None:
-            transport.send(k, *plan.wires[b], jy[b], js[b], jw[b])
+            transport.send(k, *_wire_order(adj[b]), jy[b], js[b], jw[b])
     # y and s side by side are still a stack of rows; w, and y and s when
     # d == 1, are single columns and are summed on their own
     spans = (slice(0, 2 * d), slice(2 * d, None)) if d > 1 else (
         slice(0, 1), slice(1, 2), slice(2, None))
     parts = np.concatenate((jy - step * js, js, jw[..., None]), axis=3)
-    sums = _receive(parts.reshape(nb * m, m, -1), plan.groups, spans).reshape(nb, m, -1)
+    sums = _receive(parts.reshape(nb * m, m, -1), groups, spans).reshape(nb, m, -1)
     y, s_mix = sums[..., :d], sums[..., d : 2 * d]
     w = np.ones((nb, m)) if reset_mass else sums[..., 2 * d]
     low = np.abs(w) < W_EPS
@@ -427,7 +450,7 @@ def iterate(state: RoundState, columns, problem: GlobalProblem, step, k, *,
         for l in col.entries:
             adj[0, l - 1, i - 1] = l != i
     a = assemble_weight_matrix(columns.values(), m)
-    out = _advance(_batch_rows(state, None), a[None], _RoundPlan(adj), step, k,
+    out = _advance(_batch_rows(state, None), a[None], _RoundPlan(adj).groups[0], adj, step, k,
                    problem.gradients, reset_mass=reset_mass, transports=[transport])
     return _batch_rows(out, 0)
 
@@ -454,34 +477,37 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, weights,
     """Trials `trials` through the round kernel together, one Trajectory each.
 
     Trial trials[j] solves problems[j] on schedules[j] under `config` with
-    its trial number; `weights(plan, trials, k)` gives the running trials'
-    A(k). Index plans are kept by the running trials' edge pattern, so a
-    kept pattern is not planned again, and a trial leaves the batch once it
-    meets its stopping rule.
+    its trial number; `weights(plan, trials, k0, rounds)` gives the running
+    trials' A(k) for a block of rounds. A block ends at the next multiple of
+    `BLOCK`, within `_BLOCK_CELLS`, the horizon and the last round every
+    schedule can play, so no schedule is asked for a round the run cannot
+    reach. A trial leaves the batch once it meets its stopping rule, and the
+    others go on in a new block.
     """
     configs = [_trial_config(config, t) for t in trials]
     starts = [_initial_state(p, c) for p, c in zip(problems, configs)]
     state = RoundState(*(np.stack([getattr(st, f.name) for st in starts])
                          for f in fields(RoundState)))
-    x_init = state.x
     key = SharedKey.from_seed(config.seed) if config.encryption else None
     transports = [Transport(p.m, key, [] if config.record_messages else None)
                   if config.encryption or config.record_messages else None for p in problems]
     trajs = [Trajectory(algorithm=algorithm, residuals=np.empty(0), iterations=0,
                         x_star=optimal_solution(p), config=c) for p, c in zip(problems, configs)]
-    dens = [_squared_distance(x, traj.x_star) for x, traj in zip(x_init, trajs)]  # fixed
-    residuals = [[relative_residual(x, x, traj.x_star, den=den)]
-                 for x, traj, den in zip(x_init, trajs, dens)]
+    x_star = np.stack([traj.x_star for traj in trajs])[:, None]
+    den = _squared_distance(state.x, x_star)  # fixed for the run
+    first = relative_residual(state.x, None, x_star, den=den)
+    residuals = [[first[j : j + 1]] for j in range(len(trials))]  # blocks, per trial
     stop = config.stop_residual
     running = []
     for j, traj in enumerate(trajs):
         if config.record_states:
             _record_states(traj, state, j)
-        if stop is not None and residuals[j][0] <= stop:
+        if stop is not None and first[j] <= stop:
             traj.stopped_at = 0
         else:
             running.append(j)
     state = _batch_rows(state, running)
+    x_star, den = x_star[running], den[running]
     m = problems[0].m
     if all(p is problems[0] for p in problems):
         gradients = problems[0].gradients
@@ -491,47 +517,53 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, weights,
 
     batch_trials = [trials[j] for j in running]
     batch_transports = [transports[j] for j in running]
-    plans = {}  # by the running trials' edge pattern: static and held schedules plan once
     started = time.perf_counter()
-    for k in range(config.horizon):
-        if not running:
-            break
-        adj = np.empty((len(running), m, m), dtype=bool)
+    k = 0
+    while running and k < config.horizon:
+        nt = len(running)
+        ends = [schedules[j].length - k for j in running if schedules[j].length is not None]
+        rounds = max(1, min(BLOCK - k % BLOCK, config.horizon - k,
+                            _BLOCK_CELLS // (nt * m * m), *ends))
+        adj = np.empty((rounds, nt, m, m), dtype=bool)
         for b, j in enumerate(running):
-            adj[b] = schedules[j].adjacency(k)
-        plan = plans.get(pattern := adj.tobytes())
-        if plan is None:
-            plan = _RoundPlan(adj)
-            if len(plans) * adj.size < _PLAN_CELLS:
-                plans[pattern] = plan
-        a = weights(plan, batch_trials, k)
-        if config.record_weights:
-            for j, ab in zip(running, a):
-                trajs[j].weight_matrices.append(ab.copy())
-        state = _advance(state, a, plan, config.step_size, k, gradients,
-                         reset_mass=(config.mass_reset and k == 0),
-                         transports=batch_transports, trials=batch_trials)
-        keep = []
-        for b, j in enumerate(running):
+            adj[:, b] = schedules[j].adjacencies(k, rounds)
+        plan = _RoundPlan(adj.reshape(rounds * nt, m, m), rounds)
+        a = weights(plan, batch_trials, k, rounds).reshape(rounds, nt, m, m)
+        res = np.empty((rounds, nt))
+        for r in range(rounds):
+            if config.record_weights:
+                for j, ab in zip(running, a[r]):
+                    trajs[j].weight_matrices.append(ab.copy())
+            state = _advance(state, a[r], plan.groups[r], adj[r], config.step_size, k,
+                             gradients, reset_mass=(config.mass_reset and k == 0),
+                             transports=batch_transports, trials=batch_trials)
+            k += 1
+            res[r] = relative_residual(state.x, None, x_star, den=den)
             if config.record_states:
-                _record_states(trajs[j], state, b)
-            res = relative_residual(state.x[b], x_init[j], trajs[j].x_star, den=dens[j])
-            residuals[j].append(res)
-            if stop is not None and res <= stop:
-                trajs[j].stopped_at = k + 1
-                trajs[j].elapsed = time.perf_counter() - started
-            else:
-                keep.append(b)
-        if len(keep) < len(running):
+                for b, j in enumerate(running):
+                    _record_states(trajs[j], state, b)
+            if stop is not None and (stopped := res[r] <= stop).any():
+                break
+        else:
+            stopped = None
+        for b, j in enumerate(running):
+            residuals[j].append(res[: r + 1, b])
+        if stopped is not None:
+            elapsed = time.perf_counter() - started
+            for b in np.flatnonzero(stopped).tolist():
+                trajs[running[b]].stopped_at = k
+                trajs[running[b]].elapsed = elapsed
+            keep = np.flatnonzero(~stopped).tolist()
             running = [running[b] for b in keep]
             batch_trials = [batch_trials[b] for b in keep]
             batch_transports = [batch_transports[b] for b in keep]
             state = _batch_rows(state, keep)
+            x_star, den = x_star[keep], den[keep]
     for j in running:
         trajs[j].elapsed = time.perf_counter() - started
     for traj, res, transport in zip(trajs, residuals, transports):
-        traj.residuals = np.array(res)
-        traj.iterations = len(res) - 1
+        traj.residuals = np.concatenate(res)
+        traj.iterations = len(traj.residuals) - 1
         if config.record_messages:
             traj.messages = transport.log
     return trajs

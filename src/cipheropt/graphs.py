@@ -115,7 +115,18 @@ def _check_index(k):
         raise ValueError("iteration index must be >= 0")
 
 
-class StaticSchedule:
+class _Schedule:
+    """Shared by the schedules: `adjacency(k)` from their `adjacencies(k, n)`, and
+    how many rounds they can play."""
+
+    length = None  # rounds it can play; None when it plays forever
+
+    def adjacency(self, k: int) -> np.ndarray:
+        """The graph at iteration k, `adjacencies(k, 1)[0]`."""
+        return self.adjacencies(k, 1)[0]
+
+
+class StaticSchedule(_Schedule):
     """The same graph at every iteration."""
 
     def __init__(self, graph: DirectedGraph):
@@ -127,14 +138,14 @@ class StaticSchedule:
         _check_index(k)
         return self.graph
 
-    def adjacency(self, k: int) -> np.ndarray:
-        """The graph at iteration k as a read-only m-by-m boolean matrix, [l-1, i-1]
-        for edge (l, i)."""
+    def adjacencies(self, k: int, n: int) -> np.ndarray:
+        """The graphs at iterations k .. k+n-1 as an (n, m, m) boolean array, True at
+        [r, l-1, i-1] for edge (l, i) at iteration k+r; callers only read it."""
         _check_index(k)
-        return self._matrix
+        return np.broadcast_to(self._matrix, (n, self.m, self.m))
 
 
-class ScriptedSchedule:
+class ScriptedSchedule(_Schedule):
     """A fixed list of graphs played back by iteration index.
 
     mode "once"  : k past the list raises ScheduleExhausted
@@ -153,28 +164,32 @@ class ScriptedSchedule:
         self.graphs = list(graphs)
         self.mode = mode
         self.m = ms.pop()
-        self._matrices = [_edge_matrix(self.m, g.edges) for g in self.graphs]
+        self.length = len(self.graphs) if mode == "once" else None
+        self._matrices = np.stack([_edge_matrix(self.m, g.edges) for g in self.graphs])
 
-    def _position(self, k: int) -> int:
+    def _positions(self, k: int, n: int) -> np.ndarray:
+        """Which graph plays at each of the iterations k .. k+n-1."""
         _check_index(k)
-        n = len(self.graphs)
+        count = len(self.graphs)
+        ks = np.arange(k, k + n)
         if self.mode == "cycle":
-            return k % n
+            return ks % count
         if self.mode == "hold":
-            return min(k, n - 1)
-        if k >= n:
-            raise ScheduleExhausted(f"scripted schedule has {n} graphs, asked for k={k}")
-        return k
+            return np.minimum(ks, count - 1)
+        if k + n > count:
+            raise ScheduleExhausted(
+                f"scripted schedule has {count} graphs, asked for k={max(k, count)}")
+        return ks
 
     def graph_at(self, k: int) -> DirectedGraph:
-        return self.graphs[self._position(k)]
+        return self.graphs[self._positions(k, 1)[0]]
 
-    def adjacency(self, k: int) -> np.ndarray:
-        """`StaticSchedule.adjacency` of the graph played at iteration k."""
-        return self._matrices[self._position(k)]
+    def adjacencies(self, k: int, n: int) -> np.ndarray:
+        """`StaticSchedule.adjacencies` of the graphs played at iterations k .. k+n-1."""
+        return self._matrices[self._positions(k, n)]
 
 
-class RandomActivationSchedule:
+class RandomActivationSchedule(_Schedule):
     """Each base edge is kept independently with probability p at every k.
 
     The draw for iteration k is numpy's uniform stream keyed (seed, 11, k),
@@ -196,20 +211,24 @@ class RandomActivationSchedule:
                               dtype=np.intp)
         self._stream = KeyedStream(self.seed, (_ACTIVATION_STREAM,))
 
-    def edge_mask(self, k: int) -> np.ndarray:
-        """Which of the sorted base edges are active at iteration k."""
+    def edge_masks(self, k: int, n: int) -> np.ndarray:
+        """Row r: which of the sorted base edges are active at iteration k+r."""
         _check_index(k)
-        return self._stream.fill(k, np.empty(len(self._edges))) < self.p
+        u = np.empty((n, len(self._edges)))
+        for r in range(n):
+            self._stream.fill(k + r, u[r])
+        return u < self.p
 
     def graph_at(self, k: int) -> DirectedGraph:
-        kept = [e for e, keep in zip(self._edges, self.edge_mask(k)) if keep]
+        kept = [e for e, keep in zip(self._edges, self.edge_masks(k, 1)[0]) if keep]
         return DirectedGraph(m=self.m, edges=frozenset(kept))
 
-    def adjacency(self, k: int) -> np.ndarray:
-        """`StaticSchedule.adjacency` of the graph at iteration k, from its edge mask."""
-        a = np.zeros(self.m * self.m, dtype=bool)
-        a[self._flat[self.edge_mask(k)]] = True
-        return a.reshape(self.m, self.m)
+    def adjacencies(self, k: int, n: int) -> np.ndarray:
+        """`StaticSchedule.adjacencies` of the graphs at iterations k .. k+n-1, from
+        their edge masks."""
+        a = np.zeros((n, self.m * self.m), dtype=bool)
+        a[:, self._flat] = self.edge_masks(k, n)
+        return a.reshape(n, self.m, self.m)
 
 
 def graph_at(schedule, k: int) -> DirectedGraph:

@@ -27,7 +27,7 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M32, _M128 = 2**32 - 1, 2**128 - 1
 _POOL = 4
-_BLOCK = 64  # keys derived together; a multiple of 64 never straddles 2**32
+BLOCK = 64  # keys derived together; a multiple of 64 never straddles 2**32
 
 
 def _words(n: int) -> int:
@@ -88,8 +88,8 @@ class KeyedStream:
         self._gen = np.random.Generator(self._bits)
 
     def _derive(self, start):
-        """PCG64 (state, inc) of the keys start .. start + _BLOCK - 1."""
-        keys = np.arange(start, start + _BLOCK, dtype=np.uint32)
+        """PCG64 (state, inc) of the keys start .. start + BLOCK - 1."""
+        keys = np.arange(start, start + BLOCK, dtype=np.uint32)
         pool = self._pool * np.uint32(_MIX_L) - _shift_xor(
             (keys ^ self._key_xor) * self._key_mul) * np.uint32(_MIX_R)
         words = _shift_xor((_shift_xor(pool)[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _STATE_XOR) * _STATE_MUL)
@@ -105,7 +105,7 @@ class KeyedStream:
         if key > _M32:  # two key words: numpy's own chain
             ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.prefix + (key,))
             return np.random.default_rng(ss).random(out=out)
-        start = key - key % _BLOCK
+        start = key - key % BLOCK
         if start != self._start:
             self._start, self._pairs = start, self._derive(start)
         state, inc = self._pairs[key - start]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cipheropt.adversary import (
     EavesdropperReport,
@@ -14,7 +16,15 @@ from cipheropt.adversary import (
     report_to_text,
     sample_gradient_solutions,
 )
-from cipheropt.channel import NonceCounter, PlainPayload, SharedKey, encode_payload, encrypt
+from cipheropt.channel import (
+    HEADER_SIZE,
+    NONCE_SIZE,
+    NonceCounter,
+    PlainPayload,
+    SharedKey,
+    encode_payload,
+    encrypt,
+)
 from cipheropt.engine import MessageRecord, RunConfig, run, run_baseline
 from cipheropt.graphs import DirectedGraph, ScriptedSchedule, StaticSchedule
 from cipheropt.mixing import MixingParams
@@ -314,6 +324,49 @@ class TestEavesdropper:
     def test_empty_capture_rejected(self):
         with pytest.raises(ValueError):
             eavesdropper_report([])
+
+    def test_scan_of_a_capture_is_the_window_set_scan(self, isolated_run):
+        _, traj = isolated_run
+        report = eavesdropper_report(traj.messages)
+        assert (report.windows_checked, report.substring_hits) == set_scan(traj.messages)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), sizes=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)),
+                                          min_size=1, max_size=12))
+    def test_scan_counts_planted_windows_as_the_window_set_scan(self, data, sizes):
+        """Plaintexts and sealed blobs of 0 to 24 bytes, some of them holding an
+        8-byte window of a plaintext; windows must not run across two blobs."""
+        records = []
+        for n_plain, n_blob in sizes:
+            plain = data.draw(st.binary(min_size=n_plain, max_size=n_plain))
+            blob = data.draw(st.binary(min_size=n_blob, max_size=n_blob))
+            records.append([plain, blob])
+        for _ in range(data.draw(st.integers(0, 3))):
+            source = data.draw(st.sampled_from(records))[0]
+            target = data.draw(st.sampled_from(records))
+            if len(source) >= 8 and len(target[1]) >= 8:
+                at = data.draw(st.integers(0, len(source) - 8))
+                to = data.draw(st.integers(0, len(target[1]) - 8))
+                target[1] = target[1][:to] + source[at : at + 8] + target[1][to + 8 :]
+        frame = bytes(HEADER_SIZE + NONCE_SIZE)
+        messages = [MessageRecord(0, 1, 2, "Y", (), plain, frame + blob)
+                    for plain, blob in records]
+        report = eavesdropper_report(messages)
+        assert (report.windows_checked, report.substring_hits) == set_scan(messages)
+
+
+def set_scan(messages):
+    """(windows checked, hits) of the scan over a set of every ciphertext window."""
+    cipher_windows = set()
+    for rec in messages:
+        blob = rec.cipher[HEADER_SIZE + NONCE_SIZE :]
+        cipher_windows.update(blob[off : off + 8] for off in range(len(blob) - 7))
+    checked = hits = 0
+    for rec in messages:
+        for off in range(len(rec.plain) - 7):
+            checked += 1
+            hits += rec.plain[off : off + 8] in cipher_windows
+    return checked, hits
 
 
 class TestReportText:

@@ -122,6 +122,26 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match=f"^{field} must be a non-negative whole number"):
             resolve_config("converge", parse("converge", "--config", cfg))
 
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=st.sampled_from(["trials", "horizon", "certify_horizon", "samples",
+                                  "adversary", "target"]),
+           value=st.one_of(st.floats().filter(lambda v: not v.is_integer()),
+                           st.integers(1, 9).map(float), st.booleans(),
+                           st.text(max_size=3), st.none()))
+    def test_fractional_or_bool_count_in_file(self, tmp_path, field, value):
+        cfg = write_config(tmp_path, {field: value})
+        with pytest.raises(ConfigError, match=f"^{field} must be a whole number"):
+            resolve_config("converge", parse("converge", "--config", cfg))
+
+    @pytest.mark.parametrize("field", ["trials", "horizon"])
+    def test_fractional_count_exits_1_and_writes_nothing(self, tmp_path, capsys, field):
+        cfg = write_config(tmp_path, {**SMALL, field: 2.5})
+        out = tmp_path / "out"
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == 1
+        assert f"config error: {field} must be a whole number, got 2.5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_flag_exits_1_naming_the_field(self, tmp_path, capsys):
         assert main(["converge", "--seed", "-1", "--out", str(tmp_path)]) == 1
         assert "config error: seed must be a non-negative whole number" in capsys.readouterr().err

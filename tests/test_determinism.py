@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cipheropt.channel import HEADER_SIZE, NONCE_SIZE
-from cipheropt.engine import RunConfig, run, run_baseline
+from cipheropt.engine import RunConfig, run, run_baseline, run_trials
 from cipheropt.graphs import DirectedGraph, RandomActivationSchedule, StaticSchedule
 from cipheropt.mixing import MixingParams
 from cipheropt.objectives import generate_sensor_fusion, problem_from_instance
@@ -83,6 +83,9 @@ WIRE = "a3defa937e0caf418512efc3d3804bd126b040dea639519d579fbf81fdf8cba3"
 # step 3.0 on the random schedule: overflows to inf and then NaN within
 # 120 rounds, which pins how non-finite values spread through the sums
 DIVERGING = "e6df2d8abe2c66e1fcd57893e5969d516682e931c02511a160412d3f30a041ae"
+# three trials on their own random schedules, 150 rounds: trials 0 and 2 stop
+# at rounds 122 and 137, inside a batch's blocks of rounds, and trial 1 runs on
+BATCH = "bec687615f699e5e14bf60e0938359974a658faaffad7c773a140ea6ba057502"
 
 
 @pytest.mark.parametrize("encryption", [False, True], ids=["plain", "sealed"])
@@ -115,6 +118,16 @@ def test_diverging_run_digest(encryption):
     traj = run(problem(2), SCHEDULES["random"], PARAMS, cfg)
     assert np.isnan(traj.residuals).any() and np.isinf(traj.residuals).any()
     assert digest(traj) == DIVERGING
+
+
+@pytest.mark.parametrize("encryption", [False, True], ids=["plain", "sealed"])
+def test_batch_with_trials_stopping_mid_run_digest(encryption):
+    schedules = [RandomActivationSchedule(COMPLETE, 0.9, seed=4 + t) for t in range(3)]
+    cfg = RunConfig(step_size=1e-3, horizon=150, stop_residual=2e-4, encryption=encryption,
+                    seed=7, record_states=True)
+    trajs = run_trials([problem(2)] * 3, schedules, PARAMS, cfg, [0, 1, 2])
+    assert [traj.stopped_at for traj in trajs] == [122, None, 137]
+    assert hashlib.sha256("".join(map(digest, trajs)).encode()).hexdigest() == BATCH
 
 
 def test_recorded_wire_bytes_digest():

@@ -4,8 +4,11 @@
 round kernel; trial t of a batch must give exactly what `run(..., trial=t)`
 gives: residuals, state series, weight matrices, stopping round and, on a
 sealed run, every plaintext and ciphertext byte. The kernel's array-drawn
-weights must also be the per-agent columns bit for bit.
+weights must also be the per-agent columns bit for bit. Both derive their
+masks and weights a block of rounds at a time, so the tests cross the block
+edges at 64 rounds and stop trials inside a block.
 """
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +33,7 @@ from cipheropt.engine import (
 from cipheropt.graphs import (
     DirectedGraph,
     RandomActivationSchedule,
+    ScheduleExhausted,
     ScriptedSchedule,
     StaticSchedule,
 )
@@ -263,3 +267,69 @@ def test_batch_shape_is_checked():
         run_baseline_trials([], [], config, "push-diging", [])
     with pytest.raises(ValueError, match="schedule is over 3 agents"):
         run_trials([problem], [StaticSchedule(complete(3))], MixingParams(c0=0.3), config, [0])
+
+
+@pytest.mark.parametrize("stop", [False, True], ids=["to-horizon", "stop-mid-block"])
+@pytest.mark.parametrize("sealed", [False, True], ids=["plain", "sealed"])
+@pytest.mark.parametrize("algorithm", ["private", "push-diging"])
+@pytest.mark.parametrize("horizon", [63, 64, 65, 130])
+def test_blocks_of_rounds_are_the_single_runs(horizon, algorithm, sealed, stop):
+    """Four agents, three trials: blocks of up to 64 rounds, cut short where a
+    trial stops, so the next block starts off the 64-round grid."""
+    m = 4
+    ring = DirectedGraph(m, frozenset((i % m + 1, i) for i in range(1, m + 1)))
+    case = dict(m=m, d=2, trials=[0, 1, 2], algorithm=algorithm, seed=3, instance=5,
+                schedules=[StaticSchedule(complete(m)),
+                           ScriptedSchedule([complete(m), ring, DirectedGraph(m)], mode="cycle"),
+                           RandomActivationSchedule(complete(m), 0.6, seed=5)])
+    config = RunConfig(step_size=2e-3, horizon=horizon, encryption=sealed, seed=3,
+                       record_states=True, record_weights=True, record_messages=sealed)
+    _, single = runners(case, config)
+    if stop:  # a level the random trial first reaches about a third of the way in
+        level = single(case["schedules"][2], 2).residuals[horizon // 3 + 5]
+        config = replace(config, stop_residual=float(level))
+    batch, single = runners(case, config)
+    gots = batch()
+    if stop:
+        assert gots[2].stopped_at is not None and gots[2].stopped_at % 64
+    for got, schedule, trial in zip(gots, case["schedules"], case["trials"]):
+        assert_bit_identical(got, single(schedule, trial))
+
+
+def test_a_run_asks_its_schedule_for_no_round_it_does_not_reach():
+    """A three-graph schedule played once serves a run that stops at round 2,
+    although its horizon is 10; a run that goes on fails at round 3."""
+    m = 3
+    problem = problem_from_instance(generate_sensor_fusion(m=m, s=2, d=2, omega=0.01, seed=5))
+    schedule = ScriptedSchedule([complete(m)] * 3, mode="once")
+    params = MixingParams(c0=0.1)
+    config = RunConfig(step_size=1e-3, horizon=10, encryption=False)
+    level = run(problem, schedule, params, replace(config, horizon=3)).residuals[2]
+    assert run(problem, schedule, params, replace(config, stop_residual=level)).stopped_at == 2
+    random = RandomActivationSchedule(complete(m), 0.9, seed=1)
+    gots = run_trials([problem] * 2, [schedule, random], params,
+                      replace(config, stop_residual=level), [0, 1])
+    assert gots[0].stopped_at == 2
+    with pytest.raises(ScheduleExhausted, match="asked for k=3"):
+        run(problem, schedule, params, config)
+
+
+def test_a_sealed_wide_run_keeps_its_memory():
+    """A sealed 48-agent run plans a round at a time: its traced peak stays
+    under twice the 0.31 MiB such a run took when every round built its own
+    plan."""
+    m = 48
+    hops = [2**j for j in range(6)]
+    base = DirectedGraph(m, frozenset(((i - 1 + h) % m + 1, i)
+                                      for i in range(1, m + 1) for h in hops))
+    problem = problem_from_instance(generate_sensor_fusion(m=m, s=3, d=2, omega=0.01, seed=891))
+    schedule = RandomActivationSchedule(base, 0.9, seed=5)
+    params = MixingParams(c0=0.5 / m)
+    run(problem, schedule, params, RunConfig(step_size=1e-3, horizon=2))  # warm the caches
+    tracemalloc.start()
+    try:
+        run(problem, schedule, params, RunConfig(step_size=1e-3, horizon=20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 0.31 * 2**20
