@@ -156,6 +156,20 @@ def resolve_config(command: str, args) -> dict:
     if config["scenario"] not in ("all", *PRIVACY_SCENARIOS):
         raise ConfigError(f"scenario must be 'all', 'b', 'c' or 'addopt', "
                           f"got {config['scenario']!r}")
+    # the numbers the runs take, put to the checks of the classes that take
+    # them; c0 < 1/m waits for the m a command runs
+    checks = {
+        "step_size": lambda v: v is None or engine.RunConfig(step_size=float(v), horizon=1),
+        "c0": lambda v: MixingParams(c0=float(v)),
+        "k0_range": lambda v: MixingParams(c0=1.0, k0_range=float(v)),
+        "stop": lambda v: [engine.RunConfig(step_size=1.0, horizon=1, stop_residual=float(c))
+                           for c in v],
+    }
+    for name, check in checks.items():
+        try:
+            check(config[name])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{name}: {exc}") from None
     return config
 
 

@@ -28,8 +28,9 @@ plain runs are the same computation.
 
 The fixed-weight baseline (`push-diging`) is the same kernel with uniform
 columns, so an eavesdropper or a curious neighbor sees exactly the traffic
-that algorithm would emit. The two fully dense baselines run trial by
-trial on their own loop and mix with plain matrix products.
+that algorithm would emit. The two dense baselines go through the same run
+loop, blocks of rounds and stopping rule, but mix every trial with batched
+matrix products and send nothing.
 """
 from __future__ import annotations
 
@@ -233,7 +234,7 @@ def draw_weight_columns(graph, params: MixingParams, seed, trial, k) -> dict:
 
 def uniform_out_columns(graph, k: int) -> dict:
     """Fixed 1/(out-degree+1) columns of the push-diging baseline, per agent
-    (the round kernel builds them on arrays, `_uniform_weights`)."""
+    (the round kernel builds them on arrays, `_uniform_matrix`)."""
     cols = {}
     for i in range(1, graph.m + 1):
         share = 1.0 / (graph.out_degree(i) + 1)
@@ -337,29 +338,21 @@ def _draws_per_agent(m: int) -> int:
     return max(m - 1, 1)
 
 
-def _weight_matrices(plan, edge_weights, diagonal):
-    """A(k) of every batch row from the active edges' weights, in plan order, and the diagonal."""
-    nb, m = plan.out_degree.shape
-    a = np.zeros((nb, m, m))
-    a.reshape(-1)[plan.edges] = edge_weights
-    a.reshape(nb, m * m)[:, :: m + 1] = diagonal
-    return a
-
-
 def _drawn_weights(params: MixingParams, seed):
     """The private algorithm's A(k) per batch row: `draw_weight_columns`, on arrays.
 
-    `weights(plan, trials, k0, rounds)` gives A(k0) .. A(k0+rounds-1) of the
-    trials, rows ordered as the plan's. Each trial fills its (seed, trial, k)
-    uniform blocks from its own `KeyedStream`, the blocks numpy's
-    `SeedSequence` chain gives; a sender's first out-degree draws become its
-    out-weights in receiver order, and the diagonal is one minus their
-    sequential sum, so every weight has the bits `generate_weight_column`
-    gives it.
+    `weights(adj, plan, trials, k0)` gives A(k0) .. A(k0+rounds-1) of the
+    trials over a block's adjacencies, rows ordered as its plan's. Each trial
+    fills its (seed, trial, k) uniform blocks from its own `KeyedStream`, the
+    blocks numpy's `SeedSequence` chain gives; a sender's first out-degree
+    draws become its out-weights in receiver order, and the diagonal is one
+    minus their sequential sum, so every weight has the bits
+    `generate_weight_column` gives it.
     """
     streams = {}  # by trial
 
-    def weights(plan, trials, k0, rounds):
+    def weights(adj, plan, trials, k0):
+        rounds = len(adj)
         nb, m = plan.out_degree.shape
         n = _draws_per_agent(m)
         u = np.empty((rounds, len(trials), m, n))
@@ -379,15 +372,12 @@ def _drawn_weights(params: MixingParams, seed):
         ranked = np.zeros(nb * m * n)  # each sender's out-weights by rank, zero-padded
         ranked[plan.edge_draws] = w
         total = ranked.reshape(nb, m, n).cumsum(axis=2)[..., -1]
-        return _weight_matrices(plan, w, 1.0 - total)
+        a = np.zeros((nb, m, m))
+        a.reshape(-1)[plan.edges] = w
+        a.reshape(nb, m * m)[:, :: m + 1] = 1.0 - total
+        return a
 
     return weights
-
-
-def _uniform_weights(plan, trials, k0, rounds):
-    """push-diging's fixed 1/(out-degree+1) shares per batch row, as `uniform_out_columns`."""
-    share = 1.0 / (plan.out_degree + 1)
-    return _weight_matrices(plan, share.reshape(-1)[plan.edge_senders], share)
 
 
 def _receive(parts, groups, spans):
@@ -472,17 +462,70 @@ def _trial_config(config: RunConfig, trial) -> RunConfig:
     return config if trial == config.trial else replace(config, trial=trial)
 
 
-def _run_lockstep(problems, schedules, config: RunConfig, trials, weights,
+def _push_sum(weights):
+    """The kernel of the private algorithm and push-diging: `_advance` under the A(k)
+    that `weights(adj, plan, trials, k0)` gives a block of rounds."""
+
+    def rounds_of(state, adj, trials, k0, gradients, transports, config):
+        rounds, nt, m, _ = adj.shape
+        plan = _RoundPlan(adj.reshape(rounds * nt, m, m), rounds)
+        a = weights(adj, plan, trials, k0).reshape(adj.shape)
+        for r in range(rounds):
+            k = k0 + r
+            state = _advance(state, a[r], plan.groups[r], adj[r], config.step_size, k, gradients,
+                             reset_mass=(config.mass_reset and k == 0), transports=transports,
+                             trials=trials)
+            yield state, a[r]
+
+    return rounds_of
+
+
+def _uniform_matrix(adj, axis) -> np.ndarray:
+    """Equal shares for each agent and its neighbours, from a block of adjacencies
+    (..., m, m): column-stochastic over out-neighbours for axis -2 (push-diging's
+    1/(out-degree+1)), row-stochastic over in-neighbours for axis -1."""
+    a = (adj | np.eye(adj.shape[-1], dtype=bool)).astype(float)
+    return a / a.sum(axis=axis, keepdims=True)
+
+
+def _subgradient_push(state, adj, trials, k0, gradients, transports, config):
+    """Diminishing-step push-sum consensus plus a local (sub)gradient step:
+    y is the pushed state, w the mass and x = (A y) / (A w) the estimate."""
+    a = _uniform_matrix(adj, -2)
+    for r in range(len(adj)):
+        y = a[r] @ state.y
+        w = (a[r] @ state.w[..., None])[..., 0]
+        x = y / w[..., None]
+        g = gradients(x)
+        eta = 1.0 / (k0 + r + 3000)
+        state = RoundState(y=y - eta * g, s=state.s, w=w, x=x, g=g)
+        yield state, None
+
+
+def _ab_push_pull(state, adj, trials, k0, gradients, transports, config):
+    """Row-stochastic pull on the estimates x, column-stochastic push on the
+    tracker s of the local gradients g."""
+    rows, cols = _uniform_matrix(adj, -1), _uniform_matrix(adj, -2)
+    for r in range(len(adj)):
+        x = rows[r] @ (state.x - config.step_size * state.s)
+        g = gradients(x)
+        state = RoundState(y=x, s=cols[r] @ state.s + g - state.g, w=state.w, x=x, g=g)
+        yield state, None
+
+
+def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
                   algorithm) -> list:
-    """Trials `trials` through the round kernel together, one Trajectory each.
+    """Trials `trials` through a round kernel together, one Trajectory each.
 
     Trial trials[j] solves problems[j] on schedules[j] under `config` with
-    its trial number; `weights(plan, trials, k0, rounds)` gives the running
-    trials' A(k) for a block of rounds. A block ends at the next multiple of
-    `BLOCK`, within `_BLOCK_CELLS`, the horizon and the last round every
-    schedule can play, so no schedule is asked for a round the run cannot
-    reach. A trial leaves the batch once it meets its stopping rule, and the
-    others go on in a new block.
+    its trial number. The kernel `rounds_of(state, adj, trials, k0,
+    gradients, transports, config)` plays the running trials through a
+    block of rounds over their adjacencies adj[r, b], yielding the state
+    and A(k) (None for the dense kernels) after each round. A block ends at
+    the next multiple of `BLOCK`, within `_BLOCK_CELLS`, the horizon and the
+    last round every schedule can play, so no schedule is asked for a round
+    the run cannot reach. A trial leaves the batch once it meets its
+    stopping rule, and the others go on in a new block.
     """
     configs = [_trial_config(config, t) for t in trials]
     starts = [_initial_state(p, c) for p, c in zip(problems, configs)]
@@ -527,17 +570,13 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, weights,
         adj = np.empty((rounds, nt, m, m), dtype=bool)
         for b, j in enumerate(running):
             adj[:, b] = schedules[j].adjacencies(k, rounds)
-        plan = _RoundPlan(adj.reshape(rounds * nt, m, m), rounds)
-        a = weights(plan, batch_trials, k, rounds).reshape(rounds, nt, m, m)
         res = np.empty((rounds, nt))
-        for r in range(rounds):
-            if config.record_weights:
-                for j, ab in zip(running, a[r]):
-                    trajs[j].weight_matrices.append(ab.copy())
-            state = _advance(state, a[r], plan.groups[r], adj[r], config.step_size, k,
-                             gradients, reset_mass=(config.mass_reset and k == 0),
-                             transports=batch_transports, trials=batch_trials)
+        block = rounds_of(state, adj, batch_trials, k, gradients, batch_transports, config)
+        for r, (state, a) in enumerate(block):
             k += 1
+            if config.record_weights:
+                for j, ab in zip(running, a):
+                    trajs[j].weight_matrices.append(ab.copy())
             res[r] = relative_residual(state.x, None, x_star, den=den)
             if config.record_states:
                 for b, j in enumerate(running):
@@ -569,38 +608,16 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, weights,
     return trajs
 
 
-def _run_rounds(problem, config: RunConfig, algorithm, x_init, state, advance, estimate
-                ) -> Trajectory:
-    """The loop of the dense baselines: advance, residual, stop."""
-    x_star = optimal_solution(problem)
-    traj = Trajectory(algorithm=algorithm, residuals=np.empty(0), iterations=0,
-                      x_star=x_star, config=config)
-    den = _squared_distance(x_init, x_star)  # fixed for the run
-    residuals = [relative_residual(estimate(state), x_init, x_star, den=den)]
-    if config.stop_residual is not None and residuals[0] <= config.stop_residual:
-        traj.residuals = np.array(residuals)
-        traj.stopped_at = 0
-        return traj
-
-    started = time.perf_counter()
-    for k in range(config.horizon):
-        state = advance(state, k)
-        res = relative_residual(estimate(state), x_init, x_star, den=den)
-        residuals.append(res)
-        if config.stop_residual is not None and res <= config.stop_residual:
-            traj.stopped_at = k + 1
-            break
-    traj.elapsed = time.perf_counter() - started
-    traj.iterations = len(residuals) - 1
-    traj.residuals = np.array(residuals)
-    return traj
-
-
 def _check_batch(problems, schedules, trials):
     if not len(problems) == len(schedules) == len(trials) > 0:
         raise ValueError(f"need one problem and one schedule per trial, got {len(problems)} "
                          f"and {len(schedules)} for {len(trials)} trials")
+    m, d = problems[0].m, problems[0].d
     for problem, schedule in zip(problems, schedules):
+        if (problem.m, problem.d) != (m, d):
+            raise ValueError(f"every trial of a batch needs the same agent count and dimension: "
+                             f"the first problem has m={m}, d={d}, another m={problem.m}, "
+                             f"d={problem.d}")
         if schedule.m != problem.m:
             raise ValueError(
                 f"schedule is over {schedule.m} agents but the problem has {problem.m}"
@@ -620,7 +637,7 @@ def run_trials(problems, schedules, params: MixingParams, config: RunConfig, tri
     for problem in problems:
         params.validate_for(problem.m)
     return _run_lockstep(problems, schedules, config, trials,
-                         _drawn_weights(params, config.seed), "private-push-sum")
+                         _push_sum(_drawn_weights(params, config.seed)), "private-push-sum")
 
 
 def run(problem: GlobalProblem, schedule, params: MixingParams, config: RunConfig) -> Trajectory:
@@ -629,79 +646,32 @@ def run(problem: GlobalProblem, schedule, params: MixingParams, config: RunConfi
 
 
 def run_baseline_trials(problems, schedules, config: RunConfig, algorithm: str, trials) -> list:
-    """`run_baseline` for every trial in `trials`, as `run_trials` runs the private optimizer.
-
-    `push-diging` runs the trials in lockstep; the dense references run them
-    one after another.
+    """`run_baseline` for every trial in `trials`, in lockstep as `run_trials` runs
+    the private optimizer: each Trajectory is bit for bit the trial's single run,
+    and its `elapsed` is the batch's wall time until the trial stopped.
     """
     trials = list(trials)
     _check_batch(problems, schedules, trials)
-    if algorithm == "push-diging":
-        cfg = replace(config, mass_reset=False, w0=np.ones(problems[0].m))
-        return _run_lockstep(problems, schedules, cfg, trials, _uniform_weights, algorithm)
-    dense = {"subgradient-push": _run_subgradient_push, "ab-push-pull": _run_ab_push_pull}
-    if algorithm not in dense:
+    kernels = {"push-diging": _push_sum(lambda adj, plan, trials, k0: _uniform_matrix(adj, -2)),
+               "subgradient-push": _subgradient_push, "ab-push-pull": _ab_push_pull}
+    if algorithm not in kernels:
         raise ValueError(f"unknown baseline {algorithm!r}; expected one of {BASELINES}")
-    return [dense[algorithm](p, s, _trial_config(config, t))
-            for p, s, t in zip(problems, schedules, trials)]
+    cfg = replace(config, mass_reset=False, w0=np.ones(problems[0].m))
+    if algorithm != "push-diging":
+        cfg = replace(cfg, encryption=False, record_states=False, record_weights=False,
+                      record_messages=False)
+    return _run_lockstep(problems, schedules, cfg, trials, kernels[algorithm], algorithm)
 
 
 def run_baseline(problem: GlobalProblem, schedule, config: RunConfig, algorithm: str) -> Trajectory:
     """Run one of the reference algorithms under the same instance and schedule.
 
-    `push-diging` goes through the round kernel (and therefore through the
-    channel when encryption is on); its mass starts at one everywhere and
-    is never reset. The other two are dense references: they model
-    algorithms whose traffic we never inspect, so plain matrix products
-    are enough.
+    Every baseline starts from the run's initial positions with mass one
+    everywhere, never reset. `push-diging` goes through the push-sum round
+    kernel (and therefore through the channel when encryption is on). The
+    other two are dense references: they model algorithms whose traffic we
+    never inspect, so they mix with plain matrix products, send nothing and
+    record no series, weights or messages whatever `config` asks; their
+    trajectory's `config` says so.
     """
     return run_baseline_trials([problem], [schedule], config, algorithm, [config.trial])[0]
-
-
-def _uniform_matrix(adj, axis) -> np.ndarray:
-    """Equal shares for each agent and its neighbours, from the round's adjacency:
-    column-stochastic over out-neighbours for axis 0, row-stochastic over
-    in-neighbours for axis 1."""
-    a = (adj | np.eye(len(adj), dtype=bool)).astype(float)
-    return a / a.sum(axis=axis, keepdims=True)
-
-
-def _run_subgradient_push(problem, schedule, config):
-    """Diminishing-step push-sum consensus plus a local (sub)gradient step.
-
-    State: (x, mass, z), with z = x / mass the estimate.
-    """
-    x0, _ = _initial_positions(problem, config)
-
-    def advance(st, k):
-        x, mass, _ = st
-        a = _uniform_matrix(schedule.adjacency(k), 0)
-        mixed = a @ x
-        mass = a @ mass
-        z = mixed / mass[:, None]
-        eta = 1.0 / (k + 3000)
-        return mixed - eta * problem.gradients(z), mass, z
-
-    return _run_rounds(problem, config, "subgradient-push", x0,
-                       (x0.copy(), np.ones(problem.m), x0.copy()), advance, lambda st: st[2])
-
-
-def _run_ab_push_pull(problem, schedule, config):
-    """Row-stochastic pull on the estimates, column-stochastic push on the tracker.
-
-    State: (x, y, g), with x the estimate, y the tracker and g the local gradients.
-    """
-    x0, _ = _initial_positions(problem, config)
-
-    def advance(st, k):
-        x, y, g = st
-        adj = schedule.adjacency(k)
-        r = _uniform_matrix(adj, 1)
-        c = _uniform_matrix(adj, 0)
-        x_new = r @ (x - config.step_size * y)
-        g_new = problem.gradients(x_new)
-        return x_new, c @ y + g_new - g, g_new
-
-    g0 = problem.gradients(x0)
-    return _run_rounds(problem, config, "ab-push-pull", x0, (x0.copy(), g0.copy(), g0), advance,
-                       lambda st: st[0])

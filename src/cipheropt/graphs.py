@@ -116,14 +116,9 @@ def _check_index(k):
 
 
 class _Schedule:
-    """Shared by the schedules: `adjacency(k)` from their `adjacencies(k, n)`, and
-    how many rounds they can play."""
+    """Shared by the schedules: how many rounds they can play."""
 
     length = None  # rounds it can play; None when it plays forever
-
-    def adjacency(self, k: int) -> np.ndarray:
-        """The graph at iteration k, `adjacencies(k, 1)[0]`."""
-        return self.adjacencies(k, 1)[0]
 
 
 class StaticSchedule(_Schedule):

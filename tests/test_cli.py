@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -145,6 +146,57 @@ class TestConfigResolution:
     def test_negative_seed_flag_exits_1_naming_the_field(self, tmp_path, capsys):
         assert main(["converge", "--seed", "-1", "--out", str(tmp_path)]) == 1
         assert "config error: seed must be a non-negative whole number" in capsys.readouterr().err
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=st.sampled_from(["step_size", "c0", "k0_range"]),
+           value=st.one_of(st.floats(max_value=0.0),
+                           st.sampled_from([math.nan, math.inf, "nan", "inf", "-1", "x",
+                                            [0.1], {}])))
+    def test_bad_number_in_file(self, tmp_path, field, value):
+        cfg = write_config(tmp_path, {field: value})
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            resolve_config("converge", parse("converge", "--config", cfg))
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(good=st.lists(st.floats(min_value=0.0, allow_infinity=False), max_size=3),
+           bad=st.one_of(st.floats(max_value=-math.ulp(0.0)),  # below zero, -0.0 excluded
+                         st.sampled_from([math.nan, math.inf, "nan", "x", None])),
+           data=st.data())
+    def test_bad_stop_entry_in_file(self, tmp_path, good, bad, data):
+        stop = list(good)
+        stop.insert(data.draw(st.integers(0, len(good))), bad)
+        cfg = write_config(tmp_path, {"stop": stop})
+        with pytest.raises(ConfigError, match="^stop: "):
+            resolve_config("stoptime", parse("stoptime", "--config", cfg))
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=st.sampled_from(["step_size", "c0", "k0_range"]),
+           value=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+           stop=st.lists(st.floats(min_value=0.0, allow_infinity=False), max_size=3))
+    def test_good_numbers_in_file_pass(self, tmp_path, field, value, stop):
+        cfg = write_config(tmp_path, {field: value, "stop": stop})
+        config = resolve_config("stoptime", parse("stoptime", "--config", cfg))
+        assert (config[field], config["stop"]) == (value, stop)
+
+    @pytest.mark.parametrize("command, payload, argv, message", [
+        ("converge", {"step_size": -1}, [],
+         "step_size: step size must be positive and finite, got -1.0"),
+        ("converge", {"c0": "nan"}, [], "c0: c0 must be positive and finite, got nan"),
+        ("converge", {"k0_range": 0}, [], "k0_range: k0_range must be positive and finite"),
+        ("stoptime", {}, ["--stop", "nan"],
+         "stop: stop residual must be finite and non-negative, got nan"),
+        ("stoptime", {}, ["--stop", "0.1,-1"], "stop: stop residual must be finite"),
+    ], ids=["step", "c0", "k0-range", "stop-nan", "stop-negative"])
+    def test_bad_number_exits_1_and_writes_nothing(self, tmp_path, capsys, command, payload,
+                                                   argv, message):
+        cfg = write_config(tmp_path, {**SMALL, **payload})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), *argv]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("scenario", ["x", "B", "", None, ["b"]])
     def test_bad_scenario_rejected(self, tmp_path, scenario):

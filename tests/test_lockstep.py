@@ -6,7 +6,8 @@ gives: residuals, state series, weight matrices, stopping round and, on a
 sealed run, every plaintext and ciphertext byte. The kernel's array-drawn
 weights must also be the per-agent columns bit for bit. Both derive their
 masks and weights a block of rounds at a time, so the tests cross the block
-edges at 64 rounds and stop trials inside a block.
+edges at 64 rounds and stop trials inside a block. The dense baselines must
+also match a plain per-trial loop of matrix products (`dense_oracle`).
 """
 import tracemalloc
 from dataclasses import replace
@@ -21,9 +22,11 @@ from cipheropt.engine import (
     DegenerateStateError,
     RunConfig,
     Transport,
+    _initial_positions,
     _initial_state,
     draw_weight_columns,
     iterate,
+    relative_residual,
     run,
     run_baseline,
     run_baseline_trials,
@@ -42,10 +45,57 @@ from cipheropt.objectives import (
     GlobalProblem,
     QuadraticSensorObjective,
     generate_sensor_fusion,
+    optimal_solution,
     problem_from_instance,
 )
 
 SERIES = ("x_series", "y_series", "w_series", "s_series", "weight_matrices")
+DENSE = ("subgradient-push", "ab-push-pull")
+
+
+def _uniform(adj, axis):
+    a = (adj | np.eye(len(adj), dtype=bool)).astype(float)
+    return a / a.sum(axis=axis, keepdims=True)
+
+
+def dense_oracle(problem, schedule, config, algorithm):
+    """A dense baseline trial by trial, one matrix product per round: the
+    (residuals, stopped_at) the batched kernels must give bit for bit."""
+    x0, _ = _initial_positions(problem, config)
+    x_star = optimal_solution(problem)
+
+    def subgradient_push(st, k):
+        x, mass, _ = st
+        a = _uniform(schedule.adjacencies(k, 1)[0], 0)
+        mixed = a @ x
+        mass = a @ mass
+        z = mixed / mass[:, None]
+        eta = 1.0 / (k + 3000)
+        return mixed - eta * problem.gradients(z), mass, z
+
+    def ab_push_pull(st, k):
+        x, y, g = st
+        adj = schedule.adjacencies(k, 1)[0]
+        x_new = _uniform(adj, 1) @ (x - config.step_size * y)
+        g_new = problem.gradients(x_new)
+        return x_new, _uniform(adj, 0) @ y + g_new - g, g_new
+
+    if algorithm == "subgradient-push":
+        state, advance, estimate = (x0.copy(), np.ones(problem.m), x0.copy()), \
+            subgradient_push, lambda st: st[2]
+    else:
+        g0 = problem.gradients(x0)
+        state, advance, estimate = (x0.copy(), g0.copy(), g0), ab_push_pull, lambda st: st[0]
+    stop = config.stop_residual
+    residuals = [relative_residual(estimate(state), x0, x_star)]
+    if stop is not None and residuals[0] <= stop:
+        return np.array(residuals), 0
+    for k in range(config.horizon):
+        state = advance(state, k)
+        residuals.append(relative_residual(estimate(state), x0, x_star))
+        if stop is not None and residuals[-1] <= stop:
+            return np.array(residuals), k + 1
+    return np.array(residuals), None
 
 
 def complete(m):
@@ -95,19 +145,19 @@ def runners(case, config):
     problem = problem_from_instance(generate_sensor_fusion(
         m=case["m"], s=2, d=case["d"], omega=0.01, seed=case["instance"]))
     params = MixingParams(c0=0.5 / case["m"])
-    private = case["algorithm"] == "private"
+    algorithm = case["algorithm"]
 
     def batch():
         args = ([problem] * len(case["trials"]), case["schedules"])
-        if private:
+        if algorithm == "private":
             return run_trials(*args, params, config, case["trials"])
-        return run_baseline_trials(*args, config, "push-diging", case["trials"])
+        return run_baseline_trials(*args, config, algorithm, case["trials"])
 
     def single(schedule, trial):
         cfg = replace(config, trial=trial)
-        if private:
+        if algorithm == "private":
             return run(problem, schedule, params, cfg)
-        return run_baseline(problem, schedule, cfg, "push-diging")
+        return run_baseline(problem, schedule, cfg, algorithm)
 
     return batch, single
 
@@ -165,6 +215,68 @@ def test_trial_of_a_batch_is_its_single_run(case):
     assert len(gots) == len(wants)
     for got, want in zip(gots, wants):
         assert_bit_identical(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=batches(), algorithm=st.sampled_from(DENSE), own_problems=st.booleans())
+def test_dense_trial_of_a_batch_is_the_per_trial_loop(case, algorithm, own_problems):
+    horizon = 12
+    problems = [problem_from_instance(generate_sensor_fusion(
+        m=case["m"], s=2, d=case["d"], omega=0.01, seed=case["instance"] + own_problems * j))
+        for j in range(len(case["trials"]))]
+    config = RunConfig(step_size=2e-3, horizon=horizon, encryption=False, seed=case["seed"])
+
+    def oracle(j, cfg):
+        return dense_oracle(problems[j], case["schedules"][j],
+                            replace(cfg, trial=case["trials"][j]), algorithm)
+
+    if case["stop_quantile"] is not None:
+        # a level the first trial meets part way: the others meet it elsewhere or never
+        first, _ = oracle(0, config)
+        config = replace(config,
+                         stop_residual=float(first[int(case["stop_quantile"] * horizon)]))
+    gots = run_baseline_trials(problems, case["schedules"], config, algorithm, case["trials"])
+    assert len(gots) == len(case["trials"])
+    for j, got in enumerate(gots):
+        residuals, stopped_at = oracle(j, config)
+        assert got.residuals.tobytes() == residuals.tobytes()
+        assert (got.stopped_at, got.iterations) == (stopped_at, len(residuals) - 1)
+        assert got.config.trial == case["trials"][j]
+
+
+@pytest.mark.parametrize("algorithm", DENSE)
+def test_dense_trials_stop_at_different_rounds_and_leave_the_batch(algorithm):
+    m = 6
+    problem = problem_from_instance(generate_sensor_fusion(m=m, s=3, d=2, omega=0.01, seed=891))
+    trials = [0, 1, 2, 3]
+    schedules = [RandomActivationSchedule(complete(m), 0.5, seed=t) for t in trials]
+    config = RunConfig(step_size=1.1e-3, horizon=200, encryption=False, seed=2)
+    # the median of the trials' round-100 residuals: some stop before, some after
+    level = float(np.median([dense_oracle(problem, schedule, replace(config, trial=t),
+                                          algorithm)[0][100]
+                             for schedule, t in zip(schedules, trials)]))
+    config = replace(config, stop_residual=level)
+    gots = run_baseline_trials([problem] * len(trials), schedules, config, algorithm, trials)
+    assert len({traj.stopped_at for traj in gots}) > 1
+    for traj, schedule, trial in zip(gots, schedules, trials):
+        residuals, stopped_at = dense_oracle(problem, schedule, replace(config, trial=trial),
+                                             algorithm)
+        assert traj.residuals.tobytes() == residuals.tobytes()
+        assert traj.stopped_at == stopped_at
+
+
+@pytest.mark.parametrize("algorithm", DENSE)
+def test_dense_baselines_record_and_send_nothing(algorithm):
+    """Whatever the config asks, a dense run keeps no series, weights or messages."""
+    m = 4
+    problem = problem_from_instance(generate_sensor_fusion(m=m, s=2, d=2, omega=0.01, seed=5))
+    config = RunConfig(step_size=1e-3, horizon=5, encryption=True, seed=3, record_states=True,
+                       record_weights=True, record_messages=True)
+    gots = run_baseline_trials([problem] * 2, [StaticSchedule(complete(m))] * 2, config,
+                               algorithm, [0, 1])
+    for traj in gots:
+        assert traj.iterations == 5
+        assert all(getattr(traj, name) == [] for name in SERIES + ("messages",))
 
 
 @settings(max_examples=60, deadline=None)
@@ -267,11 +379,24 @@ def test_batch_shape_is_checked():
         run_baseline_trials([], [], config, "push-diging", [])
     with pytest.raises(ValueError, match="schedule is over 3 agents"):
         run_trials([problem], [StaticSchedule(complete(3))], MixingParams(c0=0.3), config, [0])
+    # every trial of a batch has the first one's agent count and dimension
+    for shapes, message in [([(3, 2), (4, 2)], "m=3, d=2, another m=4, d=2"),
+                            ([(3, 2), (3, 2), (3, 1)], "m=3, d=2, another m=3, d=1")]:
+        problems = [problem_from_instance(generate_sensor_fusion(m=m, s=2, d=d, omega=0.01,
+                                                                 seed=3)) for m, d in shapes]
+        schedules = [StaticSchedule(complete(m)) for m, _ in shapes]
+        trials = range(len(shapes))
+        match = f"same agent count and dimension: .*{message}"
+        with pytest.raises(ValueError, match=match):
+            run_trials(problems, schedules, MixingParams(c0=0.1), config, trials)
+        for algorithm in ("push-diging", *DENSE):
+            with pytest.raises(ValueError, match=match):
+                run_baseline_trials(problems, schedules, config, algorithm, trials)
 
 
 @pytest.mark.parametrize("stop", [False, True], ids=["to-horizon", "stop-mid-block"])
 @pytest.mark.parametrize("sealed", [False, True], ids=["plain", "sealed"])
-@pytest.mark.parametrize("algorithm", ["private", "push-diging"])
+@pytest.mark.parametrize("algorithm", ["private", "push-diging", *DENSE])
 @pytest.mark.parametrize("horizon", [63, 64, 65, 130])
 def test_blocks_of_rounds_are_the_single_runs(horizon, algorithm, sealed, stop):
     """Four agents, three trials: blocks of up to 64 rounds, cut short where a
@@ -312,6 +437,23 @@ def test_a_run_asks_its_schedule_for_no_round_it_does_not_reach():
     assert gots[0].stopped_at == 2
     with pytest.raises(ScheduleExhausted, match="asked for k=3"):
         run(problem, schedule, params, config)
+
+
+@pytest.mark.parametrize("algorithm", ["push-diging", *DENSE])
+def test_a_baseline_asks_its_schedule_for_no_round_it_does_not_reach(algorithm):
+    """`test_a_run_asks_its_schedule_for_no_round_it_does_not_reach`, for the baselines."""
+    m = 3
+    problem = problem_from_instance(generate_sensor_fusion(m=m, s=2, d=2, omega=0.01, seed=5))
+    schedule = ScriptedSchedule([complete(m)] * 3, mode="once")
+    config = RunConfig(step_size=1e-3, horizon=10, encryption=False)
+    level = run_baseline(problem, schedule, replace(config, horizon=3), algorithm).residuals[2]
+    config_stop = replace(config, stop_residual=level)
+    assert run_baseline(problem, schedule, config_stop, algorithm).stopped_at == 2
+    random = RandomActivationSchedule(complete(m), 0.9, seed=1)
+    gots = run_baseline_trials([problem] * 2, [schedule, random], config_stop, algorithm, [0, 1])
+    assert gots[0].stopped_at == 2
+    with pytest.raises(ScheduleExhausted, match="asked for k=3"):
+        run_baseline(problem, schedule, config, algorithm)
 
 
 def test_a_sealed_wide_run_keeps_its_memory():
