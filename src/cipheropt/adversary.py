@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import HEADER_SIZE, KIND_S, KIND_W, KIND_Y, NONCE_SIZE
+from .streams import check_positive
 
 _SAMPLER_STREAM = 41
 
@@ -50,7 +51,6 @@ class AdversaryView:
     adversary: int
     target: int
     triples: dict = field(default_factory=dict)  # k -> JTriple
-    own_states: dict = field(default_factory=dict)
 
     @property
     def rounds(self):
@@ -92,7 +92,7 @@ class InferenceReport:
         return self.recovered.get(name, {})
 
 
-def capture_view(messages, adversary: int, target: int, own_states=None) -> AdversaryView:
+def capture_view(messages, adversary: int, target: int) -> AdversaryView:
     """Collect the triples j received from i out of a run's message log.
 
     A round contributes a triple only once all three kinds arrived. A target
@@ -105,7 +105,7 @@ def capture_view(messages, adversary: int, target: int, own_states=None) -> Adve
             continue
         slot = partial.setdefault(rec.k, {})
         slot[rec.kind] = rec.data
-    view = AdversaryView(adversary=adversary, target=target, own_states=own_states or {})
+    view = AdversaryView(adversary=adversary, target=target)
     for k, slot in partial.items():
         if set(slot) != {KIND_Y, KIND_S, KIND_W}:
             continue
@@ -327,8 +327,9 @@ def sample_gradient_solutions(report: InferenceReport, n: int, bound: float = 10
     Solutions are the minimum-norm particular solution plus null-space
     combinations with coefficients uniform on [-bound, bound]. When the true
     gradient sequence is supplied, each sample gets the summed relative
-    Euclidean distance to it.
+    Euclidean distance to it. `bound` must be positive and finite.
     """
+    bound = check_positive("bound", bound)
     if report.gradient_matrix is None:
         raise ValueError("report carries no gradient system")
     if report.dof is None or report.dof < 1:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import adversary, engine, graphs, objectives, theory
 from .mixing import MixingParams
-from .streams import check_seed
+from .streams import check_positive, check_seed
 
 
 class ConfigError(ValueError):
@@ -138,8 +138,9 @@ def resolve_config(command: str, args) -> dict:
             raise ConfigError(f"--stop: {exc}") from None
     config = _merge(config, overrides, "flags")
 
-    for name in _COUNT_KEYS:
-        value = config[name]
+    counts = {name: config[name] for name in _COUNT_KEYS}
+    counts.update({f"problem.{name}": config["problem"][name] for name in ("m", "s", "d")})
+    for name, value in counts.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ConfigError(f"{name} must be a whole number, got {value!r}")
     if config["trials"] < 1:
@@ -149,6 +150,9 @@ def resolve_config(command: str, args) -> dict:
             check_seed(name, config[name])
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+    for name in ("capture", "redraw_noise"):
+        if not isinstance(config[name], bool):
+            raise ConfigError(f"{name} must be true or false, got {config[name]!r}")
     if config["encryption"] not in ("on", "off"):
         raise ConfigError("encryption must be 'on' or 'off'")
     if config["algorithm"] not in ALGORITHM_NAMES and config["algorithm"] != "all":
@@ -156,14 +160,21 @@ def resolve_config(command: str, args) -> dict:
     if config["scenario"] not in ("all", *PRIVACY_SCENARIOS):
         raise ConfigError(f"scenario must be 'all', 'b', 'c' or 'addopt', "
                           f"got {config['scenario']!r}")
-    # the numbers the runs take, put to the checks of the classes that take
+    # the numbers the runs take, put to the checks of the code that takes
     # them; c0 < 1/m waits for the m a command runs
     checks = {
+        "problem": lambda p: objectives.generate_sensor_fusion(
+            m=p["m"], s=p["s"], d=p["d"], omega=p["omega"], seed=p["instance_seed"]),
+        "activation": lambda v: v is None or graphs.RandomActivationSchedule(
+            graphs.DirectedGraph(1), float(v), seed=0),
         "step_size": lambda v: v is None or engine.RunConfig(step_size=float(v), horizon=1),
         "c0": lambda v: MixingParams(c0=float(v)),
         "k0_range": lambda v: MixingParams(c0=1.0, k0_range=float(v)),
         "stop": lambda v: [engine.RunConfig(step_size=1.0, horizon=1, stop_residual=float(c))
                            for c in v],
+        "box": lambda v: check_positive("bound", float(v)),
+        "alpha": lambda v: check_positive("alpha", float(v)),
+        "beta": lambda v: check_positive("beta", float(v)),
     }
     for name, check in checks.items():
         try:

@@ -78,18 +78,6 @@ class DegenerateStateError(ArithmeticError):
 
 
 @dataclass
-class AgentState:
-    """One agent's row of a `RoundState`."""
-
-    agent: int
-    y: np.ndarray
-    w: float
-    x: np.ndarray
-    s: np.ndarray
-    prev_grad: np.ndarray
-
-
-@dataclass
 class RoundState:
     """All agents' variables after one round, row i-1 for agent i.
 
@@ -204,14 +192,6 @@ def _initial_state(problem: GlobalProblem, config: RunConfig) -> RoundState:
     x0, w0 = _initial_positions(problem, config)
     g = problem.gradients(x0)
     return RoundState(y=x0.copy(), s=g, w=w0, x=x0, g=g.copy())
-
-
-def init_agents(problem: GlobalProblem, config: RunConfig) -> list:
-    """The k=0 state, one `AgentState` per agent."""
-    st = _initial_state(problem, config)
-    return [AgentState(agent=i, y=st.y[i - 1], w=float(st.w[i - 1]), x=st.x[i - 1],
-                       s=st.s[i - 1], prev_grad=st.g[i - 1])
-            for i in range(1, problem.m + 1)]
 
 
 def draw_weight_columns(graph, params: MixingParams, seed, trial, k) -> dict:

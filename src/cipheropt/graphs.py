@@ -3,10 +3,15 @@
 Agents are numbered 1..m. An edge is an ordered pair (receiver, sender):
 (l, i) means agent l can receive information from agent i. Self-loops are
 never stored; every agent implicitly keeps a self-weight.
+
+A graph's edges have one array form, the m-by-m boolean matrix that is True
+at [l-1, i-1] for edge (l, i) (`DirectedGraph.matrix`). A schedule gives a
+block of rounds as an (n, m, m) stack of these (`adjacencies(k, n)`), which
+the round kernel and the connectivity certificate read; `graph_at(schedule,
+k)` gives one round as a `DirectedGraph`.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,75 +45,63 @@ class DirectedGraph:
                 raise ValueError(f"edge ({l}, {i}) outside 1..{self.m}")
 
     @cached_property
-    def _adjacency(self):
-        """Sorted (in-neighbours, out-neighbours) of every agent, built once."""
-        ins = {v: [] for v in range(1, self.m + 1)}
-        outs = {v: [] for v in range(1, self.m + 1)}
-        for (l, i) in sorted(self.edges):
-            ins[l].append(i)
-            outs[i].append(l)
-        return ins, outs
+    def matrix(self) -> np.ndarray:
+        """Read-only m-by-m boolean matrix, True at [l-1, i-1] for each edge (l, i)."""
+        a = np.zeros((self.m, self.m), dtype=bool)
+        for (l, i) in self.edges:
+            a[l - 1, i - 1] = True
+        a.flags.writeable = False
+        return a
 
     def in_neighbors(self, l):
         """Agents that l receives from."""
-        return list(self._adjacency[0].get(l, ()))
+        return (np.flatnonzero(self.matrix[l - 1]) + 1).tolist()
 
     def out_neighbors(self, i):
         """Agents that receive from i."""
-        return list(self._adjacency[1].get(i, ()))
+        return (np.flatnonzero(self.matrix[:, i - 1]) + 1).tolist()
 
     def out_degree(self, i):
-        return len(self._adjacency[1].get(i, ()))
+        return int(np.count_nonzero(self.matrix[:, i - 1]))
 
     def sorted_edges(self):
         """Canonical edge order used for activation draws and file output."""
         return sorted(self.edges)
 
 
-def union_graph(graphs):
-    """Union of edge sets over a list of graphs sharing the same m."""
-    ms = {g.m for g in graphs}
-    if len(ms) != 1:
-        raise ValueError("graphs must share the same agent count")
-    edges = frozenset().union(*(g.edges for g in graphs))
-    return DirectedGraph(m=ms.pop(), edges=edges)
+def _strongly_connected(a: np.ndarray) -> bool:
+    """True iff the m-by-m adjacency `a` (True at [l, i] when l receives from
+    i) joins every ordered pair of distinct agents by a directed path.
+
+    Two depth-first sweeps from agent 1: one along out-edges (1 reaches all)
+    and one along in-edges (all reach 1).
+    """
+    m = len(a)
+    for steps in (a.T, a):  # [v, u] True: the sweep may step from v to u
+        nxt = [[] for _ in range(m)]
+        rows, cols = np.nonzero(steps)
+        for v, u in zip(rows.tolist(), cols.tolist()):
+            nxt[v].append(u)
+        seen = [True] + [False] * (m - 1)
+        stack = [0]
+        while stack:
+            for u in nxt[stack.pop()]:
+                if not seen[u]:
+                    seen[u] = True
+                    stack.append(u)
+        if not all(seen):
+            return False
+    return True
 
 
 def is_strongly_connected(g: DirectedGraph) -> bool:
-    """True iff every ordered pair of distinct agents is joined by a directed path.
-
-    Two breadth-first sweeps from agent 1: one along out-edges (1 reaches all)
-    and one along in-edges (all reach 1).
-    """
-    if g.m == 1:
-        return True
-    ins, outs = g._adjacency
-    for adj in (outs, ins):
-        seen = {1}
-        queue = deque([1])
-        while queue:
-            v = queue.popleft()
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        if len(seen) != g.m:
-            return False
-    return True
+    """True iff every ordered pair of distinct agents is joined by a directed path."""
+    return _strongly_connected(g.matrix)
 
 
 # ---------------------------------------------------------------------------
 # Schedules
 # ---------------------------------------------------------------------------
-
-def _edge_matrix(m, edges) -> np.ndarray:
-    """Read-only m-by-m boolean matrix, True at [l-1, i-1] for each edge (l, i)."""
-    a = np.zeros((m, m), dtype=bool)
-    for (l, i) in edges:
-        a[l - 1, i - 1] = True
-    a.flags.writeable = False
-    return a
-
 
 def _check_index(k):
     if k < 0:
@@ -127,17 +120,12 @@ class StaticSchedule(_Schedule):
     def __init__(self, graph: DirectedGraph):
         self.graph = graph
         self.m = graph.m
-        self._matrix = _edge_matrix(graph.m, graph.edges)
-
-    def graph_at(self, k: int) -> DirectedGraph:
-        _check_index(k)
-        return self.graph
 
     def adjacencies(self, k: int, n: int) -> np.ndarray:
         """The graphs at iterations k .. k+n-1 as an (n, m, m) boolean array, True at
         [r, l-1, i-1] for edge (l, i) at iteration k+r; callers only read it."""
         _check_index(k)
-        return np.broadcast_to(self._matrix, (n, self.m, self.m))
+        return np.broadcast_to(self.graph.matrix, (n, self.m, self.m))
 
 
 class ScriptedSchedule(_Schedule):
@@ -160,7 +148,7 @@ class ScriptedSchedule(_Schedule):
         self.mode = mode
         self.m = ms.pop()
         self.length = len(self.graphs) if mode == "once" else None
-        self._matrices = np.stack([_edge_matrix(self.m, g.edges) for g in self.graphs])
+        self._matrices = np.stack([g.matrix for g in self.graphs])
 
     def _positions(self, k: int, n: int) -> np.ndarray:
         """Which graph plays at each of the iterations k .. k+n-1."""
@@ -176,9 +164,6 @@ class ScriptedSchedule(_Schedule):
                 f"scripted schedule has {count} graphs, asked for k={max(k, count)}")
         return ks
 
-    def graph_at(self, k: int) -> DirectedGraph:
-        return self.graphs[self._positions(k, 1)[0]]
-
     def adjacencies(self, k: int, n: int) -> np.ndarray:
         """`StaticSchedule.adjacencies` of the graphs played at iterations k .. k+n-1."""
         return self._matrices[self._positions(k, n)]
@@ -189,7 +174,7 @@ class RandomActivationSchedule(_Schedule):
 
     The draw for iteration k is numpy's uniform stream keyed (seed, 11, k),
     one uniform per edge of the base graph in canonical sorted order, so
-    graph_at is replayable and order-independent across calls. The streams
+    the schedule is replayable and order-independent across calls. The streams
     are derived a block of iterations at a time (`streams.KeyedStream`), bit
     for bit the ones a `SeedSequence` per iteration would give.
     """
@@ -201,22 +186,16 @@ class RandomActivationSchedule(_Schedule):
         self.p = float(p)
         self.seed = check_seed("activation seed", seed)
         self.m = base.m
-        self._edges = base.sorted_edges()
-        self._flat = np.array([(l - 1) * self.m + i - 1 for (l, i) in self._edges],
-                              dtype=np.intp)
+        self._flat = np.flatnonzero(base.matrix)  # row-major: the sorted base edges
         self._stream = KeyedStream(self.seed, (_ACTIVATION_STREAM,))
 
     def edge_masks(self, k: int, n: int) -> np.ndarray:
         """Row r: which of the sorted base edges are active at iteration k+r."""
         _check_index(k)
-        u = np.empty((n, len(self._edges)))
+        u = np.empty((n, len(self._flat)))
         for r in range(n):
             self._stream.fill(k + r, u[r])
         return u < self.p
-
-    def graph_at(self, k: int) -> DirectedGraph:
-        kept = [e for e, keep in zip(self._edges, self.edge_masks(k, 1)[0]) if keep]
-        return DirectedGraph(m=self.m, edges=frozenset(kept))
 
     def adjacencies(self, k: int, n: int) -> np.ndarray:
         """`StaticSchedule.adjacencies` of the graphs at iterations k .. k+n-1, from
@@ -227,8 +206,9 @@ class RandomActivationSchedule(_Schedule):
 
 
 def graph_at(schedule, k: int) -> DirectedGraph:
-    """Graph of the schedule at iteration k."""
-    return schedule.graph_at(k)
+    """Graph of the schedule at iteration k, read from its adjacency."""
+    edges = np.argwhere(schedule.adjacencies(k, 1)[0]) + 1
+    return DirectedGraph(m=schedule.m, edges=frozenset(map(tuple, edges.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +228,11 @@ class ConnectivityCertificate:
 
     b_tilde: int | None
     horizon: int
-    b: int | None = None
     probabilistic: bool = False
 
-    def __post_init__(self):
-        if self.b_tilde is not None:
-            object.__setattr__(self, "b", 2 * self.b_tilde - 1)
+    @property
+    def b(self) -> int | None:
+        return None if self.b_tilde is None else 2 * self.b_tilde - 1
 
 
 def certify_uniform_connectivity(schedule, horizon=200, max_window=None) -> ConnectivityCertificate:
@@ -267,16 +246,12 @@ def certify_uniform_connectivity(schedule, horizon=200, max_window=None) -> Conn
         max_window = horizon
     if not (horizon >= max_window >= 1):
         raise ValueError("need horizon >= max_window >= 1")
-    graphs = [schedule.graph_at(k) for k in range(horizon)]
+    adj = schedule.adjacencies(0, horizon)
+    m = schedule.m
     probabilistic = isinstance(schedule, RandomActivationSchedule)
     for b in range(1, max_window + 1):
-        ok = True
-        for t in range(0, (horizon - b) // b + 1):
-            window = graphs[t * b : t * b + b]
-            if not is_strongly_connected(union_graph(window)):
-                ok = False
-                break
-        if ok:
+        unions = adj[: horizon // b * b].reshape(-1, b, m, m).any(axis=1)
+        if all(_strongly_connected(u) for u in unions):
             return ConnectivityCertificate(b_tilde=b, horizon=horizon, probabilistic=probabilistic)
     return ConnectivityCertificate(b_tilde=None, horizon=horizon, probabilistic=probabilistic)
 

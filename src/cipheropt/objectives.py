@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .streams import check_positive, check_seed
+
 _INSTANCE_STREAM = 21
 _NOISE_STREAM = 22
 
@@ -159,8 +161,8 @@ def generate_sensor_fusion(m, s, d, omega, seed) -> SensorFusionInstance:
     unit Gaussian noise. Deterministic per seed."""
     if min(m, s, d) < 1:
         raise ValueError("m, s, d must all be >= 1")
-    if not omega > 0:
-        raise ValueError("omega must be positive")
+    omega = check_positive("omega", omega)
+    seed = check_seed("instance_seed", seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_INSTANCE_STREAM,)))
     x_tilde = rng.uniform(0.0, 1.0, size=d)
     measurements = []

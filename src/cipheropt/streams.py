@@ -16,6 +16,7 @@ is hashed as uint32 vectors, each key's PCG64 (state, inc) is set up in
 """
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -60,6 +61,15 @@ def check_seed(name: str, value):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
         raise ValueError(f"{name} must be a non-negative whole number, got {value!r}")
     return int(value)
+
+
+def check_positive(name: str, value) -> float:
+    """`value` as a float if it is a positive, finite real number (not a bool), else
+    a ValueError naming `name`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value > 0)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
 
 
 class KeyedStream:

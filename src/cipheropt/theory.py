@@ -153,8 +153,8 @@ def build_constants(c0, m: int, b_tilde: int, l_hat, l_bar, mu_hat, mu_bar,
     """Assemble every analysis constant for one problem/graph pairing."""
     if mu_bar <= 0:
         raise ConstantsError("average strong convexity must be positive")
-    if alpha <= 0 or beta <= 0:
-        raise ConstantsError("alpha and beta must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in (alpha, beta)):
+        raise ConstantsError(f"alpha and beta must be positive and finite, got {alpha}, {beta}")
     b = 2 * b_tilde - 1
     if b0 is None:
         b0 = required_b0(c0, m, b)

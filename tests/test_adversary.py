@@ -280,6 +280,12 @@ class TestSolutionSampling:
         with pytest.raises(ValueError):
             sample_gradient_solutions(report, 10)
 
+    @pytest.mark.parametrize("bound", [0.0, -1.0, float("nan"), float("inf"), True])
+    def test_box_bound_must_be_positive_and_finite(self, sampled_report, bound):
+        report, _ = sampled_report
+        with pytest.raises(ValueError, match="^bound must be positive and finite"):
+            sample_gradient_solutions(report, 10, bound=bound)
+
     def test_truth_length_checked(self, sampled_report):
         report, _ = sampled_report
         with pytest.raises(ValueError, match="truth"):

@@ -198,6 +198,105 @@ class TestConfigResolution:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=st.sampled_from(["m", "s", "d"]),
+           value=st.one_of(st.floats().filter(lambda v: not v.is_integer()),
+                           st.integers(1, 9).map(float), st.booleans(),
+                           st.text(max_size=3), st.none()))
+    def test_fractional_or_bool_problem_count_in_file(self, tmp_path, field, value):
+        cfg = write_config(tmp_path, {"problem": {field: value}})
+        with pytest.raises(ConfigError, match=f"^problem.{field} must be a whole number"):
+            resolve_config("converge", parse("converge", "--config", cfg))
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(problem=st.one_of(
+        st.builds(lambda field, value: {field: value}, st.sampled_from(["m", "s", "d"]),
+                  st.integers(max_value=0)),
+        st.builds(lambda value: {"omega": value},
+                  st.one_of(st.floats(max_value=0.0),
+                            st.sampled_from([math.nan, math.inf, "nan", "0.01", "x", [0.1],
+                                             True]))),
+        st.builds(lambda value: {"instance_seed": value},
+                  st.one_of(st.integers(max_value=-1), st.floats(), st.booleans(), st.none()))))
+    def test_bad_problem_in_file(self, tmp_path, problem):
+        cfg = write_config(tmp_path, {"problem": problem})
+        with pytest.raises(ConfigError, match="^problem: "):
+            resolve_config("converge", parse("converge", "--config", cfg))
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=st.sampled_from(["activation", "box", "alpha", "beta"]),
+           value=st.one_of(st.floats(max_value=0.0),
+                           st.sampled_from([math.nan, math.inf, "nan", "inf", "-1", "x",
+                                            [0.1], {}])),
+           command=st.sampled_from(["converge", "privacy", "theory"]))
+    def test_bad_probability_box_or_gain_weight_in_file(self, tmp_path, field, value, command):
+        cfg = write_config(tmp_path, {field: value})
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            resolve_config(command, parse(command, "--config", cfg))
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=st.floats(min_value=1.0, exclude_min=True))
+    def test_activation_above_one_rejected(self, tmp_path, value):
+        cfg = write_config(tmp_path, {"activation": value})
+        with pytest.raises(ConfigError, match="^activation: activation probability"):
+            resolve_config("converge", parse("converge", "--config", cfg))
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=st.sampled_from(["capture", "redraw_noise"]),
+           value=st.one_of(st.sampled_from(["no", "yes", "false", "", 0, 1, 0.0]),
+                           st.none(), st.lists(st.booleans(), max_size=1)))
+    def test_flags_must_be_booleans(self, tmp_path, field, value):
+        cfg = write_config(tmp_path, {field: value})
+        with pytest.raises(ConfigError, match=f"^{field} must be true or false"):
+            resolve_config("privacy", parse("privacy", "--config", cfg))
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(activation=st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0,
+                                                      exclude_min=True)),
+           positive=st.fixed_dictionaries({
+               name: st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+               for name in ("box", "alpha", "beta")}),
+           problem=st.fixed_dictionaries({
+               "m": st.integers(1, 8), "s": st.integers(1, 3), "d": st.integers(1, 3),
+               "omega": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+               "instance_seed": st.integers(0, 2**32)}),
+           flags=st.fixed_dictionaries({"capture": st.booleans(),
+                                        "redraw_noise": st.booleans()}))
+    def test_good_problem_and_numbers_pass(self, tmp_path, activation, positive, problem, flags):
+        payload = {"activation": activation, **positive, "problem": problem, **flags}
+        config = resolve_config("privacy", parse("privacy", "--config",
+                                                 write_config(tmp_path, payload)))
+        assert {key: config[key] for key in payload} == payload
+
+    @pytest.mark.parametrize("command, payload, message", [
+        ("converge", {"activation": 2}, "activation: activation probability must lie in (0, 1]"),
+        ("converge", {"problem": {"omega": -1}},
+         "problem: omega must be positive and finite, got -1"),
+        ("converge", {"problem": {"m": 2.5}}, "problem.m must be a whole number, got 2.5"),
+        ("converge", {"problem": {"m": 0}}, "problem: m, s, d must all be >= 1"),
+        ("converge", {"problem": {"instance_seed": -1}},
+         "problem: instance_seed must be a non-negative whole number, got -1"),
+        ("privacy", {"box": -1}, "box: bound must be positive and finite, got -1.0"),
+        ("privacy", {"box": "nan"}, "box: bound must be positive and finite, got nan"),
+        ("privacy", {"capture": "no"}, "capture must be true or false, got 'no'"),
+        ("theory", {"alpha": -1}, "alpha: alpha must be positive and finite, got -1.0"),
+    ], ids=["activation", "omega", "m-fractional", "m-zero", "instance-seed", "box-negative",
+            "box-nan", "capture-string", "alpha-negative"])
+    def test_bad_problem_or_number_exits_1_and_writes_nothing(self, tmp_path, capsys, command,
+                                                               payload, message):
+        cfg = write_config(tmp_path, {**SMALL, **payload,
+                                      "problem": {**SMALL["problem"], **payload.get("problem", {})}})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("scenario", ["x", "B", "", None, ["b"]])
     def test_bad_scenario_rejected(self, tmp_path, scenario):
         cfg = write_config(tmp_path, {"scenario": scenario})
@@ -440,3 +539,19 @@ class TestTheoryCommand:
         summary = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert summary["b_tilde"] == 1
         assert summary["feasible"] is True
+
+    @pytest.mark.parametrize("weights", [{"alpha": "nan"}, {"beta": "nan"}, {"alpha": math.inf}])
+    def test_non_finite_gain_weight_exits_1_and_writes_nothing(self, tmp_path, capsys, weights):
+        # before these were checked, a NaN alpha wrote a certificate of NaNs and exited 0
+        sched_path = tmp_path / "pair.graph"
+        save_graph_file(StaticSchedule(DirectedGraph(2, frozenset({(1, 2), (2, 1)}))),
+                        sched_path)
+        cfg = write_config(tmp_path, {
+            "problem": {"m": 2, "s": 2, "d": 2, "instance_seed": 3},
+            "schedule": str(sched_path), "c0": 0.49, "certify_horizon": 10, **weights,
+        })
+        out = tmp_path / "out"
+        assert main(["theory", "--config", cfg, "--out", str(out)]) == 1
+        (name,) = weights
+        assert f"config error: {name}: {name} must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()

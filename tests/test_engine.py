@@ -7,8 +7,8 @@ from cipheropt.engine import (
     BASELINES,
     DegenerateStateError,
     RunConfig,
+    _initial_state,
     draw_weight_columns,
-    init_agents,
     relative_residual,
     run,
     run_baseline,
@@ -357,14 +357,13 @@ class TestBaselines:
 class TestInitialization:
     def test_tracker_starts_at_local_gradient(self):
         problem = make_problem(m=3, s=2, d=2)
-        states = init_agents(problem, RunConfig(step_size=1e-3, horizon=1))
-        for st in states:
-            assert np.array_equal(st.s, problem.gradient(st.agent, st.x))
-            assert np.array_equal(st.y, st.x)
+        state = _initial_state(problem, RunConfig(step_size=1e-3, horizon=1))
+        for i in range(1, problem.m + 1):
+            assert np.array_equal(state.s[i - 1], problem.gradient(i, state.x[i - 1]))
+            assert np.array_equal(state.y[i - 1], state.x[i - 1])
 
     def test_initial_masses_in_signed_unit_range(self):
         problem = make_problem(m=20, s=2, d=2)
-        states = init_agents(problem, RunConfig(step_size=1e-3, horizon=1))
-        ws = np.array([st.w for st in states])
+        ws = _initial_state(problem, RunConfig(step_size=1e-3, horizon=1)).w
         assert np.all(ws >= -1.0) and np.all(ws <= 1.0)
         assert ws.min() < 0 < ws.max()

@@ -1,3 +1,7 @@
+import re
+from collections import deque
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,12 +18,95 @@ from cipheropt.graphs import (
     is_strongly_connected,
     load_graph_file,
     save_graph_file,
-    union_graph,
 )
 
 
 def ring(m):
     return DirectedGraph(m, frozenset((i % m + 1, i) for i in range(1, m + 1)))
+
+
+# The edge-set reference the array code is tested against: the per-schedule
+# graph definitions, the union of a window's graphs and the breadth-first
+# sweeps the certificate once ran on.
+
+def union_graph(graphs):
+    """Union of edge sets over a list of graphs sharing the same m."""
+    ms = {g.m for g in graphs}
+    if len(ms) != 1:
+        raise ValueError("graphs must share the same agent count")
+    edges = frozenset().union(*(g.edges for g in graphs))
+    return DirectedGraph(m=ms.pop(), edges=edges)
+
+
+def oracle_strongly_connected(g):
+    """Breadth-first sweeps from agent 1 along out-edges and along in-edges."""
+    if g.m == 1:
+        return True
+    ins = {v: [] for v in range(1, g.m + 1)}
+    outs = {v: [] for v in range(1, g.m + 1)}
+    for (l, i) in sorted(g.edges):
+        ins[l].append(i)
+        outs[i].append(l)
+    for adj in (outs, ins):
+        seen = {1}
+        queue = deque([1])
+        while queue:
+            v = queue.popleft()
+            for u in adj[v]:
+                if u not in seen:
+                    seen.add(u)
+                    queue.append(u)
+        if len(seen) != g.m:
+            return False
+    return True
+
+
+def oracle_graph_at(schedule, k):
+    """The graph each schedule class gives at iteration k, from its edges."""
+    if isinstance(schedule, StaticSchedule):
+        if k < 0:
+            raise ValueError("iteration index must be >= 0")
+        return schedule.graph
+    if isinstance(schedule, ScriptedSchedule):
+        return schedule.graphs[schedule._positions(k, 1)[0]]
+    edges = schedule.base.sorted_edges()
+    kept = [e for e, keep in zip(edges, schedule.edge_masks(k, 1)[0]) if keep]
+    return DirectedGraph(m=schedule.m, edges=frozenset(kept))
+
+
+def oracle_certificate(schedule, horizon, max_window):
+    """(b_tilde, b, probabilistic), window unions of graphs checked one by one."""
+    graphs = [oracle_graph_at(schedule, k) for k in range(horizon)]
+    probabilistic = isinstance(schedule, RandomActivationSchedule)
+    for b in range(1, max_window + 1):
+        if all(oracle_strongly_connected(union_graph(graphs[t * b: t * b + b]))
+               for t in range((horizon - b) // b + 1)):
+            return b, 2 * b - 1, probabilistic
+    return None, None, probabilistic
+
+
+@st.composite
+def graphs_on(draw, m):
+    """A digraph on m agents, from sparse (often cut) to dense."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = rng.random((m, m)) < draw(st.sampled_from([0.1, 0.25, 0.5, 0.9]))
+    return DirectedGraph(m, frozenset((l + 1, i + 1) for l, i in np.argwhere(keep).tolist()
+                                      if l != i))
+
+
+@st.composite
+def schedules_on(draw, m, horizon):
+    """Static, scripted (a `once` script plays at least `horizon` rounds) or random."""
+    kind = draw(st.sampled_from(["static", "cycle", "hold", "once", "random"]))
+    if kind == "static":
+        return StaticSchedule(draw(graphs_on(m)))
+    if kind == "random":
+        return RandomActivationSchedule(draw(graphs_on(m)), draw(st.floats(0.05, 1.0)),
+                                        seed=draw(st.integers(0, 2**32)))
+    pool = draw(st.lists(graphs_on(m), min_size=1, max_size=4))
+    count = draw(st.integers(horizon, horizon + 3) if kind == "once" else st.integers(1, 6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=count, max_size=count))
+    return ScriptedSchedule([pool[j] for j in picks], mode=kind)
 
 
 class TestDirectedGraph:
@@ -63,9 +150,20 @@ class TestStrongConnectivity:
         assert not is_strongly_connected(half1)
         assert is_strongly_connected(union_graph([half1, half2]))
 
-    def test_union_requires_matching_m(self):
-        with pytest.raises(ValueError):
-            union_graph([ring(3), ring(4)])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 12))
+    def test_sweeps_are_the_oracle_bfs(self, data, m):
+        g = data.draw(graphs_on(m))
+        assert is_strongly_connected(g) == oracle_strongly_connected(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 12))
+    def test_neighbor_queries_are_the_edge_set_definitions(self, data, m):
+        g = data.draw(graphs_on(m))
+        for v in range(1, m + 1):
+            assert g.in_neighbors(v) == sorted(i for (l, i) in g.edges if l == v)
+            assert g.out_neighbors(v) == sorted(l for (l, i) in g.edges if i == v)
+            assert g.out_degree(v) == sum(1 for (_, i) in g.edges if i == v)
 
 
 class TestSchedules:
@@ -115,6 +213,20 @@ class TestSchedules:
         s = RandomActivationSchedule(base, 1.0, seed=0)
         assert graph_at(s, 13) == base
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 10),
+           ks=st.lists(st.integers(0, 200), min_size=1, max_size=5))
+    def test_graph_at_is_the_per_schedule_definition(self, data, m, ks):
+        schedule = data.draw(schedules_on(m, data.draw(st.integers(1, 40))))
+        for k in ks:
+            try:
+                expected = oracle_graph_at(schedule, k)
+            except ScheduleExhausted as exc:
+                with pytest.raises(ScheduleExhausted, match=f"^{re.escape(str(exc))}$"):
+                    graph_at(schedule, k)
+            else:
+                assert graph_at(schedule, k) == expected
+
     def test_random_activation_rejects_bad_p(self):
         with pytest.raises(ValueError):
             RandomActivationSchedule(ring(3), 0.0, seed=0)
@@ -155,6 +267,46 @@ class TestCertification:
 
     def test_derived_b_matches_window(self):
         assert ConnectivityCertificate(b_tilde=3, horizon=10).b == 5
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 10), horizon=st.integers(1, 40))
+    def test_certificate_is_the_oracle(self, data, m, horizon):
+        schedule = data.draw(schedules_on(m, horizon))
+        max_window = data.draw(st.integers(1, horizon))
+        cert = certify_uniform_connectivity(schedule, horizon=horizon, max_window=max_window)
+        assert (cert.b_tilde, cert.b, cert.probabilistic) == oracle_certificate(
+            schedule, horizon, max_window)
+        assert cert.horizon == horizon
+
+    @pytest.mark.parametrize("horizon", [10, 11])
+    def test_last_whole_window_is_checked(self, horizon):
+        # only the last round is cut, so b=1 fails; at horizon 11 that round
+        # is a partial 2-window, which is not checked, and b=2 passes as at 10
+        cut = DirectedGraph(3, frozenset({(2, 1)}))
+        s = ScriptedSchedule([ring(3)] * (horizon - 1) + [cut], mode="once")
+        cert = certify_uniform_connectivity(s, horizon=horizon)
+        assert cert.b_tilde == oracle_certificate(s, horizon, horizon)[0] == 2
+
+    def test_certification_reads_one_adjacency_block(self, monkeypatch):
+        m = 4
+        half1 = DirectedGraph(m, frozenset({(2, 1), (3, 2)}))
+        half2 = DirectedGraph(m, frozenset({(4, 3), (1, 4)}))
+        s = ScriptedSchedule([half1, half2], mode="cycle")
+        asked = []
+        adjacencies = s.adjacencies
+        monkeypatch.setattr(s, "adjacencies", lambda k, n: asked.append((k, n)) or adjacencies(k, n))
+
+        def no_graphs(self):
+            raise AssertionError("certification built a DirectedGraph")
+
+        monkeypatch.setattr(DirectedGraph, "__post_init__", no_graphs)
+        assert certify_uniform_connectivity(s, horizon=40).b_tilde == 2
+        assert asked == [(0, 40)]
+
+    def test_short_once_schedule_is_exhausted_at_its_length(self):
+        s = ScriptedSchedule([ring(3)] * 5, mode="once")
+        with pytest.raises(ScheduleExhausted, match=r"^scripted schedule has 5 graphs, asked for k=5$"):
+            certify_uniform_connectivity(s, horizon=8)
 
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValueError):

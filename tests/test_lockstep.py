@@ -39,6 +39,7 @@ from cipheropt.graphs import (
     ScheduleExhausted,
     ScriptedSchedule,
     StaticSchedule,
+    graph_at,
 )
 from cipheropt.mixing import MixingParams, assemble_weight_matrix
 from cipheropt.objectives import (
@@ -293,7 +294,7 @@ def test_kernel_weights_are_the_per_agent_columns(m, trial, seed, algorithm, dat
     else:
         traj = run_baseline(problem, schedule, config, algorithm)
     for k, a in enumerate(traj.weight_matrices):
-        graph = schedule.graph_at(k)
+        graph = graph_at(schedule, k)
         columns = (draw_weight_columns(graph, params, seed, trial, k) if algorithm == "private"
                    else uniform_out_columns(graph, k))
         assert a.tobytes() == assemble_weight_matrix(columns.values(), m).tobytes(), k
@@ -352,7 +353,7 @@ def test_one_round_at_a_time_is_the_run():
     state = _initial_state(problem, config)
     transport = Transport(5, SharedKey.from_seed(2), [])
     for k in range(config.horizon):
-        columns = draw_weight_columns(schedule.graph_at(k), params, 2, 1, k)
+        columns = draw_weight_columns(graph_at(schedule, k), params, 2, 1, k)
         state = iterate(state, columns, problem, config.step_size, k, reset_mass=k == 0,
                         transport=transport)
         assert state.x.tobytes() == traj.x_series[k + 1].tobytes()

@@ -125,6 +125,14 @@ class TestConstants:
             build_constants(0.49, 2, 1, problem.l_hat, problem.l_bar,
                             problem.mu_hat, problem.mu_bar, alpha=-1.0)
 
+    @pytest.mark.parametrize("weights", [{"alpha": float("nan")}, {"beta": float("nan")},
+                                         {"alpha": float("inf")}, {"beta": -float("inf")}])
+    def test_non_finite_alpha_or_beta_rejected(self, desk, weights):
+        problem, _ = desk
+        with pytest.raises(ConstantsError, match="alpha and beta must be positive and finite"):
+            build_constants(0.49, 2, 1, problem.l_hat, problem.l_bar,
+                            problem.mu_hat, problem.mu_bar, **weights)
+
 
 class TestCertificate:
     def test_all_preconditions_pass(self, desk):
