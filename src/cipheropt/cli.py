@@ -115,6 +115,13 @@ def _merge(base: dict, extra: dict, origin: str) -> dict:
     return out
 
 
+def _real(value) -> float:
+    """A config number as a float: JSON true and false are not numbers."""
+    if isinstance(value, bool):
+        raise TypeError(f"must be a number, got {value!r}")
+    return float(value)
+
+
 def resolve_config(command: str, args) -> dict:
     config = _merge(_COMMON_DEFAULTS, _SUBCOMMAND_DEFAULTS[command], "defaults")
     if args.config is not None:
@@ -166,15 +173,15 @@ def resolve_config(command: str, args) -> dict:
         "problem": lambda p: objectives.generate_sensor_fusion(
             m=p["m"], s=p["s"], d=p["d"], omega=p["omega"], seed=p["instance_seed"]),
         "activation": lambda v: v is None or graphs.RandomActivationSchedule(
-            graphs.DirectedGraph(1), float(v), seed=0),
-        "step_size": lambda v: v is None or engine.RunConfig(step_size=float(v), horizon=1),
-        "c0": lambda v: MixingParams(c0=float(v)),
-        "k0_range": lambda v: MixingParams(c0=1.0, k0_range=float(v)),
-        "stop": lambda v: [engine.RunConfig(step_size=1.0, horizon=1, stop_residual=float(c))
+            graphs.DirectedGraph(1), _real(v), seed=0),
+        "step_size": lambda v: v is None or engine.RunConfig(step_size=_real(v), horizon=1),
+        "c0": lambda v: MixingParams(c0=_real(v)),
+        "k0_range": lambda v: MixingParams(c0=1.0, k0_range=_real(v)),
+        "stop": lambda v: [engine.RunConfig(step_size=1.0, horizon=1, stop_residual=_real(c))
                            for c in v],
-        "box": lambda v: check_positive("bound", float(v)),
-        "alpha": lambda v: check_positive("alpha", float(v)),
-        "beta": lambda v: check_positive("beta", float(v)),
+        "box": lambda v: check_positive("bound", _real(v)),
+        "alpha": lambda v: check_positive("alpha", _real(v)),
+        "beta": lambda v: check_positive("beta", _real(v)),
     }
     for name, check in checks.items():
         try:

@@ -251,7 +251,8 @@ def certify_uniform_connectivity(schedule, horizon=200, max_window=None) -> Conn
     probabilistic = isinstance(schedule, RandomActivationSchedule)
     for b in range(1, max_window + 1):
         unions = adj[: horizon // b * b].reshape(-1, b, m, m).any(axis=1)
-        if all(_strongly_connected(u) for u in unions):
+        # a repeating schedule repeats its unions: check each distinct one once
+        if all(_strongly_connected(u) for u in {u.tobytes(): u for u in unions}.values()):
             return ConnectivityCertificate(b_tilde=b, horizon=horizon, probabilistic=probabilistic)
     return ConnectivityCertificate(b_tilde=None, horizon=horizon, probabilistic=probabilistic)
 

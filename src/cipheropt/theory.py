@@ -8,6 +8,10 @@ constant in that chain exactly as written, certifies the step-size interval
 and critical decay rate, and re-checks the inequalities and the B0-step
 contraction numerically on recorded trajectories.
 
+Each constant has one derivation: the decay ladder and B0 in
+`contraction_params`, the step ceiling in `_step_cap`, the decay floor in
+`_decay_floor`, and the theta-weighted norms of a run in `_theta_weighted`.
+
 Several constants overflow binary64 for realistic parameters (they stack
 powers of 1/c0), so everything is computed with mpmath at a working
 precision chosen from the problem size. Reported values keep full precision;
@@ -86,66 +90,40 @@ class Certificate:
         return all(self.preconditions.values())
 
 
-def _sigma(c0: mp.mpf, m: int, b: int) -> mp.mpf:
-    return c0 ** (2 + m * b)
+def contraction_params(c0, m: int, b: int, b0: int | None = None) -> tuple:
+    """The decay ladder (b0, sigma, epsilon, varepsilon) over b0 windows.
 
-
-def _epsilon(sigma: mp.mpf, m: int, b: int) -> mp.mpf:
-    smb = sigma ** (m * b)
-    return 2 * m * (1 + 1 / smb) / (1 - smb)
-
-
-def _varepsilon(epsilon: mp.mpf, sigma: mp.mpf, m: int, b: int, b0) -> mp.mpf:
-    smb = sigma ** (m * b)
-    return epsilon * (1 - smb) ** (mp.mpf(b0 - 1) / (m * b))
-
-
-def contraction_params(c0, m: int, b: int, b0) -> tuple:
-    """The decay ladder (sigma, epsilon, varepsilon) for a window count b0.
-
-    varepsilon is the per-B0-block contraction factor; anything >= 1 means
-    b0 windows are not enough and the caller asked for too small a b0.
+    varepsilon is the per-B0-block contraction factor. Without b0 the
+    smallest window count whose factor drops below one is taken; an explicit
+    b0 that leaves it at or above one raises.
     """
     if not 0 < c0 < 1.0 / m:
         raise ConstantsError(f"c0={c0} outside (0, 1/m) for m={m}")
-    if b < 1 or b0 < b:
+    if b < 1 or (b0 is not None and b0 < b):
         raise ConstantsError(f"need b0 >= b >= 1, got b={b}, b0={b0}")
     with mp.workdps(working_precision(float(c0), m, b)):
-        sigma = _sigma(mp.mpf(c0), m, b)
-        epsilon = _epsilon(sigma, m, b)
-        varepsilon = _varepsilon(epsilon, sigma, m, b, b0)
+        sigma = mp.mpf(c0) ** (2 + m * b)
+        smb = sigma ** (m * b)
+        epsilon = 2 * m * (1 + 1 / smb) / (1 - smb)
+
+        def factor(n):
+            return epsilon * (1 - smb) ** (mp.mpf(n - 1) / (m * b))
+
+        if b0 is None:
+            threshold = 1 + m * b * mp.log(epsilon) / (-mp.log(1 - smb))
+            b0 = max(b, int(mp.floor(threshold)) + 1)
+            # Guard the boundary explicitly in case the closed form landed on an edge.
+            while factor(b0) >= 1:
+                b0 += 1
+            while b0 > b and factor(b0 - 1) < 1:
+                b0 -= 1
+        varepsilon = factor(b0)
         if varepsilon >= 1:
             raise ConstantsError(
                 f"B0 too small: b0={b0} leaves the contraction factor at "
                 f"{mp.nstr(varepsilon, 8)} >= 1"
             )
-        return sigma, epsilon, varepsilon
-
-
-def required_b0(c0, m: int, b: int) -> int:
-    """Smallest window count whose contraction factor drops below one."""
-    if not 0 < c0 < 1.0 / m:
-        raise ConstantsError(f"c0={c0} outside (0, 1/m) for m={m}")
-    with mp.workdps(working_precision(float(c0), m, b)):
-        sigma = _sigma(mp.mpf(c0), m, b)
-        epsilon = _epsilon(sigma, m, b)
-        smb = sigma ** (m * b)
-        threshold = 1 + m * b * mp.log(epsilon) / (-mp.log(1 - smb))
-        b0 = max(b, int(mp.floor(threshold)) + 1)
-        # Guard the boundary explicitly in case the closed form landed on an edge.
-        while _varepsilon(epsilon, sigma, m, b, b0) >= 1:
-            b0 += 1
-        while b0 > b and _varepsilon(epsilon, sigma, m, b, b0 - 1) < 1:
-            b0 -= 1
-        return b0
-
-
-def smallest_valid_B0(c0, m: int, b: int, cap: int):
-    """required_b0 bounded by a budget; None when the budget is too small."""
-    if cap < b:
-        raise ConstantsError(f"cap={cap} is below b={b}")
-    b0 = required_b0(c0, m, b)
-    return b0 if b0 <= cap else None
+        return b0, sigma, epsilon, varepsilon
 
 
 def build_constants(c0, m: int, b_tilde: int, l_hat, l_bar, mu_hat, mu_bar,
@@ -156,9 +134,7 @@ def build_constants(c0, m: int, b_tilde: int, l_hat, l_bar, mu_hat, mu_bar,
     if not all(math.isfinite(v) and v > 0 for v in (alpha, beta)):
         raise ConstantsError(f"alpha and beta must be positive and finite, got {alpha}, {beta}")
     b = 2 * b_tilde - 1
-    if b0 is None:
-        b0 = required_b0(c0, m, b)
-    sigma, epsilon, varepsilon = contraction_params(c0, m, b, b0)
+    b0, sigma, epsilon, varepsilon = contraction_params(c0, m, b, b0)
     dps = working_precision(float(c0), m, b)
     with mp.workdps(dps):
         return TheoryConstants(
@@ -171,6 +147,16 @@ def build_constants(c0, m: int, b_tilde: int, l_hat, l_bar, mu_hat, mu_bar,
             w_inv_max_bound=1 / mp.mpf(c0) ** (m * b),
             dps=dps,
         )
+
+
+def _step_cap(consts: TheoryConstants) -> mp.mpf:
+    """The smoothness ceiling 1/((1+beta)*L_bar) on the step size."""
+    return 1 / ((1 + consts.beta) * consts.l_bar)
+
+
+def _decay_floor(consts: TheoryConstants, eta) -> mp.mpf:
+    """The least decay rate the last inequality admits at step size eta."""
+    return mp.sqrt(max(mp.mpf(0), 1 - consts.alpha * eta * consts.mu_bar / (consts.alpha + 1)))
 
 
 def gain_precondition_failures(consts: TheoryConstants, theta, eta) -> list:
@@ -187,16 +173,14 @@ def gain_precondition_failures(consts: TheoryConstants, theta, eta) -> list:
             )
         if not tb0 < 1:
             out.append("theta must lie strictly below one")
-        cap = 1 / ((1 + consts.beta) * consts.l_bar)
+        cap = _step_cap(consts)
         if eta > cap:
             out.append(f"step size {mp.nstr(eta, 8)} exceeds 1/((1+beta)*L) = {mp.nstr(cap, 8)}")
-        floor_arg = 1 - consts.alpha * eta * consts.mu_bar / (consts.alpha + 1)
-        if floor_arg < 0:
-            floor_arg = mp.mpf(0)
-        if theta < mp.sqrt(floor_arg):
+        floor = _decay_floor(consts, eta)
+        if theta < floor:
             out.append(
                 f"theta = {mp.nstr(theta, 12)} is below the decay floor "
-                f"{mp.nstr(mp.sqrt(floor_arg), 12)} required at this step size"
+                f"{mp.nstr(floor, 12)} required at this step size"
             )
     return out
 
@@ -216,15 +200,6 @@ def _gains(consts: TheoryConstants, theta, eta) -> Gains:
         )
     )
     return Gains(gamma1, gamma2, gamma3, gamma4)
-
-
-def gain_constants(consts: TheoryConstants, theta, eta) -> Gains:
-    """The four closed-form gains at a given decay rate and step size."""
-    failures = gain_precondition_failures(consts, theta, eta)
-    if failures:
-        raise ConstantsError("gain preconditions violated: " + "; ".join(failures))
-    with mp.workdps(max(mp.mp.dps, consts.dps)):
-        return _gains(consts, theta, eta)
 
 
 def eta_interval(consts: TheoryConstants, c2, theta) -> tuple:
@@ -297,10 +272,8 @@ def theorem1_certificate(consts: TheoryConstants) -> Certificate:
                 "the small-gain argument assumes theta >= 0.5"
             )
 
-        eta_upper = min(
-            (1 + 1 / consts.alpha) * (1 - ve) ** 2 / (consts.mu_bar * c2),
-            1 / ((1 + consts.beta) * consts.l_bar),
-        )
+        cap = _step_cap(consts)
+        eta_upper = min((1 + 1 / consts.alpha) * (1 - ve) ** 2 / (consts.mu_bar * c2), cap)
         pre["positive step ceiling"] = bool(eta_upper > 0)
 
         # At theta0 both interval ends coincide; compare with a relative slack
@@ -309,7 +282,7 @@ def theorem1_certificate(consts: TheoryConstants) -> Certificate:
         slack = 1 + mp.mpf(10) ** -(mp.mp.dps // 2)
         lo, hi = eta_interval(consts, c2, theta_used)
         pre["non-empty interval at theta_used"] = bool(lo <= hi * slack)
-        eta_star = min(hi, 1 / ((1 + consts.beta) * consts.l_bar))
+        eta_star = min(hi, cap)
         if eta_star * slack < lo:
             pre["non-empty interval at theta_used"] = False
             notes.append("smoothness ceiling cuts below the interval; no admissible step")
@@ -368,7 +341,8 @@ def verify_contraction(trajectory, b0: int, varepsilon, trials: int = 100,
     Builds the normalized round maps Phi(k) = W(k+1)^-1 A(k) W(k) from a
     recorded run, multiplies b0 of them ending at each sampled round, and
     measures the centered-norm ratio on random matrices. A consensus matrix
-    is pushed through as well; it must stay fixed up to rounding.
+    is pushed through as well; it must stay fixed up to rounding. Each of
+    `rounds` must end a whole window: b0 - 1 <= round <= the last recorded round.
     """
     mats = trajectory.weight_matrices
     w = trajectory.w_series
@@ -387,6 +361,9 @@ def verify_contraction(trajectory, b0: int, varepsilon, trials: int = 100,
     max_ratio = 0.0
     consensus_residual = 0.0
     for end in rounds:
+        if not b0 - 1 <= end <= k_max:
+            raise ValueError(f"round {end} ends no window of {b0} recorded rounds "
+                             f"(need {b0 - 1} <= round <= {k_max})")
         prod = np.eye(m)
         for j in range(end - b0 + 1, end + 1):
             phi = (mats[j] * w[j][None, :]) / w[j + 1][:, None]
@@ -482,26 +459,24 @@ class LemmaReport:
         return all(c.holds for c in self.checks)
 
 
-def _theta_max(norms: np.ndarray, theta: mp.mpf, K: int) -> mp.mpf:
-    best = mp.mpf(0)
+def _theta_weighted(series, theta: mp.mpf, K: int, b0: int) -> tuple:
+    """Per norm sequence in `series`, the sup over k = 1..K and the sum over
+    k = 1..b0 of theta^-k * norm[k], in one pass that advances theta^-k once
+    per round for all of them."""
+    best = [mp.mpf(0)] * len(series)
+    total = [mp.mpf(0)] * len(series)
     acc = mp.mpf(1)
     inv = 1 / theta
+    rows = np.stack(series, axis=1)
     for k in range(1, K + 1):
         acc *= inv
-        term = acc * mp.mpf(float(norms[k]))
-        if term > best:
-            best = term
-    return best
-
-
-def _theta_prefix_sum(norms: np.ndarray, theta: mp.mpf, b0: int) -> mp.mpf:
-    total = mp.mpf(0)
-    acc = mp.mpf(1)
-    inv = 1 / theta
-    for i in range(1, b0 + 1):
-        acc *= inv
-        total += acc * mp.mpf(float(norms[i]))
-    return total
+        for i, norm in enumerate(rows[k].tolist()):
+            term = acc * mp.mpf(norm)
+            if term > best[i]:
+                best[i] = term
+            if k <= b0:
+                total[i] += term
+    return best, total
 
 
 def verify_lemma_inequalities(trajectory, problem, consts: TheoryConstants,
@@ -533,16 +508,14 @@ def verify_lemma_inequalities(trajectory, problem, consts: TheoryConstants,
         if gap <= 0:
             raise ConstantsError("theta^B0 must exceed the contraction factor")
 
-        r_max = _theta_max(series.r_norm, theta, K)
-        v_max = _theta_max(series.v_norm, theta, K)
-        u_max = _theta_max(series.u_check_norm, theta, K)
-        x_max = _theta_max(series.x_check_norm, theta, K)
+        (r_max, v_max, u_max, x_max), (_, _, u_sum, x_sum) = _theta_weighted(
+            (series.r_norm, series.v_norm, series.u_check_norm, series.x_check_norm),
+            theta, K, consts.b0)
 
         gains = _gains(consts, theta, eta)
         b1 = mp.mpf(float(series.v_norm[1])) / theta
-        prefix_scale = tb0 / gap
-        b2 = prefix_scale * _theta_prefix_sum(series.u_check_norm, theta, consts.b0)
-        b3 = prefix_scale * _theta_prefix_sum(series.x_check_norm, theta, consts.b0)
+        b2 = tb0 / gap * u_sum
+        b3 = tb0 / gap * x_sum
         b4 = 2 * mp.sqrt(consts.m) * mp.mpf(float(np.linalg.norm(series.y_bar_1 - series.x_star)))
 
         checks = [
@@ -553,10 +526,7 @@ def verify_lemma_inequalities(trajectory, problem, consts: TheoryConstants,
             LemmaCheck("state disagreement vs tracker", x_max, gains.gamma3 * u_max + b3,
                        gains.gamma3, b3),
         ]
-        floor_arg = 1 - consts.alpha * eta * consts.mu_bar / (consts.alpha + 1)
-        floor = mp.sqrt(floor_arg) if floor_arg > 0 else mp.mpf(0)
-        eta_cap = 1 / ((1 + consts.beta) * consts.l_bar)
-        if theta < floor or eta > eta_cap:
+        if theta < _decay_floor(consts, eta) or eta > _step_cap(consts):
             checks.append(LemmaCheck(
                 "distance vs state disagreement", r_max, mp.mpf(0), gains.gamma4, b4,
                 skipped=True,

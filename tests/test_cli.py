@@ -189,7 +189,9 @@ class TestConfigResolution:
         ("stoptime", {}, ["--stop", "nan"],
          "stop: stop residual must be finite and non-negative, got nan"),
         ("stoptime", {}, ["--stop", "0.1,-1"], "stop: stop residual must be finite"),
-    ], ids=["step", "c0", "k0-range", "stop-nan", "stop-negative"])
+        ("converge", {"step_size": True}, [], "step_size: must be a number, got True"),
+        ("theory", {"alpha": True}, [], "alpha: must be a number, got True"),
+    ], ids=["step", "c0", "k0-range", "stop-nan", "stop-negative", "step-bool", "alpha-bool"])
     def test_bad_number_exits_1_and_writes_nothing(self, tmp_path, capsys, command, payload,
                                                    argv, message):
         cfg = write_config(tmp_path, {**SMALL, **payload})
@@ -197,6 +199,17 @@ class TestConfigResolution:
         assert main([command, "--config", cfg, "--out", str(out), *argv]) == 1
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("converge", "step_size", True), ("converge", "c0", True), ("converge", "k0_range", False),
+        ("converge", "activation", True), ("privacy", "box", True), ("theory", "alpha", True),
+        ("theory", "beta", False), ("stoptime", "stop", [0.1, True]),
+    ])
+    def test_bool_is_not_a_number(self, tmp_path, command, field, value):
+        # float() would take JSON true as 1.0
+        cfg = write_config(tmp_path, {field: value})
+        with pytest.raises(ConfigError, match=rf"^{field}: must be a number, got (True|False)$"):
+            resolve_config(command, parse(command, "--config", cfg))
 
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cipheropt import graphs
 from cipheropt.graphs import (
     ConnectivityCertificate,
     DirectedGraph,
@@ -302,6 +303,21 @@ class TestCertification:
         monkeypatch.setattr(DirectedGraph, "__post_init__", no_graphs)
         assert certify_uniform_connectivity(s, horizon=40).b_tilde == 2
         assert asked == [(0, 40)]
+
+    def test_each_distinct_union_is_checked_once(self, monkeypatch):
+        checked = []
+        strongly_connected = graphs._strongly_connected
+        monkeypatch.setattr(graphs, "_strongly_connected",
+                            lambda a: checked.append(a) or strongly_connected(a))
+        assert certify_uniform_connectivity(StaticSchedule(ring(6)), horizon=200).b_tilde == 1
+        assert len(checked) == 1
+        # the cycling halves: b=1 stops at the first half, every 2-window is one union
+        checked.clear()
+        half1 = DirectedGraph(4, frozenset({(2, 1), (3, 2)}))
+        half2 = DirectedGraph(4, frozenset({(4, 3), (1, 4)}))
+        s = ScriptedSchedule([half1, half2], mode="cycle")
+        assert certify_uniform_connectivity(s, horizon=40).b_tilde == 2
+        assert [a.sum() for a in checked] == [2, 4]
 
     def test_short_once_schedule_is_exhausted_at_its_length(self):
         s = ScriptedSchedule([ring(3)] * 5, mode="once")

@@ -1,12 +1,23 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cipheropt import theory
+from cipheropt.cli import main
 from cipheropt.engine import RunConfig, run
-from cipheropt.graphs import DirectedGraph, StaticSchedule, certify_uniform_connectivity
+from cipheropt.graphs import (
+    DirectedGraph,
+    ScriptedSchedule,
+    StaticSchedule,
+    certify_uniform_connectivity,
+    save_graph_file,
+)
 from cipheropt.mixing import MixingParams
 from cipheropt.objectives import generate_sensor_fusion, problem_from_instance
 from cipheropt.theory import (
@@ -17,11 +28,8 @@ from cipheropt.theory import (
     eta_interval,
     format_certificate,
     format_lemma_report,
-    gain_constants,
     gain_precondition_failures,
     r_weighted_norm,
-    required_b0,
-    smallest_valid_B0,
     theorem1_certificate,
     trajectory_series,
     verify_contraction,
@@ -30,6 +38,63 @@ from cipheropt.theory import (
 )
 
 TWO_CYCLE = StaticSchedule(DirectedGraph(2, frozenset({(1, 2), (2, 1)})))
+
+
+# The decay ladder and the theta-weighted norms written one formula and one
+# sequence per function, apart from `contraction_params` and `_theta_weighted`:
+# the oracle those are checked against.
+
+def _sigma(c0: mp.mpf, m: int, b: int) -> mp.mpf:
+    return c0 ** (2 + m * b)
+
+
+def _epsilon(sigma: mp.mpf, m: int, b: int) -> mp.mpf:
+    smb = sigma ** (m * b)
+    return 2 * m * (1 + 1 / smb) / (1 - smb)
+
+
+def _varepsilon(epsilon: mp.mpf, sigma: mp.mpf, m: int, b: int, b0) -> mp.mpf:
+    smb = sigma ** (m * b)
+    return epsilon * (1 - smb) ** (mp.mpf(b0 - 1) / (m * b))
+
+
+def required_b0(c0, m: int, b: int) -> int:
+    """Smallest window count whose contraction factor drops below one."""
+    if not 0 < c0 < 1.0 / m:
+        raise ConstantsError(f"c0={c0} outside (0, 1/m) for m={m}")
+    with mp.workdps(working_precision(float(c0), m, b)):
+        sigma = _sigma(mp.mpf(c0), m, b)
+        epsilon = _epsilon(sigma, m, b)
+        smb = sigma ** (m * b)
+        threshold = 1 + m * b * mp.log(epsilon) / (-mp.log(1 - smb))
+        b0 = max(b, int(mp.floor(threshold)) + 1)
+        while _varepsilon(epsilon, sigma, m, b, b0) >= 1:
+            b0 += 1
+        while b0 > b and _varepsilon(epsilon, sigma, m, b, b0 - 1) < 1:
+            b0 -= 1
+        return b0
+
+
+def _theta_max(norms: np.ndarray, theta: mp.mpf, K: int) -> mp.mpf:
+    best = mp.mpf(0)
+    acc = mp.mpf(1)
+    inv = 1 / theta
+    for k in range(1, K + 1):
+        acc *= inv
+        term = acc * mp.mpf(float(norms[k]))
+        if term > best:
+            best = term
+    return best
+
+
+def _theta_prefix_sum(norms: np.ndarray, theta: mp.mpf, b0: int) -> mp.mpf:
+    total = mp.mpf(0)
+    acc = mp.mpf(1)
+    inv = 1 / theta
+    for i in range(1, b0 + 1):
+        acc *= inv
+        total += acc * mp.mpf(float(norms[i]))
+    return total
 
 
 @pytest.fixture(scope="module")
@@ -57,21 +122,20 @@ def desk_run(desk):
 class TestDecayLadder:
     def test_sigma_and_epsilon_match_exact_rationals(self):
         # c0 = 1/4, m = 3, B = 1: every quantity is rational
-        b0 = required_b0(0.25, 3, 1)
-        sigma, epsilon, _ = contraction_params(0.25, 3, 1, b0)
+        _, sigma, epsilon, _ = contraction_params(0.25, 3, 1)
         assert float(sigma) == 0.25**5
         q = 2**30  # 1/sigma^3
         exact = Fraction(6 * (q + 1) * q, q - 1)  # 2m(1 + 1/sigma^3)/(1 - sigma^3)
         assert float(epsilon) == pytest.approx(float(exact), rel=1e-12)
 
     def test_contraction_factor_shrinks_with_more_windows(self):
-        _, _, v1 = contraction_params(0.49, 2, 1, 4267)
-        _, _, v2 = contraction_params(0.49, 2, 1, 8000)
+        *_, v1 = contraction_params(0.49, 2, 1, 4267)
+        *_, v2 = contraction_params(0.49, 2, 1, 8000)
         assert float(v2) < float(v1) < 1
 
     def test_required_b0_sits_on_the_boundary(self):
-        b0 = required_b0(0.49, 2, 1)
-        assert contraction_params(0.49, 2, 1, b0)[2] < 1
+        b0 = contraction_params(0.49, 2, 1)[0]
+        assert contraction_params(0.49, 2, 1, b0)[3] < 1
         with pytest.raises(ConstantsError, match="B0 too small"):
             contraction_params(0.49, 2, 1, b0 - 1)
 
@@ -81,14 +145,27 @@ class TestDecayLadder:
         with pytest.raises(ConstantsError):
             contraction_params(0.2, 2, 1, 0)  # b0 < b
         with pytest.raises(ConstantsError):
-            required_b0(1.5, 2, 1)
+            contraction_params(1.5, 2, 1)
+        with pytest.raises(ConstantsError, match="b >= 1"):
+            contraction_params(0.2, 2, 0)
 
-    def test_budgeted_window_count(self):
-        b0 = required_b0(0.49, 2, 1)
-        assert smallest_valid_B0(0.49, 2, 1, cap=b0) == b0
-        assert smallest_valid_B0(0.49, 2, 1, cap=b0 - 1) is None
-        with pytest.raises(ConstantsError):
-            smallest_valid_B0(0.49, 2, 1, cap=0)
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 4), b=st.integers(1, 3), data=st.data())
+    def test_ladder_equals_the_oracle(self, m, b, data):
+        c0 = data.draw(st.floats(min_value=0.02, max_value=1.0 / m, exclude_max=True))
+        extra = data.draw(st.none() | st.integers(-3, 10**4))
+        b0 = required_b0(c0, m, b) + (extra or 0)
+        with mp.workdps(working_precision(c0, m, b)):
+            sigma = _sigma(mp.mpf(c0), m, b)
+            epsilon = _epsilon(sigma, m, b)
+            want = (b0, sigma, epsilon, _varepsilon(epsilon, sigma, m, b, b0))
+        if b0 < b or want[3] >= 1:
+            # past the oracle's smallest B0 the factor can round back to one
+            # once B0 has more digits than the working precision resolves
+            with pytest.raises(ConstantsError):
+                contraction_params(c0, m, b, b0)
+        else:
+            assert contraction_params(c0, m, b, None if extra is None else b0) == want
 
     def test_working_precision_grows_with_scale(self):
         assert working_precision(0.49, 2, 1) >= 60
@@ -99,7 +176,7 @@ class TestConstants:
     def test_window_length_derived_from_tilde(self, desk):
         _, consts = desk
         assert consts.b == 2 * consts.b_tilde - 1
-        assert consts.b0 == required_b0(0.49, 2, consts.b)
+        assert consts.b0 == contraction_params(0.49, 2, consts.b)[0]
 
     def test_explicit_window_count_respected(self, desk):
         problem, consts = desk
@@ -171,14 +248,49 @@ class TestCertificate:
         assert float(cert.eta_upper) < 1e-20  # far below any usable step
 
 
+RING3 = StaticSchedule(DirectedGraph(3, frozenset({(1, 2), (2, 3), (3, 1)})))
+HALVES3 = ScriptedSchedule([DirectedGraph(3, frozenset({(1, 2), (2, 3)})),
+                            DirectedGraph(3, frozenset({(3, 1)}))], mode="cycle")
+
+
+class TestCertificateBytes:
+    """Certificate text pinned byte for byte: the constants behind it must
+    not move a digit when their derivation is restructured."""
+
+    def test_readme_two_cycle(self, tmp_path):
+        save_graph_file(TWO_CYCLE, tmp_path / "twocycle.graph")
+        cfg = tmp_path / "theory.json"
+        cfg.write_text(json.dumps({"problem": {"m": 2, "s": 2, "d": 2, "instance_seed": 3},
+                                   "schedule": str(tmp_path / "twocycle.graph"),
+                                   "c0": 0.49, "horizon": 300}))
+        assert main(["theory", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        text = (tmp_path / "out" / "theory_certificate.txt").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == (
+            "fbfba9af2884d222a29984ab532b681c51abebac2c98a86bc14ce842efbd5bc5")
+
+    @pytest.mark.parametrize("schedule, seed, b_tilde, digest", [
+        (RING3, 23, 1, "d8d072912f37fdeba1a594c5493b31887a40fa3e6f99d3b1a83733d1b6ad7152"),
+        (HALVES3, 5, 2, "9265c27bc4646afc8fc011242b0c6b7ec2d3cc6979bb7dfb5a4ce4cd76b07f38"),
+    ], ids=["ring", "cycling-halves"])
+    def test_three_agents(self, schedule, seed, b_tilde, digest):
+        problem = problem_from_instance(generate_sensor_fusion(m=3, s=2, d=2, omega=0.01,
+                                                               seed=seed))
+        conn = certify_uniform_connectivity(schedule, horizon=12)
+        assert conn.b_tilde == b_tilde
+        consts = build_constants(c0=0.3, m=3, b_tilde=b_tilde, l_hat=problem.l_hat,
+                                 l_bar=problem.l_bar, mu_hat=problem.mu_hat,
+                                 mu_bar=problem.mu_bar)
+        text = format_certificate(theorem1_certificate(consts))
+        assert "FAIL" not in text
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestGains:
     def test_violations_are_itemized(self, desk):
         _, consts = desk
         # 0.99^4267 is far below the contraction factor
         failures = gain_precondition_failures(consts, 0.99, 1e-3)
         assert any("does not exceed the contraction" in f for f in failures)
-        with pytest.raises(ConstantsError, match="preconditions"):
-            gain_constants(consts, 0.99, 1e-3)
 
     def test_oversized_step_flagged(self, desk):
         _, consts = desk
@@ -253,6 +365,24 @@ class TestContractionOnRecordedRuns:
         assert report.rounds == [consts.b0]
         assert report.holds
 
+    def test_explicit_rounds_reach_both_ends_of_the_run(self, desk, desk_run):
+        _, consts = desk
+        ends = [consts.b0 - 1, len(desk_run.weight_matrices) - 1]
+        report = verify_contraction(desk_run, consts.b0, consts.varepsilon,
+                                    trials=5, rounds=ends)
+        assert report.rounds == ends
+        assert report.holds
+
+    @pytest.mark.parametrize("end", [-1, 1, 3, "last+1"])
+    def test_rounds_ending_no_whole_window_rejected(self, desk_run, end):
+        # with b0 = 5 a window ends no earlier than round 4: round 1 would
+        # take its first maps from the end of the run by negative indexing
+        k_max = len(desk_run.weight_matrices) - 1
+        end = k_max + 1 if end == "last+1" else end
+        with pytest.raises(ValueError, match=rf"^round {end} ends no window of 5 recorded "
+                                             rf"rounds \(need 4 <= round <= {k_max}\)$"):
+            verify_contraction(desk_run, 5, 0.9, trials=1, rounds=[end])
+
     def test_short_runs_rejected(self, desk, desk_run):
         _, consts = desk
         with pytest.raises(ValueError, match="too short"):
@@ -296,6 +426,27 @@ class TestLemmaInequalities:
         assert len(report.checks) == 4
         assert not any(c.skipped for c in report.checks)
         assert report.all_hold
+
+    @pytest.mark.parametrize("halfway", [False, True], ids=["theta-used", "halfway-to-one"])
+    def test_norms_and_offsets_equal_the_oracle(self, desk, desk_run, halfway):
+        problem, consts = desk
+        theta = theorem1_certificate(consts).theta_used
+        if halfway:
+            with mp.workdps(2 * consts.dps):
+                theta = (1 + theta) / 2
+        report = verify_lemma_inequalities(desk_run, problem, consts, theta)
+        series = trajectory_series(desk_run, problem)
+        with mp.workdps(consts.dps):
+            theta = mp.mpf(theta)
+            tb0 = theta ** consts.b0
+            scale = tb0 / (tb0 - consts.varepsilon)
+            norms = {name: _theta_max(getattr(series, f"{name}_norm"), theta, series.rounds)
+                     for name in ("r", "v", "u_check", "x_check")}
+            offsets = [scale * _theta_prefix_sum(series.u_check_norm, theta, consts.b0),
+                       scale * _theta_prefix_sum(series.x_check_norm, theta, consts.b0)]
+        assert report.theta == theta
+        assert report.norms == norms
+        assert [chk.offset for chk in report.checks[1:3]] == offsets
 
     def test_mass_floor_respects_the_bound(self, desk, desk_run):
         problem, consts = desk
