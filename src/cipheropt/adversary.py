@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import HEADER_SIZE, KIND_S, KIND_W, KIND_Y, NONCE_SIZE
+from .channel import HEADER_SIZE, KIND_S, KIND_W, KIND_Y, NONCE_SIZE, hex_dump_pair
 from .streams import check_positive
 
 _SAMPLER_STREAM = 41
@@ -327,9 +327,11 @@ def sample_gradient_solutions(report: InferenceReport, n: int, bound: float = 10
     Solutions are the minimum-norm particular solution plus null-space
     combinations with coefficients uniform on [-bound, bound]. When the true
     gradient sequence is supplied, each sample gets the summed relative
-    Euclidean distance to it. `bound` must be positive and finite.
+    Euclidean distance to it. `bound` must be positive and finite, n at least 1.
     """
     bound = check_positive("bound", bound)
+    if n < 1:
+        raise ValueError(f"need at least one sample, got n={n}")
     if report.gradient_matrix is None:
         raise ValueError("report carries no gradient system")
     if report.dof is None or report.dof < 1:
@@ -368,7 +370,7 @@ def sample_gradient_solutions(report: InferenceReport, n: int, bound: float = 10
 
 def gradient_ground_truth(x_series, problem, agent: int, rounds) -> np.ndarray:
     """Stacked true gradients of one agent along a recorded trajectory."""
-    return np.stack([problem.gradient(agent, x_series[k][agent - 1]) for k in rounds])
+    return problem.gradients(np.stack([x_series[k] for k in rounds]))[:, agent - 1]
 
 
 @dataclass
@@ -382,6 +384,7 @@ class EavesdropperReport:
 
 
 _WINDOW = 8  # bytes the eavesdropper matches at a time
+_DUMPS = 3  # messages the report shows as hex
 
 
 def _windows(blobs) -> np.ndarray:
@@ -399,7 +402,7 @@ def _windows(blobs) -> np.ndarray:
     return view[inside]
 
 
-def eavesdropper_report(messages, dump_limit: int = 3) -> EavesdropperReport:
+def eavesdropper_report(messages) -> EavesdropperReport:
     """What a wiretap learns from sealed traffic: nothing recognizable.
 
     Scans every 8-byte window of every framed plaintext against every
@@ -439,14 +442,8 @@ def eavesdropper_report(messages, dump_limit: int = 3) -> EavesdropperReport:
             if len(blobs) == counts[p]:
                 distinct += 1
 
-    from .channel import hex_dump_pair
-
-    dumps = []
-    for rec in messages[:dump_limit]:
-        dumps.append(
-            f"k={rec.k} {rec.sender}->{rec.receiver} kind={rec.kind}\n"
-            + hex_dump_pair(rec.plain, rec.cipher)
-        )
+    dumps = [f"k={rec.k} {rec.sender}->{rec.receiver} kind={rec.kind}\n"
+             + hex_dump_pair(rec.plain, rec.cipher) for rec in messages[:_DUMPS]]
     return EavesdropperReport(
         messages=len(messages),
         windows_checked=checked,

@@ -163,17 +163,22 @@ class CipherEnvelope(_Record):
 class NonceCounter:
     """Per-sender nonce source: 8-byte message counter || 4-byte sender id.
 
-    Each sender owns its counter, so nonces never repeat under the shared key
-    as long as sender ids are distinct and counters are not reset mid-run.
+    Each sender owns its counter, and in trial t it counts from t * 2^32, so
+    the trials of a seed, which share its key, never repeat a nonce either:
+    sender ids are distinct and a sender has 2^32 messages to a trial.
     """
 
-    def __init__(self, sender: int):
+    def __init__(self, sender: int, trial: int = 0):
+        if not 0 <= trial < 2**32:
+            raise ValueError(f"trial must lie in 0..{_U32} to own its nonces, got {trial}")
         self.sender = int(sender)
-        self.count = 0
+        self.count = trial << 32
+        self.end = self.count + 2**32
 
     def next(self) -> bytes:
-        if self.count >= 2**64:
-            raise OverflowError("nonce counter exhausted")
+        if self.count >= self.end:
+            raise OverflowError(f"nonce counter of sender {self.sender} exhausted: "
+                                "2^32 messages in one trial")
         nonce = _NONCE.pack(self.count, self.sender)
         self.count += 1
         return nonce

@@ -150,8 +150,9 @@ def resolve_config(command: str, args) -> dict:
     for name, value in counts.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ConfigError(f"{name} must be a whole number, got {value!r}")
-    if config["trials"] < 1:
-        raise ConfigError("trials must be at least 1")
+    for name in ("trials", "horizon", "certify_horizon", "samples"):
+        if config[name] < 1:
+            raise ConfigError(f"{name} must be at least 1")
     for name in ("seed", "schedule_seed"):
         try:
             check_seed(name, config[name])
@@ -335,16 +336,18 @@ def _scenario_c_schedule():
 def cmd_privacy(config: dict) -> ExperimentResult:
     if not config["capture"]:
         raise ConfigError("privacy analysis requires capture: true")
+    scenarios = PRIVACY_SCENARIOS if config["scenario"] == "all" else (config["scenario"],)
+    adv, target, m = config["adversary"], config["target"], config["problem"]["m"]
+    if "b" in scenarios and not (1 <= adv <= m and 1 <= target <= m and adv != target):
+        raise ConfigError(f"adversary and target must be two different agents of 1..{m}, "
+                          f"got {adv} and {target}")
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     result = ExperimentResult()
-    scenarios = PRIVACY_SCENARIOS if config["scenario"] == "all" else (config["scenario"],)
     encryption = config["encryption"] == "on"
     step = _resolve_step(config, "algorithm1")
     horizon = config["horizon"]
     K = horizon - 1
-    adv = config["adversary"]
-    target = config["target"]
     rc = engine.RunConfig(
         step_size=step, horizon=horizon, encryption=encryption,
         seed=int(config["seed"]), trial=0,

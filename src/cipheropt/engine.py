@@ -231,12 +231,14 @@ class Transport:
     W, so nonces and bytes are reproducible. Every frame of a round is
     packed at once; with a key each frame is then sealed and opened again,
     and a message that does not open to exactly the bytes sent fails the
-    round. Without a key messages are only framed, for the log.
+    round. Without a key messages are only framed, for the log. The nonces
+    of trial `trial` come from its own range of every sender's counter.
     """
 
-    def __init__(self, m: int, key: SharedKey | None, log: list | None):
+    def __init__(self, m: int, key: SharedKey | None, log: list | None, trial: int = 0):
         self.key = key
-        self.counters = {i: NonceCounter(i) for i in range(1, m + 1)}
+        if key is not None:
+            self.counters = {i: NonceCounter(i, trial) for i in range(1, m + 1)}
         self.log = log
 
     def send(self, k, senders, receivers, jy, js, jw):
@@ -512,8 +514,9 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
     state = RoundState(*(np.stack([getattr(st, f.name) for st in starts])
                          for f in fields(RoundState)))
     key = SharedKey.from_seed(config.seed) if config.encryption else None
-    transports = [Transport(p.m, key, [] if config.record_messages else None)
-                  if config.encryption or config.record_messages else None for p in problems]
+    transports = [Transport(p.m, key, [] if config.record_messages else None, t)
+                  if config.encryption or config.record_messages else None
+                  for p, t in zip(problems, trials)]
     trajs = [Trajectory(algorithm=algorithm, residuals=np.empty(0), iterations=0,
                         x_star=optimal_solution(p), config=c) for p, c in zip(problems, configs)]
     x_star = np.stack([traj.x_star for traj in trajs])[:, None]

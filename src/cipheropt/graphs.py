@@ -220,8 +220,8 @@ class ConnectivityCertificate:
     """Result of an empirical uniform-connectivity check over a horizon.
 
     b_tilde is the smallest window length whose window-unions are all
-    strongly connected within the horizon, or None if no window up to
-    max_window works. b = 2*b_tilde - 1 is the derived path-mixing constant.
+    strongly connected within the horizon, or None if no window up to the
+    horizon works. b = 2*b_tilde - 1 is the derived path-mixing constant.
     For randomly activated schedules the certificate is probabilistic: it
     covers the inspected horizon only.
     """
@@ -235,21 +235,19 @@ class ConnectivityCertificate:
         return None if self.b_tilde is None else 2 * self.b_tilde - 1
 
 
-def certify_uniform_connectivity(schedule, horizon=200, max_window=None) -> ConnectivityCertificate:
+def certify_uniform_connectivity(schedule, horizon=200) -> ConnectivityCertificate:
     """Smallest window B such that every length-B union graph over the horizon
     is strongly connected.
 
     Windows are aligned: for window b the unions of E(t*b) .. E(t*b + b - 1)
     are checked for every t with t*b + b - 1 < horizon.
     """
-    if max_window is None:
-        max_window = horizon
-    if not (horizon >= max_window >= 1):
-        raise ValueError("need horizon >= max_window >= 1")
+    if horizon < 1:
+        raise ValueError(f"need a horizon of at least 1, got {horizon}")
     adj = schedule.adjacencies(0, horizon)
     m = schedule.m
     probabilistic = isinstance(schedule, RandomActivationSchedule)
-    for b in range(1, max_window + 1):
+    for b in range(1, horizon + 1):
         unions = adj[: horizon // b * b].reshape(-1, b, m, m).any(axis=1)
         # a repeating schedule repeats its unions: check each distinct one once
         if all(_strongly_connected(u) for u in {u.tobytes(): u for u in unions}.values()):

@@ -200,17 +200,6 @@ def problem_from_instance(instance: SensorFusionInstance) -> GlobalProblem:
     return GlobalProblem([instance.objective(i) for i in range(1, instance.m + 1)])
 
 
-def gradient(instance: SensorFusionInstance, i, x):
-    """Exact gradient of agent i's local objective at x."""
-    return instance.objective(i).gradient(x)
-
-
-def curvature_constants(instance: SensorFusionInstance, i):
-    """(L_i, mu_i) for agent i, from the eigenvalues of M_i' M_i."""
-    obj = instance.objective(i)
-    return obj.lipschitz, obj.strong_convexity
-
-
 def optimal_solution(problem: GlobalProblem):
     """Unique minimizer of the summed quadratics via the normal equations."""
     d = problem.d

@@ -11,6 +11,9 @@ contraction numerically on recorded trajectories.
 Each constant has one derivation: the decay ladder and B0 in
 `contraction_params`, the step ceiling in `_step_cap`, the decay floor in
 `_decay_floor`, and the theta-weighted norms of a run in `_theta_weighted`.
+Every integer power of theta is exp(n log theta), in `_pow`. A recorded run
+is read in stacked passes (one gradient call, one array expression per norm
+sequence and per window of round maps) that keep a round-by-round loop's bits.
 
 Several constants overflow binary64 for realistic parameters (they stack
 powers of 1/c0), so everything is computed with mpmath at a working
@@ -26,6 +29,7 @@ import mpmath as mp
 import numpy as np
 
 RANK_SLACK = 1e-12
+_PROBE_COLUMNS = 3  # columns of the random test matrices of `verify_contraction`
 
 
 class ConstantsError(ValueError):
@@ -159,13 +163,20 @@ def _decay_floor(consts: TheoryConstants, eta) -> mp.mpf:
     return mp.sqrt(max(mp.mpf(0), 1 - consts.alpha * eta * consts.mu_bar / (consts.alpha + 1)))
 
 
+def _pow(x, n: int) -> mp.mpf:
+    """x^n as exp(n log x), at the current precision; x is a decay rate, so positive."""
+    if not x > 0:
+        raise ConstantsError(f"a decay rate must be positive, got {mp.nstr(x, 8)}")
+    return mp.exp(n * mp.log(x))
+
+
 def gain_precondition_failures(consts: TheoryConstants, theta, eta) -> list:
     """Individual violations of the conditions the gain formulas assume."""
     out = []
     with mp.workdps(max(mp.mp.dps, consts.dps)):
         theta = mp.mpf(theta)
         eta = mp.mpf(eta)
-        tb0 = theta ** consts.b0
+        tb0 = _pow(theta, consts.b0)
         if not consts.varepsilon < tb0:
             out.append(
                 f"theta^B0 = {mp.nstr(tb0, 8)} does not exceed the contraction "
@@ -188,11 +199,11 @@ def gain_precondition_failures(consts: TheoryConstants, theta, eta) -> list:
 def _gains(consts: TheoryConstants, theta, eta) -> Gains:
     theta = mp.mpf(theta)
     eta = mp.mpf(eta)
-    tb0 = theta ** consts.b0
+    tb0 = _pow(theta, consts.b0)
     gap = tb0 - consts.varepsilon
     gamma1 = consts.l_hat * (1 + 1 / theta)
     gamma2 = consts.epsilon * consts.w_inv_max_bound * theta * (1 - tb0) / (gap * (1 - theta))
-    gamma3 = eta / gap * (consts.varepsilon + consts.epsilon * (1 - theta ** (consts.b0 - 1)) / (1 - theta))
+    gamma3 = eta / gap * (consts.varepsilon + consts.epsilon * (1 - _pow(theta, consts.b0 - 1)) / (1 - theta))
     gamma4 = (1 + mp.sqrt(consts.m)) * (
         1 + mp.sqrt(consts.m) / theta * mp.sqrt(
             (consts.l_hat * (1 + consts.beta) + consts.alpha * consts.beta * consts.mu_hat)
@@ -207,8 +218,8 @@ def eta_interval(consts: TheoryConstants, c2, theta) -> tuple:
     with mp.workdps(max(mp.mp.dps, consts.dps)):
         theta = mp.mpf(theta)
         scale = (1 + 1 / consts.alpha) / consts.mu_bar
-        lower = scale * (1 - theta ** (2 * consts.b0))
-        upper = scale * (theta ** consts.b0 - consts.varepsilon) ** 2 / c2
+        lower = scale * (1 - _pow(theta, 2 * consts.b0))
+        upper = scale * (_pow(theta, consts.b0) - consts.varepsilon) ** 2 / c2
         return lower, upper
 
 
@@ -314,10 +325,19 @@ def check_theta_b0(theta: float, b0: int) -> bool:
     return lhs <= b0 * (1 + RANK_SLACK) + RANK_SLACK
 
 
+def _centred(a) -> np.ndarray:
+    """Each matrix a[..., :, :] less its mean row (its consensus component)."""
+    return a - a.mean(axis=-2, keepdims=True)
+
+
+def _norms(a) -> np.ndarray:
+    """Each a[k]'s Frobenius norm as `np.linalg.norm` takes it, the root of one dot."""
+    return np.sqrt([row.dot(row) for row in a.reshape(len(a), -1)])
+
+
 def r_weighted_norm(a) -> float:
     """Frobenius norm of the row-centered matrix (consensus component removed)."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    return float(np.linalg.norm(a - a.mean(axis=0, keepdims=True)))
+    return float(np.linalg.norm(_centred(np.atleast_2d(np.asarray(a, dtype=float)))))
 
 
 @dataclass
@@ -335,7 +355,7 @@ class ContractionReport:
 
 
 def verify_contraction(trajectory, b0: int, varepsilon, trials: int = 100,
-                       rounds=None, columns: int = 3, seed: int = 0) -> ContractionReport:
+                       rounds=None) -> ContractionReport:
     """Empirical check that b0 mixing rounds contract disagreement.
 
     Builds the normalized round maps Phi(k) = W(k+1)^-1 A(k) W(k) from a
@@ -344,39 +364,32 @@ def verify_contraction(trajectory, b0: int, varepsilon, trials: int = 100,
     is pushed through as well; it must stay fixed up to rounding. Each of
     `rounds` must end a whole window: b0 - 1 <= round <= the last recorded round.
     """
-    mats = trajectory.weight_matrices
-    w = trajectory.w_series
-    if not mats or not w:
+    if not trajectory.weight_matrices or not trajectory.w_series:
         raise ValueError("trajectory lacks recorded weight matrices or masses")
+    mats = np.stack(trajectory.weight_matrices)
+    w = np.stack(trajectory.w_series)
     k_max = len(mats) - 1
     if k_max < b0:
         raise ValueError(f"trajectory too short: need at least {b0 + 1} recorded rounds")
     if rounds is None:
-        picks = np.linspace(b0, k_max, num=min(5, k_max - b0 + 1), dtype=int)
-        rounds = sorted(set(int(v) for v in picks))
-    m = mats[0].shape[0]
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(51,)))
-    ve = float(varepsilon)
-
-    max_ratio = 0.0
-    consensus_residual = 0.0
+        rounds = sorted(set(np.linspace(b0, k_max, num=min(5, k_max - b0 + 1), dtype=int).tolist()))
+    m = mats.shape[1]
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(51,)))
+    max_ratio = consensus_residual = 0.0
     for end in rounds:
         if not b0 - 1 <= end <= k_max:
             raise ValueError(f"round {end} ends no window of {b0} recorded rounds "
                              f"(need {b0 - 1} <= round <= {k_max})")
+        lo = end - b0 + 1
         prod = np.eye(m)
-        for j in range(end - b0 + 1, end + 1):
-            phi = (mats[j] * w[j][None, :]) / w[j + 1][:, None]
+        for phi in mats[lo : end + 1] * w[lo : end + 1, None, :] / w[lo + 1 : end + 2, :, None]:
             prod = phi @ prod
-        for _ in range(trials):
-            d = rng.standard_normal((m, columns))
-            denom = r_weighted_norm(d)
-            ratio = r_weighted_norm(prod @ d) / denom
-            max_ratio = max(max_ratio, ratio)
-        ones = np.ones((m, 1)) @ rng.standard_normal((1, columns))
+        d = rng.standard_normal((trials, m, _PROBE_COLUMNS))  # the numbers of `trials` draws
+        max_ratio = max([max_ratio, *(_norms(_centred(prod @ d)) / _norms(_centred(d))).tolist()])
+        ones = np.ones((m, 1)) @ rng.standard_normal((1, _PROBE_COLUMNS))
         consensus_residual = max(consensus_residual, r_weighted_norm(prod @ ones))
     return ContractionReport(
-        b0=b0, varepsilon=ve, rounds=list(rounds),
+        b0=b0, varepsilon=float(varepsilon), rounds=list(rounds),
         max_ratio=float(max_ratio), consensus_residual=float(consensus_residual),
         trials=trials,
     )
@@ -397,30 +410,18 @@ class TrajectorySeries:
 
 def trajectory_series(trajectory, problem) -> TrajectorySeries:
     """Distance, increment, and disagreement norms along a recorded run."""
-    xs = trajectory.x_series
-    ys = trajectory.y_series
-    ws = trajectory.w_series
-    ss = trajectory.s_series
-    if not xs:
+    if not trajectory.x_series:
         raise ValueError("trajectory was not recorded with full state")
-    x_star = trajectory.x_star
-    K = len(xs) - 1
-    grads = [problem.gradients(x) for x in xs]
-
-    r_norm = np.zeros(K + 1)
-    v_norm = np.zeros(K + 1)
-    u_check = np.zeros(K + 1)
-    x_check = np.zeros(K + 1)
-    for k in range(K + 1):
-        r_norm[k] = np.linalg.norm(xs[k] - x_star[None, :])
-        if k >= 1:
-            v_norm[k] = np.linalg.norm(grads[k] - grads[k - 1])
-            u = ss[k] / ws[k][:, None]
-            u_check[k] = r_weighted_norm(u)
-            x_check[k] = r_weighted_norm(xs[k])
+    xs = np.stack(trajectory.x_series)
+    grads = problem.gradients(xs)
+    u = np.stack(trajectory.s_series[1:]) / np.stack(trajectory.w_series[1:])[..., None]
+    zero = np.zeros(1)  # no increment or disagreement is measured at round 0
     return TrajectorySeries(
-        r_norm=r_norm, v_norm=v_norm, u_check_norm=u_check, x_check_norm=x_check,
-        y_bar_1=ys[1].mean(axis=0), x_star=x_star, rounds=K,
+        r_norm=_norms(xs - trajectory.x_star),
+        v_norm=np.concatenate([zero, _norms(grads[1:] - grads[:-1])]),
+        u_check_norm=np.concatenate([zero, _norms(_centred(u))]),
+        x_check_norm=np.concatenate([zero, _norms(_centred(xs[1:]))]),
+        y_bar_1=trajectory.y_series[1].mean(axis=0), x_star=trajectory.x_star, rounds=len(xs) - 1,
     )
 
 
@@ -503,7 +504,7 @@ def verify_lemma_inequalities(trajectory, problem, consts: TheoryConstants,
     with mp.workdps(consts.dps):
         theta = mp.mpf(theta)
         eta = mp.mpf(eta)
-        tb0 = theta ** consts.b0
+        tb0 = _pow(theta, consts.b0)
         gap = tb0 - consts.varepsilon
         if gap <= 0:
             raise ConstantsError("theta^B0 must exceed the contraction factor")
@@ -536,8 +537,7 @@ def verify_lemma_inequalities(trajectory, problem, consts: TheoryConstants,
             checks.append(LemmaCheck("distance vs state disagreement", r_max,
                                      gains.gamma4 * x_max + b4, gains.gamma4, b4))
 
-        w_floor_actual = min(float(np.min(w)) for w in trajectory.w_series[1 : K + 1])
-        w_inv_actual = 1.0 / w_floor_actual
+        w_inv_actual = 1.0 / float(np.min(trajectory.w_series[1 : K + 1]))
 
         c3 = None
         bounded = None

@@ -244,6 +244,12 @@ class TestSolutionSampling:
         resid = report.samples @ report.gradient_matrix.T - report.gradient_rhs[None, :]
         assert np.max(np.abs(resid)) <= 1e-8
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_no_samples_rejected(self, sampled_report, n):
+        report, _ = sampled_report
+        with pytest.raises(ValueError, match=rf"^need at least one sample, got n={n}$"):
+            sample_gradient_solutions(report, n, bound=10.0, seed=1)
+
     def test_sample_spread_spans_the_free_direction(self, sampled_report):
         report, _ = sampled_report
         sample_gradient_solutions(report, 200, bound=10.0, seed=1)
@@ -323,9 +329,9 @@ class TestEavesdropper:
 
     def test_hex_dump_present(self, isolated_run):
         _, traj = isolated_run
-        report = eavesdropper_report(traj.messages, dump_limit=2)
+        report = eavesdropper_report(traj.messages)
         assert "k=0" in report.hex_dump
-        assert report.hex_dump.count("->") >= 2
+        assert report.hex_dump.count("->") == 3
 
     def test_empty_capture_rejected(self):
         with pytest.raises(ValueError):

@@ -124,6 +124,24 @@ class TestNonces:
         counter.next()
         assert counter.next() == struct.pack("<QI", 1, 7)
 
+    def test_each_trial_counts_in_its_own_range(self):
+        assert NonceCounter(sender=7, trial=3).next() == struct.pack("<QI", 3 << 32, 7)
+        last = NonceCounter(sender=7, trial=2**32 - 1)
+        assert last.next() == struct.pack("<QI", (2**32 - 1) << 32, 7)
+
+    @pytest.mark.parametrize("trial", [0, 5, 2**32 - 1])
+    def test_a_trial_ends_after_two_to_the_32_messages(self, trial):
+        counter = NonceCounter(sender=2, trial=trial)
+        counter.count = ((trial + 1) << 32) - 1
+        assert counter.next() == struct.pack("<QI", ((trial + 1) << 32) - 1, 2)
+        with pytest.raises(OverflowError, match="sender 2 exhausted"):
+            counter.next()
+
+    @pytest.mark.parametrize("trial", [-1, 2**32, 2**40])
+    def test_trial_out_of_range_rejected(self, trial):
+        with pytest.raises(ValueError, match="trial must lie in"):
+            NonceCounter(sender=1, trial=trial)
+
 
 class TestEncryption:
     def test_seal_and_open(self):

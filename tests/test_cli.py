@@ -391,6 +391,25 @@ class TestExitCodes:
         assert main(["theory", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert f"config error: {path}:2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, payload, message", [
+        ("privacy", {"horizon": 0}, "horizon must be at least 1"),
+        ("converge", {"horizon": 0}, "horizon must be at least 1"),
+        ("theory", {"certify_horizon": 0}, "certify_horizon must be at least 1"),
+        ("privacy", {"samples": 0}, "samples must be at least 1"),
+        ("privacy", {"target": 9},
+         "adversary and target must be two different agents of 1..3, got 2 and 9"),
+        ("privacy", {"adversary": 1, "target": 1},
+         "adversary and target must be two different agents of 1..3, got 1 and 1"),
+    ], ids=["privacy-horizon", "converge-horizon", "certify-horizon", "samples", "target",
+            "adversary-is-target"])
+    def test_count_out_of_range_exits_1_and_writes_nothing(self, tmp_path, capsys, command,
+                                                           payload, message):
+        # each of these used to fail inside the run, with exit 2
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             main(["converge", "--frobnicate"])

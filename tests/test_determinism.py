@@ -79,7 +79,10 @@ BASELINE = {
     ("ab-push-pull", "random"):
         "4e99471c888dce0fa5335f6c804610e8f4adff03208e26c42875e4985c4d7e4a",
 }
-WIRE = "a3defa937e0caf418512efc3d3804bd126b040dea639519d579fbf81fdf8cba3"
+# the wire bytes of trial 2 and of trial 0. Trial t's nonces count from
+# t * 2^32, so trial 0 keeps the bytes of counters that start every trial at 0.
+WIRE = "c76b179b84b27eceff8b51e119d70d0db24258cfbddbe81a535a9f5608bdd09a"
+WIRE_TRIAL_0 = "3c238341e3f1fb95d68c3643ea4b86743b26edfe73662152aee1d8d2b1290ddd"
 # step 3.0 on the random schedule: overflows to inf and then NaN within
 # 120 rounds, which pins how non-finite values spread through the sums
 DIVERGING = "e6df2d8abe2c66e1fcd57893e5969d516682e931c02511a160412d3f30a041ae"
@@ -130,13 +133,33 @@ def test_batch_with_trials_stopping_mid_run_digest(encryption):
     assert hashlib.sha256("".join(map(digest, trajs)).encode()).hexdigest() == BATCH
 
 
-def test_recorded_wire_bytes_digest():
-    cfg = RunConfig(step_size=1e-3, horizon=3, encryption=True, seed=7, trial=2,
+def nonces(traj) -> list:
+    return [rec.cipher[HEADER_SIZE:HEADER_SIZE + NONCE_SIZE] for rec in traj.messages]
+
+
+def wire_of_trial(trial):
+    cfg = RunConfig(step_size=1e-3, horizon=3, encryption=True, seed=7, trial=trial,
                     record_messages=True)
     traj = run(problem(2), SCHEDULES["random"], PARAMS, cfg)
-    nonces = {rec.cipher[HEADER_SIZE:HEADER_SIZE + NONCE_SIZE] for rec in traj.messages}
-    assert len(nonces) == len(traj.messages)
-    assert wire_digest(traj) == WIRE
+    assert len(traj.messages) == len(set(nonces(traj))) == 1065
+    return wire_digest(traj)
+
+
+def test_recorded_wire_bytes_digest():
+    assert wire_of_trial(2) == WIRE
+
+
+def test_trial_zero_wire_bytes_digest():
+    assert wire_of_trial(0) == WIRE_TRIAL_0
+
+
+def test_no_nonce_repeats_across_the_trials_of_a_batch():
+    # the trials of a seed share its key: a repeated nonce under it would
+    # leak the XOR of two plaintexts and the GHASH key (NIST SP 800-38D, 8)
+    cfg = RunConfig(step_size=1e-3, horizon=3, encryption=True, seed=7, record_messages=True)
+    trajs = run_trials([problem(2)] * 4, [SCHEDULES["random"]] * 4, PARAMS, cfg, range(4))
+    seen = [nonce for traj in trajs for nonce in nonces(traj)]
+    assert len(set(seen)) == len(seen) == 4 * 1065
 
 
 @settings(max_examples=60, deadline=None)

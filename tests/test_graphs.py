@@ -273,10 +273,9 @@ class TestCertification:
     @given(data=st.data(), m=st.integers(1, 10), horizon=st.integers(1, 40))
     def test_certificate_is_the_oracle(self, data, m, horizon):
         schedule = data.draw(schedules_on(m, horizon))
-        max_window = data.draw(st.integers(1, horizon))
-        cert = certify_uniform_connectivity(schedule, horizon=horizon, max_window=max_window)
+        cert = certify_uniform_connectivity(schedule, horizon=horizon)
         assert (cert.b_tilde, cert.b, cert.probabilistic) == oracle_certificate(
-            schedule, horizon, max_window)
+            schedule, horizon, horizon)
         assert cert.horizon == horizon
 
     @pytest.mark.parametrize("horizon", [10, 11])
@@ -325,8 +324,8 @@ class TestCertification:
             certify_uniform_connectivity(s, horizon=8)
 
     def test_bad_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            certify_uniform_connectivity(StaticSchedule(ring(3)), horizon=5, max_window=9)
+        with pytest.raises(ValueError, match=r"^need a horizon of at least 1, got 0$"):
+            certify_uniform_connectivity(StaticSchedule(ring(3)), horizon=0)
 
 
 class TestGraphFiles:

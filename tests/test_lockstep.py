@@ -351,7 +351,7 @@ def test_one_round_at_a_time_is_the_run():
                        record_messages=True, seed=2, trial=1)
     traj = run(problem, schedule, params, config)
     state = _initial_state(problem, config)
-    transport = Transport(5, SharedKey.from_seed(2), [])
+    transport = Transport(5, SharedKey.from_seed(2), [], trial=1)
     for k in range(config.horizon):
         columns = draw_weight_columns(graph_at(schedule, k), params, 2, 1, k)
         state = iterate(state, columns, problem, config.step_size, k, reset_mass=k == 0,

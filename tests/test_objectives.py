@@ -3,9 +3,7 @@ import pytest
 
 from cipheropt.objectives import (
     QuadraticSensorObjective,
-    curvature_constants,
     generate_sensor_fusion,
-    gradient,
     load_instance,
     optimal_solution,
     problem_from_instance,
@@ -58,10 +56,11 @@ class TestLocalObjective:
         # gradient variation ||g(x) - g(y)|| / ||x - y||
         rng = np.random.default_rng(9)
         for i in range(1, instance.m + 1):
-            big, mu = curvature_constants(instance, i)
+            obj = instance.objective(i)
+            big, mu = obj.lipschitz, obj.strong_convexity
             for _ in range(50):
                 x, y = rng.normal(size=(2, instance.d))
-                num = np.linalg.norm(gradient(instance, i, x) - gradient(instance, i, y))
+                num = np.linalg.norm(obj.gradient(x) - obj.gradient(y))
                 den = np.linalg.norm(x - y)
                 ratio = num / den
                 assert ratio <= big * (1 + 1e-9)

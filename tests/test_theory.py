@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cipheropt import theory
+from cipheropt import adversary, theory
 from cipheropt.cli import main
 from cipheropt.engine import RunConfig, run
 from cipheropt.graphs import (
     DirectedGraph,
+    RandomActivationSchedule,
     ScriptedSchedule,
     StaticSchedule,
     certify_uniform_connectivity,
@@ -268,6 +269,14 @@ class TestCertificateBytes:
         assert hashlib.sha256(text).hexdigest() == (
             "fbfba9af2884d222a29984ab532b681c51abebac2c98a86bc14ce842efbd5bc5")
 
+    def test_default_config(self, tmp_path):
+        # fig5b, m=6, b_tilde=3: B0 has 965 digits and C2 is about 7e+3885, so
+        # the powers of theta are taken at about a thousand digits
+        assert main(["theory", "--out", str(tmp_path / "out")]) == 0
+        text = (tmp_path / "out" / "theory_certificate.txt").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == (
+            "908c6e401d9c53a3d59993a82cceb200a51d37df85ea41e08158cf7dbd605ae0")
+
     @pytest.mark.parametrize("schedule, seed, b_tilde, digest", [
         (RING3, 23, 1, "d8d072912f37fdeba1a594c5493b31887a40fa3e6f99d3b1a83733d1b6ad7152"),
         (HALVES3, 5, 2, "9265c27bc4646afc8fc011242b0c6b7ec2d3cc6979bb7dfb5a4ce4cd76b07f38"),
@@ -418,6 +427,87 @@ class TestTrajectorySeries:
             trajectory_series(bare, problem)
 
 
+# Today's round-by-round loops, kept as the oracle the stacked passes of
+# `trajectory_series`, `verify_contraction` and `gradient_ground_truth` must
+# equal bit for bit.
+def loop_r_norm(a) -> float:
+    return float(np.linalg.norm(a - a.mean(axis=0, keepdims=True)))
+
+
+def loop_series(traj, problem) -> np.ndarray:
+    xs, ws, ss, x_star = traj.x_series, traj.w_series, traj.s_series, traj.x_star
+    grads = [problem.gradients(x) for x in xs]
+    out = np.zeros((4, len(xs)))
+    for k in range(len(xs)):
+        out[0, k] = np.linalg.norm(xs[k] - x_star[None, :])
+        if k >= 1:
+            out[1, k] = np.linalg.norm(grads[k] - grads[k - 1])
+            out[2, k] = loop_r_norm(ss[k] / ws[k][:, None])
+            out[3, k] = loop_r_norm(xs[k])
+    return out
+
+
+def loop_contraction(traj, b0: int, trials: int, rounds) -> tuple:
+    mats, w = traj.weight_matrices, traj.w_series
+    m = mats[0].shape[0]
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(51,)))
+    max_ratio = consensus = 0.0
+    for end in rounds:
+        prod = np.eye(m)
+        for j in range(end - b0 + 1, end + 1):
+            prod = ((mats[j] * w[j][None, :]) / w[j + 1][:, None]) @ prod
+        for _ in range(trials):
+            d = rng.standard_normal((m, 3))
+            max_ratio = max(max_ratio, loop_r_norm(prod @ d) / loop_r_norm(d))
+        consensus = max(consensus, loop_r_norm(prod @ (np.ones((m, 1)) @ rng.standard_normal((1, 3)))))
+    return max_ratio, consensus
+
+
+M12 = DirectedGraph(12, frozenset((l, i) for l in range(1, 13) for i in range(1, 13) if l != i))
+
+
+@pytest.fixture(scope="module", params=["desk", "m12-d1", "m12-d2"])
+def recorded(request, desk, desk_run):
+    """(problem, run, b0): the desk run, and 40 rounds of 12 agents, where
+    every mean and sum has 8 or more parts, at d = 1 and d = 2."""
+    if request.param == "desk":
+        return desk[0], desk_run, desk[1].b0
+    d = int(request.param[-1])
+    problem = problem_from_instance(generate_sensor_fusion(m=12, s=3, d=d, omega=0.01, seed=891))
+    config = RunConfig(step_size=1e-3, horizon=40, encryption=False, seed=7,
+                       record_states=True, record_weights=True)
+    return problem, run(problem, RandomActivationSchedule(M12, 0.9, seed=4),
+                        MixingParams(c0=0.5 / 12), config), 3
+
+
+class TestStackedPassesEqualTheLoops:
+    def test_trajectory_series(self, recorded):
+        problem, traj, _ = recorded
+        series = trajectory_series(traj, problem)
+        got = np.stack([series.r_norm, series.v_norm, series.u_check_norm, series.x_check_norm])
+        assert np.array_equal(got, loop_series(traj, problem))
+        assert np.array_equal(series.y_bar_1, traj.y_series[1].mean(axis=0))
+
+    @pytest.mark.parametrize("both_ends", [False, True], ids=["default-rounds", "both-ends"])
+    def test_verify_contraction(self, recorded, both_ends):
+        _, traj, b0 = recorded
+        k_max = len(traj.weight_matrices) - 1
+        picks = np.linspace(b0, k_max, num=min(5, k_max - b0 + 1), dtype=int)
+        ends = [b0 - 1, k_max] if both_ends else sorted(set(int(v) for v in picks))
+        report = verify_contraction(traj, b0, 0.5, trials=20, rounds=ends if both_ends else None)
+        assert report.rounds == ends
+        assert (report.max_ratio, report.consensus_residual) == loop_contraction(traj, b0, 20, ends)
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_gradient_ground_truth(self, recorded, first):
+        problem, traj, _ = recorded
+        rounds = range(first, len(traj.x_series))
+        for agent in range(1, problem.m + 1):
+            want = np.stack([problem.gradient(agent, traj.x_series[k][agent - 1]) for k in rounds])
+            assert np.array_equal(adversary.gradient_ground_truth(traj.x_series, problem, agent,
+                                                                  rounds), want)
+
+
 class TestLemmaInequalities:
     def test_all_four_hold_on_the_desk_run(self, desk, desk_run):
         problem, consts = desk
@@ -468,6 +558,14 @@ class TestLemmaInequalities:
         problem, consts = desk
         with pytest.raises(ConstantsError, match="contraction"):
             verify_lemma_inequalities(desk_run, problem, consts, 0.5)
+
+    @pytest.mark.parametrize("theta", [0, -0.5])
+    def test_decay_rate_must_be_positive(self, desk, desk_run, theta):
+        problem, consts = desk
+        with pytest.raises(ConstantsError, match="^a decay rate must be positive"):
+            verify_lemma_inequalities(desk_run, problem, consts, theta)
+        with pytest.raises(ConstantsError, match="^a decay rate must be positive"):
+            eta_interval(consts, 1, theta)
 
     def test_window_shorter_than_b0_rejected(self, desk):
         problem, consts = desk
