@@ -18,6 +18,11 @@ An envelope on the wire is that header in clear, with count 0, then nonce
 Payloads and envelopes are immutable records that hold exactly those bytes
 and read their fields from them, so frames packed a round at once are sealed
 and opened without being parsed or packed again.
+
+Nonces are 8-byte counter || 4-byte sender. A round's frames take theirs
+from one `RoundNonces` array, each sender reserving its round's block of
+counters from its own `NonceCounter`, and `open_envelopes` opens a round's
+envelopes in one pass.
 """
 from __future__ import annotations
 
@@ -47,7 +52,8 @@ _ROUTE_SIZE = HEADER_SIZE - 2  # the header up to the count: magic .. kind
 NONCE_SIZE = 12
 TAG_SIZE = 16
 _U32 = 0xFFFFFFFF
-_NONCE = struct.Struct("<QI")
+_NONCE = struct.Struct("<QI")  # counter, sender
+_NONCE_FIELDS = np.dtype([("count", "<u8"), ("sender", "<u4")])  # the same, as numpy fields
 
 
 class TamperError(ValueError):
@@ -175,13 +181,44 @@ class NonceCounter:
         self.count = trial << 32
         self.end = self.count + 2**32
 
-    def next(self) -> bytes:
-        if self.count >= self.end:
+    def reserve(self, n: int) -> int:
+        """The first of the next `n` counters, which the caller now owns."""
+        if self.count + n > self.end:
             raise OverflowError(f"nonce counter of sender {self.sender} exhausted: "
                                 "2^32 messages in one trial")
-        nonce = _NONCE.pack(self.count, self.sender)
-        self.count += 1
-        return nonce
+        first = self.count
+        self.count += n
+        return first
+
+    def next(self) -> bytes:
+        return _NONCE.pack(self.reserve(1), self.sender)
+
+
+class RoundNonces:
+    """Nonce source of one round's frames, taken in frame order.
+
+    Message t of the round is `per_message` frames from senders[t]. Every
+    sender reserves the block of counters its frames need from its own
+    `counters[sender]` at once, so its frames count up from the block's
+    start in the order they come: the nonces a `next()` per frame would
+    give. A sender whose block would leave its trial's range raises
+    OverflowError here, before any frame of the round is sealed.
+    """
+
+    __slots__ = ("next",)
+
+    def __init__(self, counters, senders, per_message: int):
+        frame_senders = np.repeat(senders, per_message)
+        order = np.argsort(frame_senders, kind="stable")
+        ids, first, n = np.unique(frame_senders[order], return_index=True, return_counts=True)
+        starts = [counters[i].reserve(c) for i, c in zip(ids.tolist(), n.tolist())]
+        nonces = np.empty(len(order), _NONCE_FIELDS)
+        nonces["sender"] = frame_senders
+        # unsigned throughout: numpy takes uint64 with a signed array to float64
+        nonces["count"][order] = np.repeat(np.array(starts, np.uint64), n) + (
+            np.arange(len(order), dtype=np.uint64) - np.repeat(first.astype(np.uint64), n))
+        raw = nonces.tobytes()
+        self.next = (raw[at : at + NONCE_SIZE] for at in range(0, len(raw), NONCE_SIZE)).__next__
 
 
 def _header(sender, receiver, k, kind, count=0) -> bytes:
@@ -245,24 +282,32 @@ def _aead(key_bytes: bytes) -> AESGCM:
     return AESGCM(key_bytes)
 
 
-def encrypt(key: SharedKey, p: PlainPayload, nonce_source: NonceCounter) -> CipherEnvelope:
-    """Seal a payload. The clear header is bound as associated data."""
+def encrypt(key: SharedKey, p: PlainPayload,
+            nonce_source: NonceCounter | RoundNonces) -> CipherEnvelope:
+    """Seal a payload under `nonce_source.next()`. The clear header is bound as
+    associated data."""
     nonce = nonce_source.next()
     frame = p._wire
     header = frame[:_ROUTE_SIZE] + b"\0\0"
     return CipherEnvelope.wrap(header + nonce + _aead(key.key).encrypt(nonce, frame, header))
 
 
-def decrypt(key: SharedKey, e: CipherEnvelope) -> PlainPayload:
-    """Open an envelope; TamperError on any authentication failure."""
-    wire = e._wire
+def open_envelopes(key: SharedKey, envelopes) -> list:
+    """The frames sealed in `envelopes`, opened in one pass, as bytes, unparsed;
+    TamperError if any fails authentication."""
+    open_ = _aead(key.key).decrypt
     try:
-        raw = _aead(key.key).decrypt(wire[HEADER_SIZE : HEADER_SIZE + NONCE_SIZE],
-                                     wire[HEADER_SIZE + NONCE_SIZE :], wire[:HEADER_SIZE])
+        return [open_(w[HEADER_SIZE : HEADER_SIZE + NONCE_SIZE], w[HEADER_SIZE + NONCE_SIZE :],
+                      w[:HEADER_SIZE]) for e in envelopes for w in (e._wire,)]
     except InvalidTag as exc:
         raise TamperError("envelope failed authentication") from exc
+
+
+def decrypt(key: SharedKey, e: CipherEnvelope) -> PlainPayload:
+    """Open an envelope; TamperError on any authentication failure."""
+    raw = open_envelopes(key, [e])[0]
     p = decode_payload(raw)
-    if raw[:_ROUTE_SIZE] != wire[:_ROUTE_SIZE]:
+    if raw[:_ROUTE_SIZE] != e._wire[:_ROUTE_SIZE]:
         raise TamperError("header does not match sealed payload")
     return p
 

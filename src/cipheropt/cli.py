@@ -43,6 +43,9 @@ DEFAULT_STEPS = {
 }
 
 PRIVACY_SCENARIOS = ("b", "c", "addopt")  # "all" runs each
+# the shortest horizon each attack takes: it reads rounds 0..K, K = horizon - 1,
+# and scenario b needs K >= 2, scenario c K >= 1
+_PRIVACY_MIN_HORIZON = {"b": 3, "c": 2, "addopt": 1}
 
 # keys that count something: trials, rounds, samples or an agent
 _COUNT_KEYS = ("trials", "horizon", "certify_horizon", "samples", "adversary", "target")
@@ -338,16 +341,32 @@ def cmd_privacy(config: dict) -> ExperimentResult:
         raise ConfigError("privacy analysis requires capture: true")
     scenarios = PRIVACY_SCENARIOS if config["scenario"] == "all" else (config["scenario"],)
     adv, target, m = config["adversary"], config["target"], config["problem"]["m"]
-    if "b" in scenarios and not (1 <= adv <= m and 1 <= target <= m and adv != target):
-        raise ConfigError(f"adversary and target must be two different agents of 1..{m}, "
-                          f"got {adv} and {target}")
+    horizon = config["horizon"]
+    K = horizon - 1
+    for scenario in scenarios:
+        if horizon < _PRIVACY_MIN_HORIZON[scenario]:
+            raise ConfigError(f"horizon must be at least {_PRIVACY_MIN_HORIZON[scenario]} "
+                              f"for scenario {scenario}, got {horizon}")
+    if "b" in scenarios:
+        if not (1 <= adv <= m and 1 <= target <= m and adv != target):
+            raise ConfigError(f"adversary and target must be two different agents of 1..{m}, "
+                              f"got {adv} and {target}")
+        sched = _load_schedule(config, 0)
+        if sched.m != m:
+            raise ConfigError(f"schedule is over {sched.m} agents but the problem has {m}")
+        playable = horizon if sched.length is None else min(horizon, sched.length)
+        sent = sched.adjacencies(0, playable)[:, adv - 1, target - 1].tolist()
+        unlinked = [k for k in range(horizon) if k >= playable or not sent[k]]
+        if unlinked:
+            raise ConfigError(
+                f"the schedule does not connect target {target} to adversary {adv} in "
+                f"rounds {unlinked}: scenario b needs a message from {target} to {adv} "
+                f"in every round 0..{K}")
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     result = ExperimentResult()
     encryption = config["encryption"] == "on"
     step = _resolve_step(config, "algorithm1")
-    horizon = config["horizon"]
-    K = horizon - 1
     rc = engine.RunConfig(
         step_size=step, horizon=horizon, encryption=encryption,
         seed=int(config["seed"]), trial=0,
@@ -357,7 +376,6 @@ def cmd_privacy(config: dict) -> ExperimentResult:
     if "b" in scenarios:
         base = _instance(config)
         problem = _trial_problem(config, base, 0)
-        sched = _load_schedule(config, 0)
         traj = engine.run(problem, sched, _mixing(config), rc)
         view = adversary.capture_view(traj.messages, adv, target)
         report = adversary.infer_states_scenario_b(view, K)

@@ -47,11 +47,13 @@ from .channel import (
     KIND_Y,
     NonceCounter,
     PlainPayload,
+    RoundNonces,
     SharedKey,
     TamperError,
-    decrypt,
+    decrypt,  # noqa: F401  (kept as engine.decrypt for perfbench's tracer)
     encode_payload,
     encrypt,
+    open_envelopes,
     pack_frames,
 )
 from .graphs import graph_at  # noqa: F401  (kept as engine.graph_at for perfbench's tracer)
@@ -229,10 +231,14 @@ class Transport:
 
     Messages go out sender ascending, then receiver ascending, then Y, S,
     W, so nonces and bytes are reproducible. Every frame of a round is
-    packed at once; with a key each frame is then sealed and opened again,
-    and a message that does not open to exactly the bytes sent fails the
-    round. Without a key messages are only framed, for the log. The nonces
-    of trial `trial` come from its own range of every sender's counter.
+    packed at once. With a key, the round's nonces come as one array
+    (`RoundNonces`), every sender reserving its round's block of its own
+    counter, in trial `trial`'s range; each frame is sealed under its
+    nonce, and every envelope of the round is opened in one pass. The
+    opened frames, joined, must be byte for byte the round's packed
+    frames: if not, or if an envelope fails authentication, the round
+    fails with a TamperError that names the first message at fault.
+    Without a key messages are only framed, for the log.
     """
 
     def __init__(self, m: int, key: SharedKey | None, log: list | None, trial: int = 0):
@@ -249,20 +255,50 @@ class Transport:
         at_edges = (receivers - 1, senders - 1)
         raw, step, offsets = pack_frames(k, senders, receivers, (
             (KIND_Y, jy[at_edges]), (KIND_S, js[at_edges]), (KIND_W, jw[at_edges][:, None])))
-        for at, i, r in zip(range(0, len(raw), step), senders.tolist(), receivers.tolist()):
-            for kind, lo, hi in offsets:
-                frame = raw[at + lo : at + hi]
+        envelopes = None
+        if self.key is not None:
+            nonces = RoundNonces(self.counters, senders, len(offsets))
+            envelopes = [encrypt(self.key, PlainPayload.wrap(f), nonces)
+                         for f in _frames(raw, step, offsets)]
+            try:
+                opened = open_envelopes(self.key, envelopes)
+                intact = b"".join(opened) == raw
+            except TamperError:
+                opened, intact = [None] * len(envelopes), False
+            if not intact:
+                self._reject(k, _routes(senders, receivers, offsets), _frames(raw, step, offsets),
+                             envelopes, opened)
+        if self.log is not None:
+            for t, ((i, r, kind), frame) in enumerate(zip(_routes(senders, receivers, offsets),
+                                                          _frames(raw, step, offsets))):
                 p = PlainPayload.wrap(frame)
-                cipher = None
-                if self.key is not None:
-                    env = encrypt(self.key, p, self.counters[i])
-                    if decrypt(self.key, env).frame != frame:
-                        raise TamperError(f"k={k} {kind} message {i}->{r} opened to other bytes")
-                    if self.log is not None:
-                        cipher = env.to_bytes()
-                if self.log is not None:
-                    self.log.append(
-                        MessageRecord(k, i, r, kind, p.data, encode_payload(p), cipher))
+                cipher = None if envelopes is None else envelopes[t].to_bytes()
+                self.log.append(MessageRecord(k, i, r, kind, p.data, encode_payload(p), cipher))
+
+    def _reject(self, k, routes, frames, envelopes, opened):
+        """Raise the TamperError that names the first frame that did not open to
+        the bytes sent; an entry of `opened` is None where the round's open failed."""
+        for (i, r, kind), frame, env, got in zip(routes, frames, envelopes, opened):
+            if got is None:
+                try:
+                    got = open_envelopes(self.key, [env])[0]
+                except TamperError as exc:
+                    raise TamperError(
+                        f"k={k} {kind} message {i}->{r} failed authentication") from exc
+            if got != frame:
+                raise TamperError(f"k={k} {kind} message {i}->{r} opened to other bytes")
+        raise TamperError(f"k={k} round opened to other bytes")
+
+
+def _frames(raw, step, offsets):
+    """The frames of a round packed by `pack_frames`, one by one, in frame order."""
+    return (raw[at + lo : at + hi] for at in range(0, len(raw), step) for _, lo, hi in offsets)
+
+
+def _routes(senders, receivers, offsets) -> list:
+    """(sender, receiver, kind) of each frame of a round, in frame order."""
+    return [(i, r, kind) for i, r in zip(senders.tolist(), receivers.tolist())
+            for kind, _, _ in offsets]
 
 
 class _RoundPlan:

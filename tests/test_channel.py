@@ -3,6 +3,7 @@ import math
 import pickle
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from cipheropt.channel import (
     DecodeError,
     NonceCounter,
     PlainPayload,
+    RoundNonces,
     SharedKey,
     TamperError,
     decode_payload,
@@ -136,6 +138,19 @@ class TestNonces:
         assert counter.next() == struct.pack("<QI", ((trial + 1) << 32) - 1, 2)
         with pytest.raises(OverflowError, match="sender 2 exhausted"):
             counter.next()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 4), max_size=12), st.integers(1, 3),
+           st.sampled_from([0, 1, 2**31 + 3, 2**32 - 1]))
+    def test_round_nonces_are_each_frames_next(self, senders, per_message, trial):
+        bulk = {i: NonceCounter(i, trial) for i in range(1, 5)}
+        each = {i: NonceCounter(i, trial) for i in range(1, 5)}
+        source = RoundNonces(bulk, np.array(senders, dtype=np.intp), per_message)
+        frames = [i for i in senders for _ in range(per_message)]
+        assert [source.next() for _ in frames] == [each[i].next() for i in frames]
+        assert [c.count for c in bulk.values()] == [c.count for c in each.values()]
+        with pytest.raises(StopIteration):
+            source.next()
 
     @pytest.mark.parametrize("trial", [-1, 2**32, 2**40])
     def test_trial_out_of_range_rejected(self, trial):

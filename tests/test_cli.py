@@ -526,6 +526,51 @@ class TestPrivacyCommand:
         assert "scenario" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario, horizon, need", [
+        ("all", 1, 3), ("all", 2, 3), ("b", 1, 3), ("b", 2, 3), ("c", 1, 2)])
+    def test_horizon_too_short_for_the_scenario_exits_1_and_writes_nothing(
+            self, tmp_path, capsys, scenario, horizon, need):
+        # these used to create the output directory and exit 2 inside the attack
+        cfg = write_config(tmp_path, {"scenario": scenario, "horizon": horizon})
+        out = tmp_path / "out"
+        assert main(["privacy", "--config", cfg, "--out", str(out)]) == 1
+        assert f"config error: horizon must be at least {need} for scenario" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario, horizon", [("b", 3), ("c", 2), ("addopt", 1)])
+    def test_shortest_horizon_of_each_scenario_runs(self, tmp_path, scenario, horizon):
+        cfg = write_config(tmp_path, {"scenario": scenario, "horizon": horizon, "samples": 5})
+        assert main(["privacy", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("adversary, target, rounds", [
+        (3, 1, list(range(12))), (1, 3, list(range(1, 12)))], ids=["never", "round-0-only"])
+    def test_pair_the_schedule_does_not_connect_exits_1_and_writes_nothing(
+            self, tmp_path, capsys, adversary, target, rounds):
+        # fig5a sends 3 -> 1 at round 0 alone and 1 -> 3 never; these used to exit 2
+        # with a bare ScenarioMismatchError after the run
+        cfg = write_config(tmp_path, {"scenario": "b", "adversary": adversary,
+                                      "target": target})
+        out = tmp_path / "out"
+        assert main(["privacy", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert (f"config error: the schedule does not connect target {target} to adversary "
+                f"{adversary} in rounds {rounds}: scenario b needs") in err
+        assert not out.exists()
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(pair=st.permutations([1, 2, 3]), horizon=st.integers(1, 12),
+           scenario=st.sampled_from(["all", "b", "c", "addopt"]))
+    def test_a_privacy_run_either_runs_or_exits_1_writing_nothing(self, tmp_path, pair,
+                                                                  horizon, scenario):
+        out = tmp_path / f"out-{pair[0]}-{pair[1]}-{horizon}-{scenario}"
+        cfg = write_config(tmp_path, {"adversary": pair[0], "target": pair[1],
+                                      "horizon": horizon, "scenario": scenario, "samples": 5})
+        code = main(["privacy", "--config", cfg, "--out", str(out)])
+        assert code in (0, 1)
+        assert out.exists() == (code == 0)
+
     def test_capture_required(self, tmp_path):
         cfg = write_config(tmp_path, {"capture": False})
         assert main(["privacy", "--config", cfg, "--out", str(tmp_path / "o")]) == 1

@@ -1,4 +1,6 @@
 """The transport frames each round at once; these pin its bytes and its checks."""
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,9 @@ from cipheropt.channel import (
     KIND_S,
     KIND_W,
     KIND_Y,
+    NONCE_SIZE,
+    CipherEnvelope,
+    NonceCounter,
     PlainPayload,
     SharedKey,
     TamperError,
@@ -85,33 +90,114 @@ class TestRoundFraming:
         assert log == []
 
 
-def _flip_data_bit(p):
-    frame = bytearray(p.frame)
-    frame[HEADER_SIZE] ^= 0x01
-    return PlainPayload.wrap(bytes(frame))
+def _flip_data_bit(frame):
+    forged = bytearray(frame)
+    forged[HEADER_SIZE] ^= 0x01
+    return bytes(forged)
 
 
-def _reroute(p):
+def _reroute(frame):
+    p = PlainPayload.wrap(frame)
     return PlainPayload(sender=p.sender, receiver=p.receiver % 3 + 1, k=p.k, kind=p.kind,
-                        data=p.data)
+                        data=p.data).frame
+
+
+# frames of the round below: 0-2 are 1->2 Y, S, W; 3-5 are 1->3; 6-8 are 2->1
+EDGES = [(2, 1), (3, 1), (1, 2)]
+NAMED = {0: r"k=7 Y message 1->2", 4: r"k=7 S message 1->3", 8: r"k=7 W message 2->1"}
+
+
+def _send_round(transport=None):
+    y = np.arange(18.0).reshape(3, 3, 2)
+    (transport or Transport(3, KEY, None)).send(7, *wire_pairs(EDGES), y, -y, y[:, :, 0])
+
+
+def _forge_at_open(monkeypatch, forge, victims):
+    """Forge the frames at positions `victims` where the round's envelopes are opened."""
+    real = engine.open_envelopes
+
+    def forged_open(key, envelopes):
+        return [forge(f) if t in victims else f for t, f in enumerate(real(key, envelopes))]
+
+    monkeypatch.setattr(engine, "open_envelopes", forged_open)
 
 
 class TestOpenedFrameCheck:
     @pytest.mark.parametrize("forge", [_flip_data_bit, _reroute], ids=["bit-flip", "reroute"])
     @pytest.mark.parametrize("victim", [0, 4], ids=["Y-1to2", "S-1to3"])
     def test_forged_opening_fails_the_round(self, monkeypatch, forge, victim):
-        opened = []
-        real = engine.decrypt
+        _forge_at_open(monkeypatch, forge, {victim})
+        with pytest.raises(TamperError, match=NAMED[victim] + " opened to other bytes"):
+            _send_round()
 
-        def forged_decrypt(key, env):
-            p = real(key, env)
-            opened.append(p)
-            return forge(p) if len(opened) - 1 == victim else p
+    @pytest.mark.parametrize("forge", [_flip_data_bit, _reroute], ids=["bit-flip", "reroute"])
+    def test_the_earlier_of_two_forged_frames_is_named(self, monkeypatch, forge):
+        _forge_at_open(monkeypatch, forge, {4, 8})
+        with pytest.raises(TamperError, match=NAMED[4]):
+            _send_round()
 
-        monkeypatch.setattr(engine, "decrypt", forged_decrypt)
-        y = np.arange(18.0).reshape(3, 3, 2)
-        message = {0: r"k=7 Y message 1->2", 4: r"k=7 S message 1->3"}[victim]
-        with pytest.raises(TamperError, match=message):
-            Transport(3, KEY, None).send(7, *wire_pairs([(2, 1), (3, 1), (1, 2)]),
-                                         y, -y, y[:, :, 0])
-        assert len(opened) == victim + 1
+    @pytest.mark.parametrize("at", [HEADER_SIZE + NONCE_SIZE, -1], ids=["ciphertext", "tag"])
+    @pytest.mark.parametrize("victim", [0, 4, 8])
+    def test_envelope_altered_between_seal_and_open_is_named(self, monkeypatch, at, victim):
+        real = engine.encrypt
+        sealed = []
+
+        def altering_encrypt(key, p, nonces):
+            env = real(key, p, nonces)
+            sealed.append(env)
+            if len(sealed) - 1 != victim:
+                return env
+            wire = bytearray(env.to_bytes())
+            wire[at] ^= 0x01
+            return CipherEnvelope.wrap(bytes(wire))
+
+        monkeypatch.setattr(engine, "encrypt", altering_encrypt)
+        with pytest.raises(TamperError, match=NAMED[victim] + " failed authentication"):
+            _send_round()
+        assert len(sealed) == 9
+
+
+def _nonces(log):
+    return [rec.cipher[HEADER_SIZE : HEADER_SIZE + NONCE_SIZE] for rec in log]
+
+
+class TestRoundNonces:
+    # senders with one, two and three messages, and a round where sender 1 is silent
+    ROUNDS = [[(2, 1), (3, 1), (1, 2), (4, 3), (1, 3), (2, 3)],
+              [(1, 2), (3, 2), (4, 2), (1, 4)],
+              [(2, 1), (1, 2), (1, 3), (1, 4), (2, 4)]]
+
+    @pytest.mark.parametrize("trial", [0, 2**31 + 3, 2**32 - 1])
+    def test_round_nonces_are_the_per_message_counters(self, trial):
+        log = []
+        transport = Transport(4, KEY, log, trial)
+        z = np.zeros((4, 4, 2))
+        for k, edges in enumerate(self.ROUNDS):
+            transport.send(k, *wire_pairs(edges), z, z, z[:, :, 0])
+        counters = {i: NonceCounter(i, trial) for i in range(1, 5)}
+        replay = [counters[rec.sender].next() for rec in log]
+        assert _nonces(log) == replay
+        assert len(set(replay)) == len(log) == 3 * sum(map(len, self.ROUNDS))
+
+    @pytest.mark.parametrize("trial", [0, 2**32 - 1])
+    @pytest.mark.parametrize("room", [2, 3], ids=["crosses", "fits"])
+    def test_a_round_past_the_trial_range_seals_nothing(self, monkeypatch, trial, room):
+        real = engine.encrypt
+        sealed = []
+
+        def counting_encrypt(key, p, nonces):
+            sealed.append(p)
+            return real(key, p, nonces)
+
+        monkeypatch.setattr(engine, "encrypt", counting_encrypt)
+        transport = Transport(3, KEY, [], trial)
+        sender_2 = transport.counters[2]
+        sender_2.count = sender_2.end - room  # sender 2 sends one message: 3 frames
+        if room == 3:
+            _send_round(transport)
+            assert sender_2.count == sender_2.end
+            assert _nonces(transport.log)[-1] == struct.pack("<QI", sender_2.end - 1, 2)
+        else:
+            with pytest.raises(OverflowError, match="sender 2 exhausted"):
+                _send_round(transport)
+            assert sealed == []
