@@ -210,15 +210,17 @@ class RoundNonces:
     def __init__(self, counters, senders, per_message: int):
         frame_senders = np.repeat(senders, per_message)
         order = np.argsort(frame_senders, kind="stable")
-        ids, first, n = np.unique(frame_senders[order], return_index=True, return_counts=True)
+        per_sender = np.bincount(frame_senders)
+        ids = np.flatnonzero(per_sender)
+        n = per_sender[ids]
         starts = [counters[i].reserve(c) for i, c in zip(ids.tolist(), n.tolist())]
         nonces = np.empty(len(order), _NONCE_FIELDS)
         nonces["sender"] = frame_senders
         # unsigned throughout: numpy takes uint64 with a signed array to float64
+        first = (np.cumsum(n) - n).astype(np.uint64)  # each block's first frame, in sorted order
         nonces["count"][order] = np.repeat(np.array(starts, np.uint64), n) + (
-            np.arange(len(order), dtype=np.uint64) - np.repeat(first.astype(np.uint64), n))
-        raw = nonces.tobytes()
-        self.next = (raw[at : at + NONCE_SIZE] for at in range(0, len(raw), NONCE_SIZE)).__next__
+            np.arange(len(order), dtype=np.uint64) - np.repeat(first, n))
+        self.next = iter(nonces.view(f"V{NONCE_SIZE}").tolist()).__next__  # one bytes per frame
 
 
 def _header(sender, receiver, k, kind, count=0) -> bytes:

@@ -12,8 +12,13 @@ Each constant has one derivation: the decay ladder and B0 in
 `contraction_params`, the step ceiling in `_step_cap`, the decay floor in
 `_decay_floor`, and the theta-weighted norms of a run in `_theta_weighted`.
 Every integer power of theta is exp(n log theta), in `_pow`. A recorded run
-is read in stacked passes (one gradient call, one array expression per norm
-sequence and per window of round maps) that keep a round-by-round loop's bits.
+is read in stacked passes that keep a round-by-round loop's bits: one
+gradient call and one array expression per norm sequence; every round map
+derived once, and all windows' chains multiplied as one stacked product per
+step; and one theta-weighted pass on mpmath's kernels (`mpmath.libmp`) that
+forms only the sums the lemma reads and weighs exactly only the rounds a
+float screen in log space leaves in the running for a sup. Both checks
+refuse a run whose recorded values they read are not finite.
 
 Several constants overflow binary64 for realistic parameters (they stack
 powers of 1/c0), so everything is computed with mpmath at a working
@@ -27,6 +32,7 @@ from dataclasses import dataclass, field
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import fone, from_float, fzero, mpf_add, mpf_gt, mpf_mul
 
 RANK_SLACK = 1e-12
 _PROBE_COLUMNS = 3  # columns of the random test matrices of `verify_contraction`
@@ -359,10 +365,13 @@ def verify_contraction(trajectory, b0: int, varepsilon, trials: int = 100,
     """Empirical check that b0 mixing rounds contract disagreement.
 
     Builds the normalized round maps Phi(k) = W(k+1)^-1 A(k) W(k) from a
-    recorded run, multiplies b0 of them ending at each sampled round, and
-    measures the centered-norm ratio on random matrices. A consensus matrix
-    is pushed through as well; it must stay fixed up to rounding. Each of
-    `rounds` must end a whole window: b0 - 1 <= round <= the last recorded round.
+    recorded run once, multiplies b0 of them ending at each sampled round
+    (every window's chain one stacked product per step), and measures the
+    centered-norm ratio on random matrices. A consensus matrix is pushed
+    through as well; it must stay fixed up to rounding. Each of `rounds`
+    must end a whole window: b0 - 1 <= round <= the last recorded round.
+    A window that reads a non-finite weight or mass raises ValueError,
+    naming the first such round.
     """
     if not trajectory.weight_matrices or not trajectory.w_series:
         raise ValueError("trajectory lacks recorded weight matrices or masses")
@@ -373,17 +382,27 @@ def verify_contraction(trajectory, b0: int, varepsilon, trials: int = 100,
         raise ValueError(f"trajectory too short: need at least {b0 + 1} recorded rounds")
     if rounds is None:
         rounds = sorted(set(np.linspace(b0, k_max, num=min(5, k_max - b0 + 1), dtype=int).tolist()))
-    m = mats.shape[1]
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(51,)))
-    max_ratio = consensus_residual = 0.0
+    rounds = list(rounds)
     for end in rounds:
         if not b0 - 1 <= end <= k_max:
             raise ValueError(f"round {end} ends no window of {b0} recorded rounds "
                              f"(need {b0 - 1} <= round <= {k_max})")
-        lo = end - b0 + 1
-        prod = np.eye(m)
-        for phi in mats[lo : end + 1] * w[lo : end + 1, None, :] / w[lo + 1 : end + 2, :, None]:
-            prod = phi @ prod
+    lo = np.array(rounds, dtype=np.intp) - (b0 - 1)
+    # the window starting at round lo reads A(lo..lo+b0-1) and w(lo..lo+b0)
+    bad_a = ~np.isfinite(mats).all(axis=(1, 2))
+    bad_w = ~np.isfinite(w[: k_max + 2]).all(axis=1)
+    bad = [start + int(np.argmax(flags)) for start in lo.tolist()
+           for flags in (bad_a[start : start + b0], bad_w[start : start + b0 + 1]) if flags.any()]
+    if bad:
+        raise ValueError(f"recorded weights or masses of round {min(bad)} are not finite")
+    m = mats.shape[1]
+    phi = mats * w[: k_max + 1, None, :] / w[1 : k_max + 2, :, None]
+    prods = np.broadcast_to(np.eye(m), (len(lo), m, m))
+    for step in phi[lo + np.arange(b0)[:, None]]:  # step j: every window's j-th map
+        prods = step @ prods
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(51,)))
+    max_ratio = consensus_residual = 0.0
+    for prod in prods:
         d = rng.standard_normal((trials, m, _PROBE_COLUMNS))  # the numbers of `trials` draws
         max_ratio = max([max_ratio, *(_norms(_centred(prod @ d)) / _norms(_centred(d))).tolist()])
         ones = np.ones((m, 1)) @ rng.standard_normal((1, _PROBE_COLUMNS))
@@ -460,24 +479,55 @@ class LemmaReport:
         return all(c.holds for c in self.checks)
 
 
-def _theta_weighted(series, theta: mp.mpf, K: int, b0: int) -> tuple:
-    """Per norm sequence in `series`, the sup over k = 1..K and the sum over
-    k = 1..b0 of theta^-k * norm[k], in one pass that advances theta^-k once
-    per round for all of them."""
-    best = [mp.mpf(0)] * len(series)
-    total = [mp.mpf(0)] * len(series)
-    acc = mp.mpf(1)
-    inv = 1 / theta
-    rows = np.stack(series, axis=1)
-    for k in range(1, K + 1):
-        acc *= inv
-        for i, norm in enumerate(rows[k].tolist()):
-            term = acc * mp.mpf(norm)
-            if term > best[i]:
-                best[i] = term
-            if k <= b0:
-                total[i] += term
-    return best, total
+def _theta_weighted(sups, sums, theta: mp.mpf, K: int, b0: int) -> tuple:
+    """Per norm sequence in `sups`, the sup over k = 1..K of theta^-k * norm[k];
+    per sequence in `sums`, the sum over k = 1..b0.
+
+    Bit for bit the mpf loop that weighs each norm[k] by theta^-k: the same
+    mpmath kernels run at the context's precision and rounding, with
+    theta^-k advanced once per round for every sequence.
+
+    A sup weighs exactly only the k whose float log-weight, log norm[k] -
+    k log theta, lies within `margin` of the largest. The float logs err by
+    a few units in the last place of the magnitudes in the first term of
+    `margin` (Higham, 2002, ch. 3), an exact term by under 2^(1-prec) for
+    each of its K + 3 roundings in the second; so the largest exact term is
+    always weighed. With no finite largest log (every norm zero, say), every
+    k is weighed. Norms are finite and non-negative.
+    """
+    prec, rnd = mp.mp._prec_rounding
+    inv = (1 / theta)._mpf_
+    acc, weights = fone, []
+    for _ in range(K):
+        acc = mpf_mul(acc, inv, prec, rnd)
+        weights.append(acc)
+
+    totals = []
+    for norms in sums:
+        total = fzero
+        for acc, norm in zip(weights[:b0], norms[1 : b0 + 1].tolist()):
+            total = mpf_add(total, mpf_mul(acc, from_float(norm, prec, rnd), prec, rnd), prec, rnd)
+        totals.append(mp.make_mpf(total))
+
+    log_theta = float(mp.log(theta))
+    best = []
+    for norms in sups:
+        norms = norms[1 : K + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            screen = np.log(norms) - np.arange(1, K + 1) * log_theta
+        top = float(screen.max(initial=-np.inf))
+        if math.isfinite(top):
+            margin = 1e-9 * (1 + abs(top) + K * abs(log_theta)) + (K + 3) * 2.0 ** (3 - prec)
+            picks = np.flatnonzero(screen >= top - margin).tolist()
+        else:
+            picks = range(K)
+        sup = fzero
+        for k in picks:
+            term = mpf_mul(weights[k], from_float(float(norms[k]), prec, rnd), prec, rnd)
+            if mpf_gt(term, sup):
+                sup = term
+        best.append(mp.make_mpf(sup))
+    return best, totals
 
 
 def verify_lemma_inequalities(trajectory, problem, consts: TheoryConstants,
@@ -485,9 +535,11 @@ def verify_lemma_inequalities(trajectory, problem, consts: TheoryConstants,
     """Re-check the four chained inequalities on an actual trajectory.
 
     The offsets b2 and b3 sum the first B0 disagreement norms, so the run
-    must be at least B0 rounds long. Violations are reported per check, not
-    raised; a step size too aggressive for the last inequality's floor
-    condition marks that check skipped instead.
+    must be at least B0 rounds long. A norm that is not finite in rounds
+    0..K raises ValueError, naming the first such round and sequence.
+    Violations are reported per check, not raised; a step size too
+    aggressive for the last inequality's floor condition marks that check
+    skipped instead.
     """
     series = trajectory_series(trajectory, problem)
     if eta is None:
@@ -500,6 +552,12 @@ def verify_lemma_inequalities(trajectory, problem, consts: TheoryConstants,
         raise ValueError(
             f"need at least B0={consts.b0} recorded rounds for the offset sums, got {K}"
         )
+    names = ("r", "v", "u_check", "x_check")
+    norms = np.stack([getattr(series, f"{name}_norm")[: K + 1] for name in names])
+    bad = ~np.isfinite(norms)
+    if bad.any():
+        k = int(bad.any(axis=0).argmax())
+        raise ValueError(f"the {names[int(bad[:, k].argmax())]} norm of round {k} is not finite")
 
     with mp.workdps(consts.dps):
         theta = mp.mpf(theta)
@@ -509,9 +567,8 @@ def verify_lemma_inequalities(trajectory, problem, consts: TheoryConstants,
         if gap <= 0:
             raise ConstantsError("theta^B0 must exceed the contraction factor")
 
-        (r_max, v_max, u_max, x_max), (_, _, u_sum, x_sum) = _theta_weighted(
-            (series.r_norm, series.v_norm, series.u_check_norm, series.x_check_norm),
-            theta, K, consts.b0)
+        (r_max, v_max, u_max, x_max), (u_sum, x_sum) = _theta_weighted(
+            norms, norms[2:], theta, K, consts.b0)
 
         gains = _gains(consts, theta, eta)
         b1 = mp.mpf(float(series.v_norm[1])) / theta

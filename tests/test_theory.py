@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -404,6 +405,21 @@ class TestContractionOnRecordedRuns:
         with pytest.raises(ValueError, match="recorded"):
             verify_contraction(bare, 2, 0.9)
 
+    @pytest.mark.parametrize("field", ["weight_matrices", "w_series"])
+    def test_non_finite_weights_or_masses_in_a_window_rejected(self, desk, desk_run, field):
+        # max() drops a NaN ratio, so a NaN weight used to pass as a contraction
+        _, consts = desk
+        k = consts.b0 + 10
+        values = list(getattr(desk_run, field))
+        values[k] = np.full_like(values[k], np.nan)
+        broken = dataclasses.replace(desk_run, **{field: values})
+        with pytest.raises(ValueError, match=rf"^recorded weights or masses of round {k} are "
+                                             rf"not finite$"):
+            verify_contraction(broken, consts.b0, consts.varepsilon, trials=5)
+        # a window that ends before round k - 1 reads neither
+        assert verify_contraction(broken, consts.b0, consts.varepsilon, trials=5,
+                                  rounds=[k - 2]).holds
+
 
 class TestTrajectorySeries:
     def test_distance_norms_square_to_residuals(self, desk, desk_run):
@@ -508,6 +524,56 @@ class TestStackedPassesEqualTheLoops:
                                                                   rounds), want)
 
 
+# a norm: zero, a value from a small pool (ties), near the ends of the float
+# range, or any finite non-negative float
+NORMS = st.one_of(
+    st.just(0.0),
+    st.sampled_from([1.0, 2.5, 1e-3, 5e-324, 1e-300, 1e300, 1.7976931348623157e308]),
+    st.floats(min_value=0, max_value=1e-290) | st.floats(min_value=1e290, allow_infinity=False),
+    st.floats(min_value=0, allow_infinity=False),
+)
+
+
+@st.composite
+def theta_weighted_cases(draw):
+    """(norms, theta as a function of the context, K, b0, dps)."""
+    K = draw(st.integers(1, 80))
+    b0 = draw(st.integers(1, K))
+    dps = draw(st.integers(20, 120))
+    shape = draw(st.sampled_from(["any", "zeros", "geometric", "flat"]))
+    if shape == "zeros":
+        norms = [0.0] * (K + 1)
+    elif shape == "geometric":  # with theta = 1/2, terms tie or differ in their last bits
+        scale = draw(st.floats(1e-300, 1e300))
+        norms = [scale * 0.5**k * (1 + draw(st.integers(-2, 2)) * 2.0**-52) for k in range(K + 1)]
+    elif shape == "flat":  # terms that grow by less than a float can tell
+        norms = [draw(st.floats(1e-300, 1e300))] * (K + 1)
+    else:
+        norms = draw(st.lists(NORMS, min_size=K + 1, max_size=K + 1))
+    theta = draw(st.one_of(
+        st.floats(1e-300, 1e-3).map(lambda t: lambda: mp.mpf(t)),            # near 0
+        st.integers(1, 18).map(lambda j: lambda: 1 - mp.mpf(10) ** -j),       # near 1
+        st.floats(690, 710).map(lambda e: lambda: mp.exp(-mp.mpf(e) / K)),  # K |log theta| near 700
+        st.floats(0.01, 0.99).map(lambda t: lambda: mp.mpf(t)),
+        st.just(lambda: mp.mpf(0.5)),
+    ))
+    if shape in ("geometric", "flat"):
+        theta = draw(st.sampled_from([lambda: mp.mpf(0.5), lambda: 1 - mp.mpf(10) ** -(dps - 5)]))
+    return np.array(norms), theta, K, b0, dps
+
+
+class TestThetaWeighted:
+    @settings(max_examples=300, deadline=None)
+    @given(case=theta_weighted_cases())
+    def test_screened_pass_equals_the_loops(self, case):
+        norms, theta, K, b0, dps = case
+        with mp.workdps(dps):
+            theta = theta()
+            (sup,), (total,) = theory._theta_weighted([norms], [norms], theta, K, b0)
+            assert sup._mpf_ == _theta_max(norms, theta, K)._mpf_
+            assert total._mpf_ == _theta_prefix_sum(norms, theta, b0)._mpf_
+
+
 class TestLemmaInequalities:
     def test_all_four_hold_on_the_desk_run(self, desk, desk_run):
         problem, consts = desk
@@ -566,6 +632,17 @@ class TestLemmaInequalities:
             verify_lemma_inequalities(desk_run, problem, consts, theta)
         with pytest.raises(ConstantsError, match="^a decay rate must be positive"):
             eta_interval(consts, 1, theta)
+
+    def test_non_finite_state_rejected(self, desk, desk_run):
+        # `term > best` is False for NaN, so a NaN state used to pass all four checks
+        problem, consts = desk
+        k = consts.b0 + 30
+        xs = list(desk_run.x_series)
+        xs[k] = np.full_like(xs[k], np.nan)
+        broken = dataclasses.replace(desk_run, x_series=xs)
+        cert = theorem1_certificate(consts)
+        with pytest.raises(ValueError, match=rf"^the r norm of round {k} is not finite$"):
+            verify_lemma_inequalities(broken, problem, consts, cert.theta_used)
 
     def test_window_shorter_than_b0_rejected(self, desk):
         problem, consts = desk
