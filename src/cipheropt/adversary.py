@@ -250,32 +250,15 @@ def infer_scenario_c(view: AdversaryView, K: int) -> InferenceReport:
     if K < 1:
         raise ValueError("need K >= 1")
     view.require(K)
-    if K == 1:
-        w = {1: 1.0}
-        a1 = view.triple(1).j_w
-        s = {1: view.triple(1).j_s / a1}
-        g = {1: s[1] + view.triple(0).j_s}
-        return InferenceReport(
-            scenario="c", adversary=view.adversary, target=view.target,
-            recovered={"w": w, "s": s, "g": g},
-            unknown_rounds=(1,), dim=view.triples[1].j_y.shape[0], rank=None, dof=0,
-        )
-    d = view.triples[1].j_y.shape[0]
     w, a, y, s = _recover_states_from_unit_mass(view, K)
     c = _difference_rhs(view, s, K)
     g = {1: s[1] + view.triple(0).j_s}
     for k in range(1, K):
         g[k + 1] = g[k] + c[k]
-    return InferenceReport(
-        scenario="c",
-        adversary=view.adversary,
-        target=view.target,
-        recovered={"w": w, "a": a, "y": y, "s": s, "g": g},
-        unknown_rounds=tuple(range(1, K + 1)),
-        dim=d,
-        rank=None,
-        dof=0,
-    )
+    return InferenceReport(scenario="c", adversary=view.adversary, target=view.target,
+                           recovered={"w": w, "a": a, "y": y, "s": s, "g": g},
+                           unknown_rounds=tuple(range(1, K + 1)),
+                           dim=view.triples[1].j_y.shape[0], dof=0)
 
 
 def attack_fixed_weight_baseline(view: AdversaryView, out_degree: int, K: int) -> InferenceReport:
@@ -370,7 +353,7 @@ def sample_gradient_solutions(report: InferenceReport, n: int, bound: float = 10
 
 def gradient_ground_truth(x_series, problem, agent: int, rounds) -> np.ndarray:
     """Stacked true gradients of one agent along a recorded trajectory."""
-    return problem.gradients(np.stack([x_series[k] for k in rounds]))[:, agent - 1]
+    return problem.gradients(np.asarray(x_series)[list(rounds)])[:, agent - 1]
 
 
 @dataclass

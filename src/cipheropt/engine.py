@@ -138,6 +138,13 @@ class MessageRecord:
 
 @dataclass
 class Trajectory:
+    """One trial's run of K = `iterations` rounds: `residuals` (K+1,), and as
+    `config` asks, `x_series`, `y_series` and `s_series` (K+1, m, d) and
+    `w_series` (K+1, m), row 0 the start; `weight_matrices` (K, m, m), row k
+    the A(k) of round k; `messages` in wire order. A series that was not
+    recorded is a length-0 array.
+    """
+
     algorithm: str
     residuals: np.ndarray
     iterations: int
@@ -145,11 +152,11 @@ class Trajectory:
     config: RunConfig
     stopped_at: int | None = None
     elapsed: float = 0.0
-    x_series: list = field(default_factory=list)
-    y_series: list = field(default_factory=list)
-    w_series: list = field(default_factory=list)
-    s_series: list = field(default_factory=list)
-    weight_matrices: list = field(default_factory=list)
+    x_series: np.ndarray = field(default_factory=lambda: np.empty(0))
+    y_series: np.ndarray = field(default_factory=lambda: np.empty(0))
+    w_series: np.ndarray = field(default_factory=lambda: np.empty(0))
+    s_series: np.ndarray = field(default_factory=lambda: np.empty(0))
+    weight_matrices: np.ndarray = field(default_factory=lambda: np.empty(0))
     messages: list = field(default_factory=list)
 
 
@@ -468,14 +475,6 @@ def _batch_rows(st: RoundState, rows) -> RoundState:
     return RoundState(y=st.y[rows], s=st.s[rows], w=st.w[rows], x=st.x[rows], g=st.g[rows])
 
 
-def _record_states(traj: Trajectory, state: RoundState, row):
-    # copies: a view of one row would keep the whole batch's arrays alive
-    traj.x_series.append(state.x[row].copy())
-    traj.y_series.append(state.y[row].copy())
-    traj.w_series.append(state.w[row].copy())
-    traj.s_series.append(state.s[row].copy())
-
-
 def _trial_config(config: RunConfig, trial) -> RunConfig:
     return config if trial == config.trial else replace(config, trial=trial)
 
@@ -544,7 +543,20 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
     last round every schedule can play, so no schedule is asked for a round
     the run cannot reach. A trial leaves the batch once it meets its
     stopping rule, and the others go on in a new block.
+
+    Round r of a block writes row r of the block's buffers: residuals, and
+    states and A(k) when recorded. Each trial keeps its slice of every
+    block and joins its slices once, at the end of the run.
     """
+    def kept(state, res, a=None):
+        """What the trials keep of a round, each value with a leading batch axis."""
+        row = {"residuals": res}
+        if config.record_states:
+            row.update(x_series=state.x, y_series=state.y, w_series=state.w, s_series=state.s)
+        if config.record_weights and a is not None:
+            row["weight_matrices"] = a
+        return row
+
     configs = [_trial_config(config, t) for t in trials]
     starts = [_initial_state(p, c) for p, c in zip(problems, configs)]
     state = RoundState(*(np.stack([getattr(st, f.name) for st in starts])
@@ -558,19 +570,20 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
     x_star = np.stack([traj.x_star for traj in trajs])[:, None]
     den = _squared_distance(state.x, x_star)  # fixed for the run
     first = relative_residual(state.x, None, x_star, den=den)
-    residuals = [[first[j : j + 1]] for j in range(len(trials))]  # blocks, per trial
+    m = problems[0].m
+    block = {name: v[None] for name, v in kept(state, first).items()}  # round 0
+    if config.record_weights:
+        block["weight_matrices"] = np.empty((0, len(trials), m, m))  # no A(k) before round 1
+    slices = [{name: [v[:, j]] for name, v in block.items()} for j in range(len(trials))]
     stop = config.stop_residual
     running = []
     for j, traj in enumerate(trajs):
-        if config.record_states:
-            _record_states(traj, state, j)
         if stop is not None and first[j] <= stop:
             traj.stopped_at = 0
         else:
             running.append(j)
     state = _batch_rows(state, running)
     x_star, den = x_star[running], den[running]
-    m = problems[0].m
     if all(p is problems[0] for p in problems):
         gradients = problems[0].gradients
     else:
@@ -589,23 +602,20 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
         adj = np.empty((rounds, nt, m, m), dtype=bool)
         for b, j in enumerate(running):
             adj[:, b] = schedules[j].adjacencies(k, rounds)
-        res = np.empty((rounds, nt))
-        block = rounds_of(state, adj, batch_trials, k, gradients, batch_transports, config)
-        for r, (state, a) in enumerate(block):
+        block = {name: np.empty((rounds, nt) + v.shape[2:]) for name, v in block.items()}
+        played = rounds_of(state, adj, batch_trials, k, gradients, batch_transports, config)
+        for r, (state, a) in enumerate(played):
             k += 1
-            if config.record_weights:
-                for j, ab in zip(running, a):
-                    trajs[j].weight_matrices.append(ab.copy())
-            res[r] = relative_residual(state.x, None, x_star, den=den)
-            if config.record_states:
-                for b, j in enumerate(running):
-                    _record_states(trajs[j], state, b)
-            if stop is not None and (stopped := res[r] <= stop).any():
+            for name, v in kept(state, relative_residual(state.x, None, x_star, den=den),
+                                a).items():
+                block[name][r] = v
+            if stop is not None and (stopped := block["residuals"][r] <= stop).any():
                 break
         else:
             stopped = None
         for b, j in enumerate(running):
-            residuals[j].append(res[: r + 1, b])
+            for name, v in block.items():
+                slices[j][name].append(v[: r + 1, b])
         if stopped is not None:
             elapsed = time.perf_counter() - started
             for b in np.flatnonzero(stopped).tolist():
@@ -619,8 +629,9 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
             x_star, den = x_star[keep], den[keep]
     for j in running:
         trajs[j].elapsed = time.perf_counter() - started
-    for traj, res, transport in zip(trajs, residuals, transports):
-        traj.residuals = np.concatenate(res)
+    for traj, parts, transport in zip(trajs, slices, transports):
+        for name, pieces in parts.items():
+            setattr(traj, name, np.concatenate(pieces))
         traj.iterations = len(traj.residuals) - 1
         if config.record_messages:
             traj.messages = transport.log

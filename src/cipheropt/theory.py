@@ -373,13 +373,14 @@ def verify_contraction(trajectory, b0: int, varepsilon, trials: int = 100,
     A window that reads a non-finite weight or mass raises ValueError,
     naming the first such round.
     """
-    if not trajectory.weight_matrices or not trajectory.w_series:
+    if not (trajectory.config.record_weights and trajectory.config.record_states):
         raise ValueError("trajectory lacks recorded weight matrices or masses")
-    mats = np.stack(trajectory.weight_matrices)
-    w = np.stack(trajectory.w_series)
+    mats = np.asarray(trajectory.weight_matrices)
+    w = np.asarray(trajectory.w_series)
     k_max = len(mats) - 1
     if k_max < b0:
-        raise ValueError(f"trajectory too short: need at least {b0 + 1} recorded rounds")
+        raise ValueError(f"trajectory too short: it holds {len(mats)} recorded rounds, "
+                         f"need at least {b0 + 1}")
     if rounds is None:
         rounds = sorted(set(np.linspace(b0, k_max, num=min(5, k_max - b0 + 1), dtype=int).tolist()))
     rounds = list(rounds)
@@ -429,11 +430,13 @@ class TrajectorySeries:
 
 def trajectory_series(trajectory, problem) -> TrajectorySeries:
     """Distance, increment, and disagreement norms along a recorded run."""
-    if not trajectory.x_series:
+    xs = np.asarray(trajectory.x_series)
+    if not len(xs):
         raise ValueError("trajectory was not recorded with full state")
-    xs = np.stack(trajectory.x_series)
+    if len(xs) < 2:
+        raise ValueError("trajectory holds 0 recorded rounds, need at least 1")
     grads = problem.gradients(xs)
-    u = np.stack(trajectory.s_series[1:]) / np.stack(trajectory.w_series[1:])[..., None]
+    u = np.asarray(trajectory.s_series)[1:] / np.asarray(trajectory.w_series)[1:, :, None]
     zero = np.zeros(1)  # no increment or disagreement is measured at round 0
     return TrajectorySeries(
         r_norm=_norms(xs - trajectory.x_star),
@@ -541,17 +544,17 @@ def verify_lemma_inequalities(trajectory, problem, consts: TheoryConstants,
     aggressive for the last inequality's floor condition marks that check
     skipped instead.
     """
-    series = trajectory_series(trajectory, problem)
+    held = max(len(trajectory.x_series) - 1, 0)  # rounds with a recorded state
     if eta is None:
         eta = trajectory.config.step_size
-    if K is None:
-        K = series.rounds
-    if K > series.rounds:
-        raise ValueError(f"trajectory holds {series.rounds} rounds, asked for {K}")
+    K = held if K is None else K
+    if K > held:
+        raise ValueError(f"trajectory holds {held} rounds, asked for {K}")
     if K < consts.b0:
         raise ValueError(
-            f"need at least B0={consts.b0} recorded rounds for the offset sums, got {K}"
-        )
+            f"need at least B0={consts.b0} recorded rounds for the offset sums, got K={K} "
+            f"of the {held} the trajectory holds")
+    series = trajectory_series(trajectory, problem)
     names = ("r", "v", "u_check", "x_check")
     norms = np.stack([getattr(series, f"{name}_norm")[: K + 1] for name in names])
     bad = ~np.isfinite(norms)
@@ -594,7 +597,7 @@ def verify_lemma_inequalities(trajectory, problem, consts: TheoryConstants,
             checks.append(LemmaCheck("distance vs state disagreement", r_max,
                                      gains.gamma4 * x_max + b4, gains.gamma4, b4))
 
-        w_inv_actual = 1.0 / float(np.min(trajectory.w_series[1 : K + 1]))
+        w_inv_actual = 1.0 / float(np.min(np.asarray(trajectory.w_series)[1 : K + 1]))
 
         c3 = None
         bounded = None

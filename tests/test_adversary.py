@@ -209,7 +209,10 @@ class TestScenarioC:
         view = capture_view(traj.messages, adversary=2, target=1)
         full = infer_scenario_c(view, 4)
         short = infer_scenario_c(view, 1)
-        assert short.recovered["g"][1] == pytest.approx(full.recovered["g"][1], rel=1e-12)
+        assert set(short.recovered) == set(full.recovered)
+        for name, values in short.recovered.items():
+            assert list(values) == [1], name
+            assert np.asarray(values[1]).tobytes() == np.asarray(full.recovered[name][1]).tobytes()
 
 
 class TestFixedWeightAttack:

@@ -277,7 +277,41 @@ def test_dense_baselines_record_and_send_nothing(algorithm):
                                algorithm, [0, 1])
     for traj in gots:
         assert traj.iterations == 5
-        assert all(getattr(traj, name) == [] for name in SERIES + ("messages",))
+        assert all(len(getattr(traj, name)) == 0 for name in SERIES + ("messages",))
+
+
+def test_recorded_series_are_one_array_each():
+    """Trials of a batch that stop at different rounds each keep one array per
+    series, of the rounds they played, bit for bit their own runs; a series
+    not recorded, and every series of a dense baseline, is a length-0 array."""
+    m, d = 6, 2
+    problem = problem_from_instance(generate_sensor_fusion(m=m, s=3, d=d, omega=0.01, seed=891))
+    params = MixingParams(c0=0.5 / m)
+    trials = [0, 1, 2, 3]
+    schedules = [RandomActivationSchedule(complete(m), 0.5, seed=t) for t in trials]
+    config = RunConfig(step_size=1.1e-3, horizon=200, encryption=False, seed=2,
+                       record_states=True, record_weights=True)
+    # the median of the trials' round-100 residuals: some stop before, some after
+    level = float(np.median([run(problem, schedule, params, replace(config, trial=t)).residuals[100]
+                             for schedule, t in zip(schedules, trials)]))
+    config = replace(config, stop_residual=level)
+    gots = run_trials([problem] * len(trials), schedules, params, config, trials)
+    assert len({traj.iterations for traj in gots}) > 1
+    for traj, schedule, trial in zip(gots, schedules, trials):
+        K = traj.iterations
+        shapes = {"x_series": (K + 1, m, d), "y_series": (K + 1, m, d), "s_series": (K + 1, m, d),
+                  "w_series": (K + 1, m), "weight_matrices": (K, m, m)}
+        for name, shape in shapes.items():
+            series = getattr(traj, name)
+            assert type(series) is np.ndarray and series.dtype == float, name
+            assert series.shape == shape, name
+        assert_bit_identical(traj, run(problem, schedule, params, replace(config, trial=trial)))
+    bare = replace(config, record_states=False, record_weights=False)
+    for traj in (run_trials([problem] * 2, schedules[:2], params, bare, trials[:2])
+                 + run_baseline_trials([problem] * 2, schedules[:2], config, "ab-push-pull",
+                                       trials[:2])):
+        for name in SERIES:
+            assert type(getattr(traj, name)) is np.ndarray and len(getattr(traj, name)) == 0
 
 
 @settings(max_examples=60, deadline=None)

@@ -421,6 +421,23 @@ class TestContractionOnRecordedRuns:
                                   rounds=[k - 2]).holds
 
 
+def test_zero_round_runs_rejected_with_the_rounds_held_and_needed(desk):
+    # a run that meets its stopping rule at round 0 records one state and no A(k)
+    problem, consts = desk
+    still = run(problem, TWO_CYCLE, MixingParams(c0=0.49),
+                RunConfig(step_size=1e-3, horizon=5, encryption=False, stop_residual=2.0,
+                          record_states=True, record_weights=True))
+    assert (still.stopped_at, len(still.x_series), len(still.weight_matrices)) == (0, 1, 0)
+    with pytest.raises(ValueError, match=rf"^trajectory too short: it holds 0 recorded rounds, "
+                                         rf"need at least {consts.b0 + 1}$"):
+        verify_contraction(still, consts.b0, consts.varepsilon)
+    with pytest.raises(ValueError, match=r"^trajectory holds 0 recorded rounds, need at least 1$"):
+        trajectory_series(still, problem)
+    with pytest.raises(ValueError, match=rf"^need at least B0={consts.b0} recorded rounds for the "
+                                         rf"offset sums, got K=0 of the 0 the trajectory holds$"):
+        verify_lemma_inequalities(still, problem, consts, 0.99)
+
+
 class TestTrajectorySeries:
     def test_distance_norms_square_to_residuals(self, desk, desk_run):
         problem, _ = desk
