@@ -10,10 +10,11 @@ numpy's keyed uniform streams, derived a block of rounds at a time by
 A[l, i] * (y_i, s_i, w_i), and every receiver sums the shares it is
 owed, its own diagonal share included, in ascending sender order with
 numpy's own reductions, so the bits match a per-agent message loop
-whichever trials share the batch. Masks and weights do not depend on the
+whichever trials share the batch: one padded gather and one reduction
+sum every receiver (`_receive`). Masks and weights do not depend on the
 state, so the run derives them a block of rounds at a time: every running
-trial's adjacency for up to 64 rounds, one index plan (ranks, receiver
-groups) over all of them and every A(k) of the block, from one weight
+trial's adjacency for up to 64 rounds, one index plan (ranks, gather)
+over all of them and every A(k) of the block, from one weight
 call. The mass is forced back to one when the first round's results land,
 which erases the random initial masses from the trajectory. All local
 gradients then come from one batched call, all residuals from one
@@ -121,6 +122,13 @@ class RunConfig:
                 math.isfinite(self.stop_residual) and self.stop_residual >= 0):
             raise ValueError(
                 f"stop residual must be finite and non-negative, got {self.stop_residual}")
+        for name in ("x0", "w0"):
+            if getattr(self, name) is None:
+                continue
+            start = np.asarray(getattr(self, name), dtype=float)
+            if not np.isfinite(start).all():
+                at = tuple(np.argwhere(~np.isfinite(start))[0].tolist())
+                raise ValueError(f"{name} must be finite, but entry {at} is {start[at]}")
 
 
 @dataclass(frozen=True)
@@ -190,10 +198,19 @@ def _initial_positions(problem: GlobalProblem, config: RunConfig):
     x0 = rng.standard_normal((problem.m, problem.d))
     w0 = rng.uniform(-1.0, 1.0, problem.m)
     if config.x0 is not None:
-        x0 = np.array(config.x0, dtype=float).reshape(problem.m, problem.d)
+        x0 = _given_start("x0", config.x0, (problem.m, problem.d), "m*d")
     if config.w0 is not None:
-        w0 = np.array(config.w0, dtype=float).reshape(problem.m)
+        w0 = _given_start("w0", config.w0, (problem.m,), "m")
     return x0, w0
+
+
+def _given_start(name, value, shape, size):
+    """A start given in the config, as a float array of `shape`; any array of as
+    many entries will do."""
+    start = np.array(value, dtype=float)
+    if start.size != math.prod(shape):
+        raise ValueError(f"{name} has {start.size} entries, need {size} = {math.prod(shape)}")
+    return start.reshape(shape)
 
 
 def _initial_state(problem: GlobalProblem, config: RunConfig) -> RoundState:
@@ -317,11 +334,14 @@ class _RoundPlan:
     (`edges`, ascending flat positions), whose row of per-sender values it
     takes (`edge_senders`) and which draw of that sender's uniform block it
     takes (`edge_draws`, by the receiver's rank among the sender's
-    receivers); and, per round r, the receiver groups `_receive` sums by
-    (`groups[r]`, over that round's rows).
+    receivers); and how `_receive` sums a round of `width`-column shares.
+    Round r writes what sender i owes receiver j (row b*m + l of the round)
+    to row j*m + i of `shares`, whose extra last row is -0.0; `gather[r, j]`
+    lists j's rows, senders ascending, own share included, padded with the
+    -0.0 row; `groups[r]` has (rows, their share rows) per part count of 8+.
     """
 
-    def __init__(self, adj, rounds=1):
+    def __init__(self, adj, rounds, width):
         nb, m, _ = adj.shape
         self.out_degree = adj.sum(axis=1)
         self.edges = np.flatnonzero(adj)
@@ -329,29 +349,22 @@ class _RoundPlan:
         self.edge_senders = b * m + i
         rank = np.cumsum(adj, axis=1).reshape(-1)[self.edges] - 1
         self.edge_draws = self.edge_senders * _draws_per_agent(m) + rank
-        # receivers (batch rows b*m + l) by their number of parts, own share
-        # included; a group's rows ascend, so each round's rows are a run of them
+        span = nb * m // rounds  # receivers per round
+        self.shares = np.empty((span * m + 1, width))
+        self.shares[-1] = -0.0
         parts = (adj | np.eye(m, dtype=bool)).reshape(nb * m, m)
         counts = parts.sum(axis=1)
-        order = np.argsort(counts, kind="stable")
-        senders = np.nonzero(parts[order])[1]
-        span = nb * m // rounds  # receiver rows per round
-        bounds = np.arange(rounds + 1) * span
+        rows, senders = np.nonzero(parts)
+        widest = counts.max()
+        gather = np.full((nb * m, widest), span * m)
+        gather[rows, np.cumsum(parts, axis=1)[rows, senders] - 1] = rows % span * m + senders
+        self.gather = gather.reshape(rounds, span, widest)
         self.groups = [[] for _ in range(rounds)]
-        row = part = 0
-        for count, size in enumerate(np.bincount(counts).tolist()):
-            if size:
-                rows = order[row : row + size]
-                group = senders[part : part + size * count].reshape(size, count)
-                if rounds == 1:  # nothing to cut: one round costs what it did alone
-                    self.groups[0].append((rows, group))
-                else:
-                    cuts = np.searchsorted(rows, bounds).tolist()
-                    rows = rows % span
-                    for r, lo, hi in zip(range(rounds), cuts, cuts[1:]):
-                        if lo < hi:
-                            self.groups[r].append((rows[lo:hi], group[lo:hi]))
-                row, part = row + size, part + size * count
+        if widest >= 8:
+            for r, row in enumerate(counts.reshape(rounds, span)):
+                for count in (np.flatnonzero(np.bincount(row)[8:]) + 8).tolist():
+                    rows = np.flatnonzero(row == count)
+                    self.groups[r].append((rows, self.gather[r, rows, :count]))
 
 
 def _wire_order(adj):
@@ -405,52 +418,53 @@ def _drawn_weights(params: MixingParams, seed):
     return weights
 
 
-def _receive(parts, groups, spans):
-    """Row j: `np.sum` over the senders of j, ascending, of parts[j, i, span], per span.
+def _receive(shares, gather, groups, d):
+    """Row j: `np.sum` over the senders of receiver j, ascending, of its rows of
+    `shares` (2d+1 wide), by a round's `gather` and `groups` of a `_RoundPlan`.
 
-    Receivers with the same number of senders are summed in one call, across
-    every trial of the batch; numpy reduces each row of that block exactly as
-    it reduces the parts of that receiver alone: a stack of rows
-    sequentially, a single column pairwise once it has 8 or more parts.
+    One gather takes every receiver's rows, padded to the widest receiver with
+    the -0.0 row, and one reduction sums them. numpy reduces a stack of rows
+    sequentially, in index order, and x + (-0.0) is x for every x (NaN, +-inf
+    and -0.0 included), so the pad moves no bit however numpy starts a sum. A
+    single column numpy sums pairwise once it has 8 or more parts: receivers
+    with that many (`groups`) sum theirs (w, and y and s when d == 1) again.
     """
-    out = np.empty((parts.shape[0], parts.shape[2]))
-    for rows, senders in groups:
-        block = parts[rows[:, None], senders]
-        for span in spans:
-            out[rows, span] = np.add.reduce(block[:, :, span], axis=1)
+    out = np.add.reduce(shares.take(gather, axis=0), axis=1)
+    for rows, parts in groups:
+        for c in range(3) if d == 1 else (2 * d,):
+            out[rows, c] = np.add.reduce(shares[parts, c], axis=1)
     return out
 
 
-def _advance(state: RoundState, a, groups, adj, step, k, gradients, *, reset_mass,
-             transports, trials=None) -> RoundState:
-    """One synchronous round of every batch row of `state` (arrays with a leading
-    batch axis) under its A(k), a[b], over its edges adj[b], with the round's
-    receiver `groups` of a `_RoundPlan`. Returns the states at k+1."""
-    nb, m, d = state.y.shape
-    jy = a[..., None] * state.y[:, None]
-    js = a[..., None] * state.s[:, None]
-    jw = a * state.w[:, None]
+def _advance(z, g, a, plan, r, adj, step, k, gradients, *, reset_mass, transports,
+             trials=None):
+    """One synchronous round of every batch row b of z = [y | s | w] (nb, m, 2d+1), with
+    gradients g at its estimates, under A(k) a[b] over edges adj[b], summed by round r
+    of `plan`. Returns z at k+1 and its RoundState, whose y, s and w are views of z."""
+    nb, m, width = z.shape
+    d = width // 2
+    shares = plan.shares[:-1].reshape(nb, m, m, width)
+    np.multiply(a[..., None], z[:, None], out=shares)
+    jy, js = shares[..., :d], shares[..., d : 2 * d]
     for b, transport in enumerate(transports):
         if transport is not None:
-            transport.send(k, *_wire_order(adj[b]), jy[b], js[b], jw[b])
-    # y and s side by side are still a stack of rows; w, and y and s when
-    # d == 1, are single columns and are summed on their own
-    spans = (slice(0, 2 * d), slice(2 * d, None)) if d > 1 else (
-        slice(0, 1), slice(1, 2), slice(2, None))
-    parts = np.concatenate((jy - step * js, js, jw[..., None]), axis=3)
-    sums = _receive(parts.reshape(nb * m, m, -1), groups, spans).reshape(nb, m, -1)
-    y, s_mix = sums[..., :d], sums[..., d : 2 * d]
-    w = np.ones((nb, m)) if reset_mass else sums[..., 2 * d]
-    low = np.abs(w) < W_EPS
-    if low.any():
-        b, j = np.argwhere(low)[0]
+            transport.send(k, *_wire_order(adj[b]), jy[b], js[b], shares[b, ..., 2 * d])
+    jy -= step * js
+    z = _receive(plan.shares, plan.gather[r], plan.groups[r], d).reshape(nb, m, width)
+    y, s, w = z[..., :d], z[..., d : 2 * d], z[..., 2 * d]
+    if reset_mass:
+        w[...] = 1.0
+    elif np.fmin.reduce(np.abs(w), axis=None) < W_EPS:  # fmin skips NaN: no NaN is "low"
+        b, j = np.argwhere(np.abs(w) < W_EPS)[0]
         where = "" if trials is None else f"trial {trials[b]} "
         raise DegenerateStateError(
             f"{where}agent {j + 1} mass {w[b, j]:.3e} at k={k + 1} is inside the division guard"
         )
     x = y / w[..., None]
-    g = gradients(x)
-    return RoundState(y=y, s=s_mix + g - state.g, w=w, x=x, g=g)
+    g_next = gradients(x)
+    s += g_next
+    s -= g
+    return z, RoundState(y=y, s=s, w=w, x=x, g=g_next)
 
 
 def iterate(state: RoundState, columns, problem: GlobalProblem, step, k, *,
@@ -459,19 +473,20 @@ def iterate(state: RoundState, columns, problem: GlobalProblem, step, k, *,
 
     `columns` maps each agent to the `WeightColumn` it drew for round k.
     """
-    m = state.y.shape[0]
+    m, d = state.y.shape
     adj = np.zeros((1, m, m), dtype=bool)
     for i, col in columns.items():
         for l in col.entries:
             adj[0, l - 1, i - 1] = l != i
     a = assemble_weight_matrix(columns.values(), m)
-    out = _advance(_batch_rows(state, None), a[None], _RoundPlan(adj).groups[0], adj, step, k,
-                   problem.gradients, reset_mass=reset_mass, transports=[transport])
+    z = np.concatenate((state.y, state.s, state.w[:, None]), axis=1)[None]
+    _, out = _advance(z, state.g[None], a[None], _RoundPlan(adj, 1, 2 * d + 1), 0, adj, step,
+                      k, problem.gradients, reset_mass=reset_mass, transports=[transport])
     return _batch_rows(out, 0)
 
 
 def _batch_rows(st: RoundState, rows) -> RoundState:
-    """The batch rows `rows` of every field (None adds a batch axis, an int drops it)."""
+    """The batch rows `rows` of every field (an int drops the batch axis)."""
     return RoundState(y=st.y[rows], s=st.s[rows], w=st.w[rows], x=st.x[rows], g=st.g[rows])
 
 
@@ -485,13 +500,14 @@ def _push_sum(weights):
 
     def rounds_of(state, adj, trials, k0, gradients, transports, config):
         rounds, nt, m, _ = adj.shape
-        plan = _RoundPlan(adj.reshape(rounds * nt, m, m), rounds)
+        z = np.concatenate((state.y, state.s, state.w[..., None]), axis=2)
+        plan = _RoundPlan(adj.reshape(rounds * nt, m, m), rounds, z.shape[-1])
         a = weights(adj, plan, trials, k0).reshape(adj.shape)
         for r in range(rounds):
             k = k0 + r
-            state = _advance(state, a[r], plan.groups[r], adj[r], config.step_size, k, gradients,
-                             reset_mass=(config.mass_reset and k == 0), transports=transports,
-                             trials=trials)
+            z, state = _advance(z, state.g, a[r], plan, r, adj[r], config.step_size, k, gradients,
+                                reset_mass=(config.mass_reset and k == 0), transports=transports,
+                                trials=trials)
             yield state, a[r]
 
     return rounds_of

@@ -7,6 +7,7 @@ from cipheropt.engine import (
     BASELINES,
     DegenerateStateError,
     RunConfig,
+    _initial_positions,
     _initial_state,
     draw_weight_columns,
     relative_residual,
@@ -42,8 +43,6 @@ def dense_reference(problem, schedule, params, config):
     loop is checked against. Everything is m-by-d row-stacked."""
     x0, w0 = np.random.default_rng(0).standard_normal((problem.m, problem.d)), None
     # reuse the engine's own initial draw so both sides start identically
-    from cipheropt.engine import _initial_positions
-
     x0, w0 = _initial_positions(problem, config)
     y = x0.copy()
     w = w0.copy()
@@ -247,6 +246,28 @@ class TestGuards:
     def test_rejects_negative_fractional_or_bool_seed_and_trial(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be a non-negative whole number"):
             RunConfig(step_size=1e-3, horizon=10, **{field: value})
+
+    @settings(max_examples=60, deadline=None)
+    @given(field=st.sampled_from(["x0", "w0"]), m=st.integers(1, 4), data=st.data())
+    def test_rejects_nonfinite_start_by_field_and_entry(self, field, m, data):
+        start = np.zeros((m, 2) if field == "x0" else (m,))
+        at = data.draw(st.sampled_from([tuple(i) for i in np.ndindex(start.shape)]))
+        start[at] = data.draw(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, but entry "
+                                             rf"\({at[0]},.*\) is -?(nan|inf)$"):
+            RunConfig(step_size=1e-3, horizon=2, **{field: start.tolist()})
+
+    @settings(max_examples=40, deadline=None)
+    @given(field=st.sampled_from(["x0", "w0"]), m=st.integers(2, 4), size=st.integers(0, 12))
+    def test_rejects_start_of_the_wrong_size_by_field_and_sizes(self, field, m, size):
+        problem = make_problem(m=m, s=2, d=2)
+        need, name = (2 * m, r"m\*d") if field == "x0" else (m, "m")
+        config = RunConfig(step_size=1e-3, horizon=2, **{field: np.ones(size)})
+        if size == need:  # any array of as many entries is taken
+            assert _initial_positions(problem, config)[field == "w0"].size == need
+            return
+        with pytest.raises(ValueError, match=rf"^{field} has {size} entries, need {name} = {need}"):
+            run(problem, StaticSchedule(ring(m)), PARAMS, config)
 
     def test_bad_trial_in_a_batch_is_named_before_any_round(self):
         config = RunConfig(step_size=1e-3, horizon=5, encryption=False)

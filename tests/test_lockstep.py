@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cipheropt.channel import SharedKey
 from cipheropt.engine import (
@@ -24,6 +25,8 @@ from cipheropt.engine import (
     Transport,
     _initial_positions,
     _initial_state,
+    _receive,
+    _RoundPlan,
     draw_weight_columns,
     iterate,
     relative_residual,
@@ -510,3 +513,113 @@ def test_a_sealed_wide_run_keeps_its_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 0.31 * 2**20
+
+
+# Every receiver's sum in a round is one padded gather and one reduction
+# (`_receive`). These pin it against each receiver's own `np.sum` and against
+# a per-count reference, on values where a reordered sum or a lost NaN, inf
+# or -0.0 would show.
+SUM_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False))
+
+
+def own_sums(adj, shares, d):
+    """Each receiver's y, s and w summed as a per-agent loop sums them: `np.sum`
+    over its own parts alone, senders ascending, its own share included."""
+    m = adj.shape[-1]
+    out = []
+    for l in range(m):
+        parts = shares[l * m + np.flatnonzero(adj[l] | (np.arange(m) == l))]
+        y, s, w = parts[:, :d], parts[:, d : 2 * d], parts[:, 2 * d]
+        out.append(np.concatenate((np.sum(y, axis=0), np.sum(s, axis=0), [np.sum(w)])))
+    return np.array(out)
+
+
+def padded_sums(adj, shares, d):
+    plan = _RoundPlan(adj[None], 1, 2 * d + 1)
+    plan.shares[:-1] = shares
+    return _receive(plan.shares, plan.gather[0], plan.groups[0], d)
+
+
+def per_count_sums(adj, shares, d):
+    """Per-count reference: receivers grouped by their number of parts, each
+    group's block reduced in one call, y and s side by side when d > 1 and
+    every single column on its own."""
+    m = adj.shape[-1]
+    parts = (adj | np.eye(m, dtype=bool))
+    counts = parts.sum(axis=1)
+    block = shares.reshape(m, m, 2 * d + 1)
+    spans = (slice(0, 2 * d), slice(2 * d, None)) if d > 1 else (
+        slice(0, 1), slice(1, 2), slice(2, None))
+    out = np.empty((m, 2 * d + 1))
+    for count in np.flatnonzero(np.bincount(counts)).tolist():
+        rows = np.flatnonzero(counts == count)
+        group = block[rows[:, None], np.nonzero(parts[rows])[1].reshape(len(rows), count)]
+        for span in spans:
+            out[rows, span] = np.add.reduce(group[:, :, span], axis=1)
+    return out
+
+
+@st.composite
+def receivers(draw, m=12):
+    """A round's adjacency on m agents in which receiver l has counts[l] parts
+    (its own share among them), 1 to m, so counts straddle 8."""
+    adj = np.zeros((m, m), dtype=bool)
+    for l in range(m):
+        count = draw(st.integers(1, m))
+        others = draw(st.permutations([i for i in range(m) if i != l]))[: count - 1]
+        adj[l, others] = True
+    return adj
+
+
+@pytest.mark.filterwarnings("ignore:(invalid value|overflow) encountered:RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(adj=receivers(), d=st.sampled_from([1, 2]), data=st.data())
+def test_padded_sum_is_each_receivers_own_sum(adj, d, data):
+    shares = data.draw(arrays(float, (adj.size, 2 * d + 1), elements=SUM_VALUES))
+    got = padded_sums(adj, shares, d)
+    assert got.tobytes() == own_sums(adj, shares, d).tobytes()
+    assert got.tobytes() == per_count_sums(adj, shares, d).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_sum_of_negative_zeros_is_each_receivers_own_sum(d):
+    """Receivers with 1 to 12 parts, every part -0.0. x + (-0.0) is x, so the
+    pad row leaves each sum what the receiver's own parts give: -0.0 where
+    numpy starts a reduction from its first part, +0.0 where it starts from
+    the identity +0.0, as numpy 2.x does; a +0.0 pad breaks the former."""
+    m = 12
+    adj = np.zeros((m, m), dtype=bool)
+    for l in range(m):
+        adj[l, [i for i in range(m) if i != l][:l]] = True  # receiver l has l + 1 parts
+    shares = np.full((m * m, 2 * d + 1), -0.0)
+    got = padded_sums(adj, shares, d)
+    assert not got.any()
+    assert got.tobytes() == own_sums(adj, shares, d).tobytes()
+    assert got.tobytes() == per_count_sums(adj, shares, d).tobytes()
+
+
+def exponential(m):
+    hops = [2**j for j in range(m.bit_length()) if 2**j < m]
+    return DirectedGraph(m, frozenset(((i - 1 + h) % m + 1, i)
+                                      for i in range(1, m + 1) for h in hops))
+
+
+@pytest.mark.filterwarnings("ignore:(invalid value|overflow) encountered:RuntimeWarning")
+@pytest.mark.parametrize("base", [complete(12), exponential(48)], ids=["complete-12", "exp-48"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_padded_sum_is_the_per_count_sum_on_real_rounds(base, d):
+    """Rounds of a randomly activated complete 12-agent digraph (2 to 12 parts
+    a receiver) and 48-agent exponential digraph, with special values mixed in."""
+    schedule = RandomActivationSchedule(base, 0.7, seed=11)
+    rng = np.random.default_rng(5)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324])
+    for k, adj in enumerate(schedule.adjacencies(0, 20)):
+        shares = rng.standard_normal((adj.size, 2 * d + 1)) * 10.0 ** rng.integers(-8, 9)
+        if k % 2:
+            at = rng.random(shares.shape) < 0.1
+            shares[at] = rng.choice(special, at.sum())
+        got = padded_sums(adj, shares, d)
+        assert got.tobytes() == per_count_sums(adj, shares, d).tobytes()
+        assert got.tobytes() == own_sums(adj, shares, d).tobytes()
