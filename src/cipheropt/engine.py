@@ -13,12 +13,14 @@ numpy's own reductions, so the bits match a per-agent message loop
 whichever trials share the batch: one padded gather and one reduction
 sum every receiver (`_receive`). Masks and weights do not depend on the
 state, so the run derives them a block of rounds at a time: every running
-trial's adjacency for up to 64 rounds, one index plan (ranks, gather)
-over all of them and every A(k) of the block, from one weight
-call. The mass is forced back to one when the first round's results land,
-which erases the random initial masses from the trajectory. All local
-gradients then come from one batched call, all residuals from one
-reduction, and a trial that meets its stopping rule leaves the batch.
+trial's adjacency for up to 64 rounds (fewer for wide trials or a large
+batch), one index plan (ranks, gather) over all of them and every A(k) of
+the block, from one weight call. The mass is forced back to one when the
+first round's results land, which erases the random initial masses from
+the trajectory. Each round's local gradients come from one batched call.
+A run without a stopping rule takes all residuals of a block from one
+reduction once the block is played; a run with one takes them each
+round, and a trial that meets its rule leaves the batch.
 
 Those per-edge shares are also what goes on the wire: each trial's
 `Transport` packs all of a round's frames at once, in a fixed order,
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -66,12 +69,15 @@ _INIT_STREAM = 31
 _WEIGHT_STREAM = 32
 
 W_EPS = 1e-12
-# A block of rounds covers at most this many cells of its (rounds, trials, m,
-# m) adjacency, and as many of its A(k); always at least one round. Blocks
-# never straddle a multiple of `BLOCK`, so each keyed stream derives once per
-# block. Two 6-agent trials take up to 56 rounds at once, while a sealed
-# 48-agent trial takes one and keeps the peak memory of a round at a time.
+# A block of rounds covers at most `_BLOCK_CELLS` cells of each trial's (rounds,
+# m, m) adjacency, and as many of its A(k), and at most `_BATCH_CELLS` over the
+# whole batch; always at least one round. Blocks never straddle a multiple of
+# `BLOCK`, so each keyed stream derives once per block. A batch of up to 113
+# 6-agent trials plays full 64-round blocks (1000 trials play 7 rounds a
+# block), while a sealed 48-agent trial plays one and keeps the peak memory of
+# a round at a time.
 _BLOCK_CELLS = 2**12
+_BATCH_CELLS = 2**18
 
 BASELINES = ("push-diging", "subgradient-push", "ab-push-pull")
 
@@ -125,10 +131,28 @@ class RunConfig:
         for name in ("x0", "w0"):
             if getattr(self, name) is None:
                 continue
-            start = np.asarray(getattr(self, name), dtype=float)
+            start = _numbers(name, getattr(self, name))
             if not np.isfinite(start).all():
                 at = tuple(np.argwhere(~np.isfinite(start))[0].tolist())
                 raise ValueError(f"{name} must be finite, but entry {at} is {start[at]}")
+
+
+_NOT_NUMBERS = {"U": "text", "S": "bytes", "b": "booleans"}  # by numpy dtype kind
+
+
+def _numbers(name, value) -> np.ndarray:
+    """`value` as a float array; a ragged or non-numeric one, text and booleans
+    included, is refused with a `ValueError` that names the field `name`."""
+    try:
+        given = np.asarray(value)
+        start = given.astype(float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be a rectangular array of numbers, but "
+                         f"{reprlib.repr(value)} is not: {exc}") from None
+    if given.dtype.kind in _NOT_NUMBERS:
+        raise ValueError(f"{name} must be an array of numbers, but {reprlib.repr(value)} "
+                         f"holds {_NOT_NUMBERS[given.dtype.kind]}")
+    return start
 
 
 @dataclass(frozen=True)
@@ -555,20 +579,24 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
     gradients, transports, config)` plays the running trials through a
     block of rounds over their adjacencies adj[r, b], yielding the state
     and A(k) (None for the dense kernels) after each round. A block ends at
-    the next multiple of `BLOCK`, within `_BLOCK_CELLS`, the horizon and the
-    last round every schedule can play, so no schedule is asked for a round
-    the run cannot reach. A trial leaves the batch once it meets its
-    stopping rule, and the others go on in a new block.
+    the next multiple of `BLOCK`, within `_BLOCK_CELLS` per trial and
+    `_BATCH_CELLS` per batch, the horizon and the last round every schedule
+    can play, so no schedule is asked for a round the run cannot reach.
 
-    Round r of a block writes row r of the block's buffers: residuals, and
-    states and A(k) when recorded. Each trial keeps its slice of every
-    block and joins its slices once, at the end of the run.
+    Round r of a block writes row r of the block's buffers: the estimates,
+    and the other states and A(k) when recorded. A run without a stopping
+    rule takes the block's residuals from its estimates in one call once
+    the block is played. A run with one takes each round's residuals as it
+    lands: a trial leaves the batch once it meets its rule, and the others
+    go on in a new block. Each trial keeps its slice of every block and
+    joins its slices once, at the end of the run.
     """
-    def kept(state, res, a=None):
-        """What the trials keep of a round, each value with a leading batch axis."""
-        row = {"residuals": res}
+    def kept(state, a=None):
+        """A round's values with a leading batch axis: its estimates, and what
+        `config` records."""
+        row = {"x_series": state.x}
         if config.record_states:
-            row.update(x_series=state.x, y_series=state.y, w_series=state.w, s_series=state.s)
+            row.update(y_series=state.y, w_series=state.w, s_series=state.s)
         if config.record_weights and a is not None:
             row["weight_matrices"] = a
         return row
@@ -587,10 +615,11 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
     den = _squared_distance(state.x, x_star)  # fixed for the run
     first = relative_residual(state.x, None, x_star, den=den)
     m = problems[0].m
-    block = {name: v[None] for name, v in kept(state, first).items()}  # round 0
+    block = {"residuals": first[None], **{name: v[None] for name, v in kept(state).items()}}
     if config.record_weights:
         block["weight_matrices"] = np.empty((0, len(trials), m, m))  # no A(k) before round 1
-    slices = [{name: [v[:, j]] for name, v in block.items()} for j in range(len(trials))]
+    recorded = [name for name in block if config.record_states or name != "x_series"]
+    slices = [{name: [block[name][:, j]] for name in recorded} for j in range(len(trials))]
     stop = config.stop_residual
     running = []
     for j, traj in enumerate(trajs):
@@ -613,8 +642,8 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
     while running and k < config.horizon:
         nt = len(running)
         ends = [schedules[j].length - k for j in running if schedules[j].length is not None]
-        rounds = max(1, min(BLOCK - k % BLOCK, config.horizon - k,
-                            _BLOCK_CELLS // (nt * m * m), *ends))
+        rounds = max(1, min(BLOCK - k % BLOCK, config.horizon - k, _BLOCK_CELLS // (m * m),
+                            _BATCH_CELLS // (nt * m * m), *ends))
         adj = np.empty((rounds, nt, m, m), dtype=bool)
         for b, j in enumerate(running):
             adj[:, b] = schedules[j].adjacencies(k, rounds)
@@ -622,16 +651,19 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
         played = rounds_of(state, adj, batch_trials, k, gradients, batch_transports, config)
         for r, (state, a) in enumerate(played):
             k += 1
-            for name, v in kept(state, relative_residual(state.x, None, x_star, den=den),
-                                a).items():
+            for name, v in kept(state, a).items():
                 block[name][r] = v
-            if stop is not None and (stopped := block["residuals"][r] <= stop).any():
-                break
+            if stop is not None:
+                block["residuals"][r] = relative_residual(state.x, None, x_star, den=den)
+                if (stopped := block["residuals"][r] <= stop).any():
+                    break
         else:
             stopped = None
+        if stop is None:
+            block["residuals"] = relative_residual(block["x_series"], None, x_star, den=den)
         for b, j in enumerate(running):
-            for name, v in block.items():
-                slices[j][name].append(v[: r + 1, b])
+            for name in recorded:
+                slices[j][name].append(block[name][: r + 1, b])
         if stopped is not None:
             elapsed = time.perf_counter() - started
             for b in np.flatnonzero(stopped).tolist():

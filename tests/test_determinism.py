@@ -8,12 +8,14 @@ bug. The 12-agent complete digraph gives every receiver 12 parts, past the
 reduction, so a kernel that sums in any other order drifts here first.
 """
 import hashlib
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cipheropt import cli
 from cipheropt.channel import HEADER_SIZE, NONCE_SIZE
 from cipheropt.engine import RunConfig, run, run_baseline, run_trials
 from cipheropt.graphs import DirectedGraph, RandomActivationSchedule, StaticSchedule
@@ -89,6 +91,9 @@ DIVERGING = "e6df2d8abe2c66e1fcd57893e5969d516682e931c02511a160412d3f30a041ae"
 # three trials on their own random schedules, 150 rounds: trials 0 and 2 stop
 # at rounds 122 and 137, inside a batch's blocks of rounds, and trial 1 runs on
 BATCH = "bec687615f699e5e14bf60e0938359974a658faaffad7c773a140ea6ba057502"
+# `converge_algorithm1.csv` of a plain 100-trial, 130-round fig5b `converge`,
+# whose batch plays blocks of 64, 64 and 2 rounds
+CONVERGE_100 = "68a8eb7621d5362cdadd286aa8780d8cce127537f8012c05cb8e152c53af216d"
 
 
 @pytest.mark.parametrize("encryption", [False, True], ids=["plain", "sealed"])
@@ -131,6 +136,14 @@ def test_batch_with_trials_stopping_mid_run_digest(encryption):
     trajs = run_trials([problem(2)] * 3, schedules, PARAMS, cfg, [0, 1, 2])
     assert [traj.stopped_at for traj in trajs] == [122, None, 137]
     assert hashlib.sha256("".join(map(digest, trajs)).encode()).hexdigest() == BATCH
+
+
+def test_hundred_trial_converge_csv_digest(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"trials": 100, "horizon": 130, "encryption": "off"}))
+    assert cli.main(["converge", "--config", str(path), "--out", str(tmp_path)]) == 0
+    csv = (tmp_path / "converge_algorithm1.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == CONVERGE_100
 
 
 def nonces(traj) -> list:

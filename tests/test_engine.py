@@ -257,6 +257,19 @@ class TestGuards:
                                              rf"\({at[0]},.*\) is -?(nan|inf)$"):
             RunConfig(step_size=1e-3, horizon=2, **{field: start.tolist()})
 
+    @pytest.mark.parametrize("field", ["x0", "w0"])
+    @pytest.mark.parametrize("value, what", [
+        ([[1, 2], [3]], r"a rectangular array of numbers, but \[\[1, 2\], \[3\]\] is not: "),
+        ("ab", r"a rectangular array of numbers, but 'ab' is not: could not convert"),
+        ({"a": 1}, r"a rectangular array of numbers, but \{'a': 1\} is not: "),
+        (["1", "2"], r"an array of numbers, but \['1', '2'\] holds text$"),
+        ([b"1"], r"an array of numbers, but \[b'1'\] holds bytes$"),
+        ([True, False], r"an array of numbers, but \[True, False\] holds booleans$"),
+    ], ids=["ragged", "text", "mapping", "numeric-text", "bytes", "booleans"])
+    def test_rejects_ragged_or_non_numeric_start_by_field(self, field, value, what):
+        with pytest.raises(ValueError, match=rf"^{field} must be {what}"):
+            RunConfig(step_size=1e-3, horizon=2, **{field: value})
+
     @settings(max_examples=40, deadline=None)
     @given(field=st.sampled_from(["x0", "w0"]), m=st.integers(2, 4), size=st.integers(0, 12))
     def test_rejects_start_of_the_wrong_size_by_field_and_sizes(self, field, m, size):

@@ -5,9 +5,11 @@ round kernel; trial t of a batch must give exactly what `run(..., trial=t)`
 gives: residuals, state series, weight matrices, stopping round and, on a
 sealed run, every plaintext and ciphertext byte. The kernel's array-drawn
 weights must also be the per-agent columns bit for bit. Both derive their
-masks and weights a block of rounds at a time, so the tests cross the block
-edges at 64 rounds and stop trials inside a block. The dense baselines must
-also match a plain per-trial loop of matrix products (`dense_oracle`).
+masks and weights a block of rounds at a time, and a run without a stopping
+rule takes a block's residuals in one call, so the tests cross the block
+edges at 64 rounds, stop trials inside a block and count the rounds a
+schedule is asked for at once. The dense baselines must also match a plain
+per-trial loop of matrix products (`dense_oracle`).
 """
 import tracemalloc
 from dataclasses import replace
@@ -18,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cipheropt import cli
 from cipheropt.channel import SharedKey
 from cipheropt.engine import (
     DegenerateStateError,
@@ -52,6 +55,7 @@ from cipheropt.objectives import (
     optimal_solution,
     problem_from_instance,
 )
+from cipheropt.streams import BLOCK
 
 SERIES = ("x_series", "y_series", "w_series", "s_series", "weight_matrices")
 DENSE = ("subgradient-push", "ab-push-pull")
@@ -623,3 +627,99 @@ def test_padded_sum_is_the_per_count_sum_on_real_rounds(base, d):
         got = padded_sums(adj, shares, d)
         assert got.tobytes() == per_count_sums(adj, shares, d).tobytes()
         assert got.tobytes() == own_sums(adj, shares, d).tobytes()
+
+
+# A run without a stopping rule takes a block's residuals in one call over
+# its (rounds, trials, m, d) estimates, a run with one takes each round's as
+# it lands. Either way every residual must be the one a round's own call
+# gives, NaN and inf included.
+def own_residuals(traj):
+    """Each recorded round's residual from its own `relative_residual` call."""
+    return np.array([relative_residual(x, traj.x_series[0], traj.x_star)
+                     for x in traj.x_series])
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(1, 12), data=st.data(), horizon=st.integers(65, 200),
+       algorithm=st.sampled_from(["private", "push-diging"]),
+       stop=st.sampled_from([None, 1e-3]), seed=st.integers(0, 2**16))
+def test_block_residuals_are_each_rounds_own(m, data, horizon, algorithm, stop, seed):
+    trials = data.draw(st.lists(st.integers(0, 50), min_size=1, max_size=4, unique=True))
+    # complete digraphs, all or part activated: every mass stays clear of the guard
+    mixing = st.one_of(st.just(StaticSchedule(complete(m))), st.builds(
+        lambda p, draw_seed: RandomActivationSchedule(complete(m), p, seed=draw_seed),
+        st.sampled_from([0.5, 0.9]), st.integers(0, 2**32 - 1)))
+    case = dict(m=m, d=data.draw(st.sampled_from([1, 2])), trials=trials, algorithm=algorithm,
+                instance=seed, schedules=[data.draw(mixing) for _ in trials])
+    config = RunConfig(step_size=2e-3, horizon=horizon, stop_residual=stop, encryption=False,
+                       seed=seed, record_states=True)
+    batch, _ = runners(case, config)
+    for traj in batch():
+        assert traj.residuals.tobytes() == own_residuals(traj).tobytes()
+
+
+def flagship_problem():
+    return problem_from_instance(generate_sensor_fusion(m=6, s=3, d=2, omega=0.01, seed=7))
+
+
+def fig5b(trial):
+    return cli._load_schedule({"schedule": "fig5b", "activation": None, "schedule_seed": 0},
+                              trial)
+
+
+def test_block_residuals_of_a_start_at_the_optimum():
+    """A start at the optimum has residual 0, and inf once the estimate leaves it."""
+    problem = flagship_problem()
+    x0 = np.tile(optimal_solution(problem), (problem.m, 1))
+    config = RunConfig(step_size=1.1e-3, horizon=130, encryption=False, x0=x0,
+                       record_states=True)
+    for traj in run_trials([problem] * 2, [fig5b(0), fig5b(1)], MixingParams(c0=0.1), config,
+                           [0, 1]):
+        assert traj.residuals[0] == 0.0 and np.isinf(traj.residuals[1:]).all()
+        assert traj.residuals.tobytes() == own_residuals(traj).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:(invalid value|overflow) encountered:RuntimeWarning")
+def test_block_residuals_of_a_diverging_run():
+    """Step 0.5 on fig5b overflows to inf and then NaN: those residuals match too."""
+    config = RunConfig(step_size=0.5, horizon=400, encryption=False, record_states=True)
+    for traj in run_trials([flagship_problem()] * 2, [fig5b(0), fig5b(1)],
+                           MixingParams(c0=0.1), config, [0, 1]):
+        assert np.isnan(traj.residuals).any() and np.isinf(traj.residuals).any()
+        assert traj.residuals.tobytes() == own_residuals(traj).tobytes()
+
+
+class CountingSchedule:
+    """A schedule that records the (k, n) of every `adjacencies(k, n)` call."""
+
+    def __init__(self, schedule):
+        self.schedule, self.asked = schedule, []
+
+    def __getattr__(self, name):
+        return getattr(self.schedule, name)
+
+    def adjacencies(self, k, n):
+        self.asked.append((k, n))
+        return self.schedule.adjacencies(k, n)
+
+
+def test_a_batch_of_six_agent_trials_plays_full_blocks():
+    """The block budget is per trial: 100 fig5b trials play 64 rounds a block,
+    on the `BLOCK` grid; the batch cap leaves 1000 trials 7 rounds a block."""
+    config = RunConfig(step_size=1.1e-3, horizon=130, encryption=False)
+    schedules = [CountingSchedule(fig5b(t)) for t in range(100)]
+    run_trials([flagship_problem()] * 100, schedules, MixingParams(c0=0.1), config, range(100))
+    for schedule in schedules:
+        assert schedule.asked == [(0, BLOCK), (BLOCK, BLOCK), (2 * BLOCK, 130 - 2 * BLOCK)]
+    shared = CountingSchedule(fig5b(0))
+    run_trials([flagship_problem()] * 1000, [shared] * 1000, MixingParams(c0=0.1),
+               replace(config, horizon=10), range(1000))
+    assert shared.asked == [(0, 7)] * 1000 + [(7, 3)] * 1000
+
+
+def test_a_48_agent_trial_plays_one_round_a_block():
+    schedule = CountingSchedule(RandomActivationSchedule(exponential(48), 0.9, seed=5))
+    problem = problem_from_instance(generate_sensor_fusion(m=48, s=3, d=2, omega=0.01, seed=891))
+    run(problem, schedule, MixingParams(c0=0.5 / 48),
+        RunConfig(step_size=1e-3, horizon=5, encryption=False))
+    assert schedule.asked == [(k, 1) for k in range(5)]
