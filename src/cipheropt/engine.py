@@ -5,9 +5,11 @@ The private algorithm is a matrix recursion on row-stacked arrays: y, s
 in lockstep as (T, m, d) arrays, and `run` is its one-trial case. Each
 round every trial's schedule gives an edge mask over its sorted base
 edges, and the trial's drawn weight columns fill its A(k); both are
-numpy's keyed uniform streams, derived a block of rounds at a time by
-`streams.KeyedStream`. Sender i owes receiver l the shares
-A[l, i] * (y_i, s_i, w_i), and every receiver sums the shares it is
+numpy's keyed uniform streams, and `streams.KeyedStream` fills each
+trial's stream for a whole block of rounds in one call: at fig5b's 9
+masks and 30 weights a key from one vectorized PCG64 pass per 64 keys,
+at 48 agents from one generator per key. Sender i owes receiver l the
+shares A[l, i] * (y_i, s_i, w_i), and every receiver sums the shares it is
 owed, its own diagonal share included, in ascending sender order with
 numpy's own reductions, so the bits match a per-agent message loop
 whichever trials share the batch: one padded gather and one reduction
@@ -72,10 +74,10 @@ W_EPS = 1e-12
 # A block of rounds covers at most `_BLOCK_CELLS` cells of each trial's (rounds,
 # m, m) adjacency, and as many of its A(k), and at most `_BATCH_CELLS` over the
 # whole batch; always at least one round. Blocks never straddle a multiple of
-# `BLOCK`, so each keyed stream derives once per block. A batch of up to 113
-# 6-agent trials plays full 64-round blocks (1000 trials play 7 rounds a
-# block), while a sealed 48-agent trial plays one and keeps the peak memory of
-# a round at a time.
+# `BLOCK`, so each keyed stream hashes, and makes its pass, once per block. A
+# batch of up to 113 6-agent trials plays full 64-round blocks (1000 trials
+# play 7 rounds a block), while a sealed 48-agent trial plays one and keeps the
+# peak memory of a round at a time.
 _BLOCK_CELLS = 2**12
 _BATCH_CELLS = 2**18
 
@@ -405,11 +407,12 @@ def _drawn_weights(params: MixingParams, seed):
 
     `weights(adj, plan, trials, k0)` gives A(k0) .. A(k0+rounds-1) of the
     trials over a block's adjacencies, rows ordered as its plan's. Each trial
-    fills its (seed, trial, k) uniform blocks from its own `KeyedStream`, the
-    blocks numpy's `SeedSequence` chain gives; a sender's first out-degree
-    draws become its out-weights in receiver order, and the diagonal is one
-    minus their sequential sum, so every weight has the bits
-    `generate_weight_column` gives it.
+    fills its (seed, trial, k) uniform blocks of the block's rounds from its
+    own `KeyedStream` in one `fill_span` call, the blocks numpy's
+    `SeedSequence` chain gives; a sender's first out-degree draws become its
+    out-weights in receiver order, and the diagonal is one minus their
+    sequential sum, so every weight has the bits `generate_weight_column`
+    gives it.
     """
     streams = {}  # by trial
 
@@ -421,8 +424,7 @@ def _drawn_weights(params: MixingParams, seed):
         for b, trial in enumerate(trials):
             if (stream := streams.get(trial)) is None:
                 stream = streams[trial] = KeyedStream(seed, (_WEIGHT_STREAM, trial))
-            for r in range(rounds):
-                stream.fill(k0 + r, u[r, b])
+            stream.fill_span(k0, u[:, b])
         drawn = u.reshape(-1)[plan.edge_draws]
         # c0 < 1/m, checked by `run_trials`, leaves every column room for c0 floors
         lo = params.c0

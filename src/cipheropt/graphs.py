@@ -174,9 +174,11 @@ class RandomActivationSchedule(_Schedule):
 
     The draw for iteration k is numpy's uniform stream keyed (seed, 11, k),
     one uniform per edge of the base graph in canonical sorted order, so
-    the schedule is replayable and order-independent across calls. The streams
-    are derived a block of iterations at a time (`streams.KeyedStream`), bit
-    for bit the ones a `SeedSequence` per iteration would give.
+    the schedule is replayable and order-independent across calls. The masks of
+    iterations k .. k+n-1 come from one `streams.KeyedStream.fill_span` call,
+    bit for bit the uniforms a `SeedSequence` per iteration would give: with
+    up to 64 base edges, from one vectorized PCG64 pass per 64 iterations,
+    kept until the next block is asked for; with more, one generator each.
     """
 
     def __init__(self, base: DirectedGraph, p: float, seed: int):
@@ -192,10 +194,7 @@ class RandomActivationSchedule(_Schedule):
     def edge_masks(self, k: int, n: int) -> np.ndarray:
         """Row r: which of the sorted base edges are active at iteration k+r."""
         _check_index(k)
-        u = np.empty((n, len(self._flat)))
-        for r in range(n):
-            self._stream.fill(k + r, u[r])
-        return u < self.p
+        return self._stream.fill_span(k, np.empty((n, len(self._flat)))) < self.p
 
     def adjacencies(self, k: int, n: int) -> np.ndarray:
         """`StaticSchedule.adjacencies` of the graphs at iterations k .. k+n-1, from

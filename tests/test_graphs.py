@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cipheropt import graphs
+from cipheropt import cli, graphs
 from cipheropt.graphs import (
     ConnectivityCertificate,
     DirectedGraph,
@@ -24,6 +24,13 @@ from cipheropt.graphs import (
 
 def ring(m):
     return DirectedGraph(m, frozenset((i % m + 1, i) for i in range(1, m + 1)))
+
+
+def exponential(m):
+    """Sender i sends to i + 2^j mod m for every 2^j < m."""
+    hops = [2**j for j in range(m.bit_length()) if 2**j < m]
+    return DirectedGraph(m, frozenset(((i - 1 + h) % m + 1, i)
+                                      for i in range(1, m + 1) for h in hops))
 
 
 # The edge-set reference the array code is tested against: the per-schedule
@@ -227,6 +234,22 @@ class TestSchedules:
                     graph_at(schedule, k)
             else:
                 assert graph_at(schedule, k) == expected
+
+    @pytest.mark.parametrize("k, n", [(0, 1), (60, 10), (0, 130), (2**32 - 5, 10)])
+    @pytest.mark.parametrize("base", ["fig5b", "exponential-48"])
+    def test_edge_masks_are_the_numpy_chain_at_p(self, base, k, n):
+        """Row r is numpy's (seed, 11, k+r) uniforms, one per sorted base edge,
+        below p: on fig5b's 9 edges (drawn by the block pass) and on the
+        288-edge exponential base (one generator per key), across a 64-key
+        block edge and across 2**32, under a one- and a two-word seed."""
+        fig5b = cli._load_schedule({"schedule": "fig5b", "activation": None, "schedule_seed": 0}, 3)
+        base = fig5b.base if base == "fig5b" else exponential(48)
+        for seed, p in ((7, 0.5), (fig5b.seed, 0.9)):
+            schedule = RandomActivationSchedule(base, p, seed)
+            edges = len(base.sorted_edges())
+            want = np.array([np.random.default_rng(np.random.SeedSequence(
+                entropy=seed, spawn_key=(11, k + r))).random(edges) for r in range(n)]) < p
+            assert schedule.edge_masks(k, n).tobytes() == want.tobytes()
 
     def test_random_activation_rejects_bad_p(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,9 @@ sealed run, every plaintext and ciphertext byte. The kernel's array-drawn
 weights must also be the per-agent columns bit for bit. Both derive their
 masks and weights a block of rounds at a time, and a run without a stopping
 rule takes a block's residuals in one call, so the tests cross the block
-edges at 64 rounds, stop trials inside a block and count the rounds a
-schedule is asked for at once. The dense baselines must also match a plain
+edges at 64 rounds, stop trials inside a block, count the rounds a
+schedule is asked for at once and count the keyed streams' block passes
+(`streams.KeyedStream`). The dense baselines must also match a plain
 per-trial loop of matrix products (`dense_oracle`).
 """
 import tracemalloc
@@ -55,7 +56,7 @@ from cipheropt.objectives import (
     optimal_solution,
     problem_from_instance,
 )
-from cipheropt.streams import BLOCK
+from cipheropt.streams import BLOCK, KeyedStream
 
 SERIES = ("x_series", "y_series", "w_series", "s_series", "weight_matrices")
 DENSE = ("subgradient-push", "ab-push-pull")
@@ -723,3 +724,61 @@ def test_a_48_agent_trial_plays_one_round_a_block():
     run(problem, schedule, MixingParams(c0=0.5 / 48),
         RunConfig(step_size=1e-3, horizon=5, encryption=False))
     assert schedule.asked == [(k, 1) for k in range(5)]
+
+
+class CountedDraws:
+    """Logs each `KeyedStream` block pass as (seed, prefix, start, draws) and each
+    per-key generator draw as its size."""
+
+    def __init__(self, monkeypatch):
+        self.passes, self.keys = [], []
+        real_pass, real_init = KeyedStream._pass, KeyedStream.__init__
+        log = self
+
+        class Generator:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def random(self, out):
+                log.keys.append(out.size)
+                return self.gen.random(out=out)
+
+        def counted_pass(stream, start, draws):
+            log.passes.append((stream.seed, stream.prefix, start, draws))
+            return real_pass(stream, start, draws)
+
+        def counted_init(stream, seed, prefix):
+            real_init(stream, seed, prefix)
+            stream._gen = Generator(stream._gen)
+
+        monkeypatch.setattr(KeyedStream, "_pass", counted_pass)
+        monkeypatch.setattr(KeyedStream, "__init__", counted_init)
+
+
+def test_a_batch_draws_each_stream_once_a_block(monkeypatch):
+    """100 fig5b trials of 130 rounds make one pass per stream and 64-key
+    block, masks (9 draws a key) and weights (30), not one draw per trial and
+    round: 600 passes for the 26000 keys."""
+    draws = CountedDraws(monkeypatch)
+    config = RunConfig(step_size=1.1e-3, horizon=130, encryption=False)
+    run_trials([flagship_problem()] * 100, [fig5b(t) for t in range(100)], MixingParams(c0=0.1),
+               config, range(100))
+    assert draws.keys == []
+    assert len(draws.passes) == 600
+    streams = {}
+    for seed, prefix, start, n in draws.passes:
+        streams.setdefault((seed, prefix, n), []).append(start)
+    assert sorted((prefix[0], n) for _, prefix, n in streams) == [(11, 9)] * 100 + [(32, 30)] * 100
+    assert all(starts == [0, BLOCK, 2 * BLOCK] for starts in streams.values())
+
+
+def test_a_48_agent_trial_draws_its_keys_one_by_one(monkeypatch):
+    """288 masks and 2256 weights a key are past the pass's crossover: one
+    generator draw per key and stream, and no pass."""
+    draws = CountedDraws(monkeypatch)
+    schedule = RandomActivationSchedule(exponential(48), 0.9, seed=5)
+    problem = problem_from_instance(generate_sensor_fusion(m=48, s=3, d=2, omega=0.01, seed=891))
+    run(problem, schedule, MixingParams(c0=0.5 / 48),
+        RunConfig(step_size=1e-3, horizon=5, encryption=False))
+    assert draws.passes == []
+    assert draws.keys == [288, 2256] * 5
