@@ -21,8 +21,9 @@ the block, from one weight call. The mass is forced back to one when the
 first round's results land, which erases the random initial masses from
 the trajectory. Each round's local gradients come from one batched call.
 A run without a stopping rule takes all residuals of a block from one
-reduction once the block is played; a run with one takes them each
-round, and a trial that meets its rule leaves the batch.
+reduction once the block is played; a run with one takes them each round
+and ends the block where a trial meets its rule. The start is a block of
+one round, so a trial leaves the batch by one path at round 0 or later.
 
 Those per-edge shares are also what goes on the wire: each trial's
 `Transport` packs all of a round's frames at once, in a fixed order,
@@ -192,6 +193,9 @@ class Trajectory:
     s_series: np.ndarray = field(default_factory=lambda: np.empty(0))
     weight_matrices: np.ndarray = field(default_factory=lambda: np.empty(0))
     messages: list = field(default_factory=list)
+
+
+_SERIES = {"x_series": "x", "y_series": "y", "w_series": "w", "s_series": "s"}  # RoundState fields
 
 
 def _squared_distance(x, x_star):
@@ -577,32 +581,26 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
     """Trials `trials` through a round kernel together, one Trajectory each.
 
     Trial trials[j] solves problems[j] on schedules[j] under `config` with
-    its trial number. The kernel `rounds_of(state, adj, trials, k0,
-    gradients, transports, config)` plays the running trials through a
-    block of rounds over their adjacencies adj[r, b], yielding the state
-    and A(k) (None for the dense kernels) after each round. A block ends at
-    the next multiple of `BLOCK`, within `_BLOCK_CELLS` per trial and
-    `_BATCH_CELLS` per batch, the horizon and the last round every schedule
-    can play, so no schedule is asked for a round the run cannot reach.
+    its trial number. `running` indexes the trials still in the batch, and
+    each block reads their trial numbers, transports, optima and residual
+    scales through it. The kernel `rounds_of(state, adj, trials, k0,
+    gradients, transports, config)` plays them through a block of rounds
+    over their adjacencies adj[r, b], yielding the state and A(k) (None for
+    the dense kernels) after each round. A block ends at the next multiple
+    of `BLOCK`, within `_BLOCK_CELLS` per trial and `_BATCH_CELLS` per
+    batch, the horizon and the last round every schedule can play, so no
+    schedule is asked for a round the run cannot reach.
 
     Round r of a block writes row r of the block's buffers: the estimates,
     and the other states and A(k) when recorded. A run without a stopping
     rule takes the block's residuals from its estimates in one call once
-    the block is played. A run with one takes each round's residuals as it
-    lands: a trial leaves the batch once it meets its rule, and the others
-    go on in a new block. Each trial keeps its slice of every block and
-    joins its slices once, at the end of the run.
+    the block is played; a run with one takes each round's as it lands and
+    ends the block at the first round where a trial meets its rule. The
+    start is a block of one row, round 0, with no A(k). After every block
+    each running trial keeps its slice of every buffer, and the trials
+    that met the rule stop at the block's last round and leave the batch;
+    each trial joins its slices once, at the end of the run.
     """
-    def kept(state, a=None):
-        """A round's values with a leading batch axis: its estimates, and what
-        `config` records."""
-        row = {"x_series": state.x}
-        if config.record_states:
-            row.update(y_series=state.y, w_series=state.w, s_series=state.s)
-        if config.record_weights and a is not None:
-            row["weight_matrices"] = a
-        return row
-
     configs = [_trial_config(config, t) for t in trials]
     starts = [_initial_state(p, c) for p, c in zip(problems, configs)]
     state = RoundState(*(np.stack([getattr(st, f.name) for st in starts])
@@ -615,68 +613,57 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
                         x_star=optimal_solution(p), config=c) for p, c in zip(problems, configs)]
     x_star = np.stack([traj.x_star for traj in trajs])[:, None]
     den = _squared_distance(state.x, x_star)  # fixed for the run
-    first = relative_residual(state.x, None, x_star, den=den)
     m = problems[0].m
-    block = {"residuals": first[None], **{name: v[None] for name, v in kept(state).items()}}
+    series = _SERIES if config.record_states else {"x_series": "x"}
+    block = {"residuals": relative_residual(state.x, None, x_star, den=den)[None],
+             **{name: getattr(state, f)[None] for name, f in series.items()}}
     if config.record_weights:
         block["weight_matrices"] = np.empty((0, len(trials), m, m))  # no A(k) before round 1
     recorded = [name for name in block if config.record_states or name != "x_series"]
-    slices = [{name: [block[name][:, j]] for name in recorded} for j in range(len(trials))]
+    slices = [{name: [] for name in recorded} for _ in trials]
     stop = config.stop_residual
-    running = []
-    for j, traj in enumerate(trajs):
-        if stop is not None and first[j] <= stop:
-            traj.stopped_at = 0
-        else:
-            running.append(j)
-    state = _batch_rows(state, running)
-    x_star, den = x_star[running], den[running]
+    running = np.arange(len(trials))
     if all(p is problems[0] for p in problems):
         gradients = problems[0].gradients
     else:
         def gradients(x):
             return np.stack([problems[j].gradients(xb) for j, xb in zip(running, x)])
 
-    batch_trials = [trials[j] for j in running]
-    batch_transports = [transports[j] for j in running]
     started = time.perf_counter()
-    k = 0
-    while running and k < config.horizon:
-        nt = len(running)
+    k = r = 0
+    while True:
+        for b, j in enumerate(running):
+            for name in recorded:
+                slices[j][name].append(block[name][: r + 1, b])
+        if stop is not None and (stopped := block["residuals"][r] <= stop).any():
+            elapsed = time.perf_counter() - started if k else 0.0
+            for j in running[stopped]:
+                trajs[j].stopped_at, trajs[j].elapsed = k, elapsed
+            running, state = running[~stopped], _batch_rows(state, ~stopped)
+        if not (nt := len(running)) or k == config.horizon:
+            break
         ends = [schedules[j].length - k for j in running if schedules[j].length is not None]
         rounds = max(1, min(BLOCK - k % BLOCK, config.horizon - k, _BLOCK_CELLS // (m * m),
                             _BATCH_CELLS // (nt * m * m), *ends))
         adj = np.empty((rounds, nt, m, m), dtype=bool)
         for b, j in enumerate(running):
             adj[:, b] = schedules[j].adjacencies(k, rounds)
+        xs, scale = x_star[running], den[running]
         block = {name: np.empty((rounds, nt) + v.shape[2:]) for name, v in block.items()}
-        played = rounds_of(state, adj, batch_trials, k, gradients, batch_transports, config)
+        played = rounds_of(state, adj, [trials[j] for j in running], k, gradients,
+                           [transports[j] for j in running], config)
         for r, (state, a) in enumerate(played):
             k += 1
-            for name, v in kept(state, a).items():
-                block[name][r] = v
+            for name, f in series.items():
+                block[name][r] = getattr(state, f)
+            if config.record_weights:
+                block["weight_matrices"][r] = a
             if stop is not None:
-                block["residuals"][r] = relative_residual(state.x, None, x_star, den=den)
-                if (stopped := block["residuals"][r] <= stop).any():
+                block["residuals"][r] = relative_residual(state.x, None, xs, den=scale)
+                if (block["residuals"][r] <= stop).any():
                     break
-        else:
-            stopped = None
         if stop is None:
-            block["residuals"] = relative_residual(block["x_series"], None, x_star, den=den)
-        for b, j in enumerate(running):
-            for name in recorded:
-                slices[j][name].append(block[name][: r + 1, b])
-        if stopped is not None:
-            elapsed = time.perf_counter() - started
-            for b in np.flatnonzero(stopped).tolist():
-                trajs[running[b]].stopped_at = k
-                trajs[running[b]].elapsed = elapsed
-            keep = np.flatnonzero(~stopped).tolist()
-            running = [running[b] for b in keep]
-            batch_trials = [batch_trials[b] for b in keep]
-            batch_transports = [batch_transports[b] for b in keep]
-            state = _batch_rows(state, keep)
-            x_star, den = x_star[keep], den[keep]
+            block["residuals"] = relative_residual(block["x_series"], None, xs, den=scale)
     for j in running:
         trajs[j].elapsed = time.perf_counter() - started
     for traj, parts, transport in zip(trajs, slices, transports):
@@ -692,6 +679,10 @@ def _check_batch(problems, schedules, trials):
     if not len(problems) == len(schedules) == len(trials) > 0:
         raise ValueError(f"need one problem and one schedule per trial, got {len(problems)} "
                          f"and {len(schedules)} for {len(trials)} trials")
+    if len(set(trials)) < len(trials):
+        repeated = next(t for j, t in enumerate(trials) if t in trials[:j])
+        raise ValueError(f"trial {repeated} appears twice in the batch: a trial's number fixes "
+                         f"its nonces, so two copies would seal under the same nonces")
     m, d = problems[0].m, problems[0].d
     for problem, schedule in zip(problems, schedules):
         if (problem.m, problem.d) != (m, d):

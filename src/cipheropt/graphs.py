@@ -290,7 +290,7 @@ def load_graph_file(path, seed=None):
     naming `path:line`.
     """
     keys = {}  # name -> (text, "path:line")
-    edges = []
+    edges = {}  # (receiver, sender) -> "path:line"
     graphs = []
     current = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -304,13 +304,13 @@ def load_graph_file(path, seed=None):
                     l, i = map(int, parts[1:])
                 except ValueError:
                     raise ValueError(f"{where}: expected 'edge <receiver> <sender>'") from None
-                (current if current is not None else edges).append((l, i))
+                (current if current is not None else edges)[l, i] = where
             elif head in ("begin", "end"):
                 # "begin graph" only outside a graph, "end graph" only inside one
                 if parts[1:] != ["graph"] or (head == "begin") != (current is None):
                     raise ValueError(f"{where}: unexpected {' '.join(parts)!r}")
                 if head == "begin":
-                    current = []
+                    current = {}
                 else:
                     graphs.append(current)
                     current = None
@@ -322,30 +322,38 @@ def load_graph_file(path, seed=None):
         raise ValueError(f"{path}: 'begin graph' without 'end graph'")
 
     def value(name, convert=str, default=None):
-        if name not in keys:
-            if default is not None:
-                return default
+        """`convert` of the `name` line's text, or of `default` if there is no such
+        line; a ValueError it raises names the line."""
+        text, where = keys.get(name, (default, path))
+        if text is None:
             raise ValueError(f"{path}: missing {name!r} line")
-        text, where = keys[name]
         try:
             return convert(text)
-        except ValueError:
-            raise ValueError(f"{where}: bad {name} {text!r}") from None
+        except ValueError as exc:
+            raise ValueError(f"{where}: bad {name} {text!r}: {exc}") from None
 
-    m = value("m", int)
+    m = value("m", lambda text: DirectedGraph(int(text)).m)
+
+    def graph(lines):
+        """The graph of `lines`, {edge: "path:line"}; a bad edge names its line."""
+        for edge, where in lines.items():
+            try:
+                DirectedGraph(m, {edge})
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+        return DirectedGraph(m, frozenset(lines))
+
     kind = value("schedule", default="static")
     if kind == "static":
-        return StaticSchedule(DirectedGraph(m=m, edges=frozenset(edges)))
+        return StaticSchedule(graph(edges))
     if kind == "scripted":
-        mode = value("mode", default="once")
-        gs = [DirectedGraph(m=m, edges=frozenset(g)) for g in graphs]
-        return ScriptedSchedule(gs, mode=mode)
+        if not graphs:
+            raise ValueError(f"{path}: scripted schedule needs a 'begin graph' block")
+        gs = [graph(g) for g in graphs]
+        return value("mode", lambda mode: ScriptedSchedule(gs, mode=mode), default="once")
     if kind == "random_activation":
-        p = value("p", float)
         if seed is None:
-            if "seed" not in keys:
-                raise ValueError(f"{path}: random_activation file needs a seed")
             seed = value("seed", lambda text: check_seed("seed", int(text)))
-        base = DirectedGraph(m=m, edges=frozenset(edges))
-        return RandomActivationSchedule(base, p=p, seed=seed)
+        base = graph(edges)
+        return value("p", lambda p: RandomActivationSchedule(base, p=float(p), seed=seed))
     raise ValueError(f"{path}: unknown schedule kind {kind!r}")

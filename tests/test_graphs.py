@@ -400,6 +400,13 @@ class TestGraphFiles:
         ("m 2\nschedule random_activation\np high\nseed 1\n", ":3: "),
         ("m 2\nschedule random_activation\np 0.5\nseed -1\n", ":4: "),
         ("m 2\nschedule random_activation\np 0.5\nseed 2.5\n", ":4: "),
+        ("m 3\nedge 1 4\n", ":2: "),                           # agent outside 1..m
+        ("m 3\nedge 2 2\n", ":2: "),                           # self-loop
+        ("m 0\n", ":1: "),                                      # no agents
+        ("m 2\nschedule random_activation\np 1.5\nseed 1\n", ":3: "),
+        ("m 2\nschedule random_activation\np nan\nseed 1\n", ":3: "),
+        ("m 2\nschedule scripted\nmode bogus\nbegin graph\nedge 1 2\nend graph\n", ":3: "),
+        ("m 2\nschedule scripted\nmode cycle\n", ": scripted schedule needs"),  # no graph
     ])
     def test_malformed_file_names_path_and_line(self, tmp_path, body, where):
         path = tmp_path / "bad.graph"

@@ -360,6 +360,31 @@ def test_trials_stop_at_different_rounds_and_leave_the_batch():
         assert len(traj.residuals) == traj.stopped_at + 1
 
 
+def test_a_trial_that_stops_at_round_0_leaves_a_mixed_batch():
+    """Trial 0 starts at its own optimum and meets the rule at round 0; trial 1
+    starts off its optimum and goes on. Each is its own single run, sealed."""
+    m = 4
+    problems = [problem_from_instance(generate_sensor_fusion(m=m, s=2, d=2, omega=0.01, seed=s))
+                for s in (5, 6)]
+    schedules = [StaticSchedule(complete(m)), RandomActivationSchedule(complete(m), 0.7, seed=2)]
+    params = MixingParams(c0=0.1)
+    config = RunConfig(step_size=2e-3, horizon=70, stop_residual=1e-3, encryption=True, seed=3,
+                       x0=np.tile(optimal_solution(problems[0]), (m, 1)), record_states=True,
+                       record_weights=True, record_messages=True)
+    gots = run_trials(problems, schedules, params, config, [0, 1])
+    at_once, going_on = gots
+    assert (at_once.stopped_at, at_once.elapsed, at_once.iterations) == (0, 0.0, 0)
+    assert len(at_once.x_series) == 1 and at_once.messages == []
+    assert going_on.stopped_at != 0 and going_on.iterations > 0 and going_on.messages
+    for got, problem, schedule, trial in zip(gots, problems, schedules, [0, 1]):
+        assert_bit_identical(got, run(problem, schedule, params, replace(config, trial=trial)))
+    # when every trial stops at round 0, no schedule is asked for a round
+    counted = [CountingSchedule(schedule) for schedule in schedules]
+    gots = run_trials(problems, counted, params, replace(config, stop_residual=1.0), [0, 1])
+    assert [traj.stopped_at for traj in gots] == [0, 0]
+    assert [schedule.asked for schedule in counted] == [[], []]
+
+
 def mixed_shapes(seed):
     """Three agents with one, two and three measurements: no stacked gradient form."""
     rng = np.random.default_rng(seed)
@@ -422,6 +447,12 @@ def test_batch_shape_is_checked():
         run_baseline_trials([], [], config, "push-diging", [])
     with pytest.raises(ValueError, match="schedule is over 3 agents"):
         run_trials([problem], [StaticSchedule(complete(3))], MixingParams(c0=0.3), config, [0])
+    # a trial's number fixes its nonce range: a repeated trial would reuse every nonce
+    with pytest.raises(ValueError, match="trial 0 appears twice"):
+        run_trials([problem] * 2, [schedule] * 2, MixingParams(c0=0.3), config, [0, 0])
+    for algorithm in ("push-diging", *DENSE):
+        with pytest.raises(ValueError, match="trial 0 appears twice"):
+            run_baseline_trials([problem] * 2, [schedule] * 2, config, algorithm, [0, 0])
     # every trial of a batch has the first one's agent count and dimension
     for shapes, message in [([(3, 2), (4, 2)], "m=3, d=2, another m=4, d=2"),
                             ([(3, 2), (3, 2), (3, 1)], "m=3, d=2, another m=3, d=1")]:
