@@ -19,17 +19,20 @@ Payloads and envelopes are immutable records that hold exactly those bytes
 and read their fields from them, so frames packed a round at once are sealed
 and opened without being parsed or packed again.
 
-Nonces are 8-byte counter || 4-byte sender. A round's frames take theirs
-from one `RoundNonces` array, each sender reserving its round's block of
-counters from its own `NonceCounter`, and `open_envelopes` opens a round's
-envelopes in one pass.
+Nonces are 8-byte counter || 4-byte sender, and trial t's counters run from
+t * 2^32. A round's frames, over every trial of a batch, take theirs from one
+`RoundNonces` array over the batch's (trial, sender) counters, and
+`open_envelopes` opens a round's envelopes in one pass.
 """
 from __future__ import annotations
 
 import hashlib
 import struct
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import attrgetter, itemgetter
 
 import numpy as np
 from cryptography.exceptions import InvalidTag
@@ -52,8 +55,11 @@ _ROUTE_SIZE = HEADER_SIZE - 2  # the header up to the count: magic .. kind
 NONCE_SIZE = 12
 TAG_SIZE = 16
 _U32 = 0xFFFFFFFF
+_PER_TRIAL = 2**32  # nonces of one sender in one trial
 _NONCE = struct.Struct("<QI")  # counter, sender
-_NONCE_FIELDS = np.dtype([("count", "<u8"), ("sender", "<u4")])  # the same, as numpy fields
+# the same bytes as numpy fields: the little-endian counter trial * 2^32 + used is the
+# <u4 `used`, then the <u4 `trial`
+_NONCE_FIELDS = np.dtype([("used", "<u4"), ("trial", "<u4"), ("sender", "<u4")])
 
 
 class TamperError(ValueError):
@@ -149,7 +155,13 @@ class CipherEnvelope(_Record):
 
     def __init__(self, sender: int, receiver: int, k: int, kind: str, nonce: bytes,
                  ciphertext: bytes):
-        _set_wire(self, _header(sender, receiver, k, kind) + bytes(nonce) + bytes(ciphertext))
+        header = _header(sender, receiver, k, kind)
+        if len(nonce) != NONCE_SIZE:
+            raise ValueError(f"nonce must be {NONCE_SIZE} bytes, got {len(nonce)}")
+        if len(ciphertext) < TAG_SIZE:
+            raise ValueError(f"ciphertext must hold at least the {TAG_SIZE}-byte tag, "
+                             f"got {len(ciphertext)} bytes")
+        _set_wire(self, header + bytes(nonce) + bytes(ciphertext))
 
     nonce = property(lambda self: self._wire[HEADER_SIZE : HEADER_SIZE + NONCE_SIZE])
     ciphertext = property(lambda self: self._wire[HEADER_SIZE + NONCE_SIZE :])
@@ -166,60 +178,86 @@ class CipherEnvelope(_Record):
         return cls.wrap(b"".join((raw[:_ROUTE_SIZE], b"\0\0", raw[HEADER_SIZE:])))
 
 
+def nonce_trials(trials) -> np.ndarray:
+    """`trials` as the array `RoundNonces` takes; ValueError if one lies outside
+    0..2^32-1, where it would own no counter range."""
+    for trial in trials:
+        if not 0 <= trial <= _U32:
+            raise ValueError(f"trial must lie in 0..{_U32} to own its nonces, got {trial}")
+    return np.array(trials, dtype=np.int64)
+
+
+def _exhausted(sender, trial) -> OverflowError:
+    return OverflowError(f"nonce counter of sender {sender} exhausted: 2^32 messages "
+                         f"in trial {trial}")
+
+
 class NonceCounter:
     """Per-sender nonce source: 8-byte message counter || 4-byte sender id.
 
     Each sender owns its counter, and in trial t it counts from t * 2^32, so
     the trials of a seed, which share its key, never repeat a nonce either:
     sender ids are distinct and a sender has 2^32 messages to a trial.
+    `used`, a one-cell int64 array, holds how many of them it has taken; a
+    `Transport` hands each sender a cell of its (trial, sender) array.
     """
 
-    def __init__(self, sender: int, trial: int = 0):
-        if not 0 <= trial < 2**32:
-            raise ValueError(f"trial must lie in 0..{_U32} to own its nonces, got {trial}")
+    def __init__(self, sender: int, trial: int = 0, used=None):
         self.sender = int(sender)
-        self.count = trial << 32
-        self.end = self.count + 2**32
+        self.trial = int(nonce_trials([trial])[0])
+        self.used = np.zeros(1, np.int64) if used is None else used
 
-    def reserve(self, n: int) -> int:
-        """The first of the next `n` counters, which the caller now owns."""
-        if self.count + n > self.end:
-            raise OverflowError(f"nonce counter of sender {self.sender} exhausted: "
-                                "2^32 messages in one trial")
-        first = self.count
-        self.count += n
-        return first
+    start = property(lambda self: self.trial << 32)
+    end = property(lambda self: self.start + _PER_TRIAL)
+
+    @property
+    def count(self) -> int:
+        """The counter the next nonce carries."""
+        return self.start + int(self.used[0])
+
+    @count.setter
+    def count(self, value: int):
+        self.used[0] = value - self.start
 
     def next(self) -> bytes:
-        return _NONCE.pack(self.reserve(1), self.sender)
+        used = int(self.used[0])
+        if used == _PER_TRIAL:
+            raise _exhausted(self.sender, self.trial)
+        self.used[0] = used + 1
+        return _NONCE.pack(self.start + used, self.sender)
 
 
 class RoundNonces:
-    """Nonce source of one round's frames, taken in frame order.
+    """Nonce source of one round's frames over a batch of trials, in frame order.
 
-    Message t of the round is `per_message` frames from senders[t]. Every
-    sender reserves the block of counters its frames need from its own
-    `counters[sender]` at once, so its frames count up from the block's
+    `used[b, i-1]` counts the nonces sender i has taken in trials[b], the
+    trial of batch row b, as its `NonceCounter` counts them. Message t of the
+    round is `per_message` frames from sender senders[t] of batch row
+    rows[t]. Every (row, sender) takes the block of counters its frames need
+    in one pass over the array, so its frames count up from the block's
     start in the order they come: the nonces a `next()` per frame would
-    give. A sender whose block would leave its trial's range raises
-    OverflowError here, before any frame of the round is sealed.
+    give. A block that would leave its trial's range raises OverflowError
+    here, before any counter moves or any frame of the round is sealed.
     """
 
     __slots__ = ("next",)
 
-    def __init__(self, counters, senders, per_message: int):
-        frame_senders = np.repeat(senders, per_message)
-        order = np.argsort(frame_senders, kind="stable")
-        per_sender = np.bincount(frame_senders)
-        ids = np.flatnonzero(per_sender)
-        n = per_sender[ids]
-        starts = [counters[i].reserve(c) for i, c in zip(ids.tolist(), n.tolist())]
-        nonces = np.empty(len(order), _NONCE_FIELDS)
-        nonces["sender"] = frame_senders
-        # unsigned throughout: numpy takes uint64 with a signed array to float64
-        first = (np.cumsum(n) - n).astype(np.uint64)  # each block's first frame, in sorted order
-        nonces["count"][order] = np.repeat(np.array(starts, np.uint64), n) + (
-            np.arange(len(order), dtype=np.uint64) - np.repeat(first, n))
+    def __init__(self, used, trials, rows, senders, per_message: int):
+        nt, m = used.shape
+        cells = np.repeat(rows * m + senders - 1, per_message)  # each frame's (row, sender)
+        taken = np.bincount(cells, minlength=nt * m)
+        if (over := used.reshape(-1) + taken > _PER_TRIAL).any():
+            b, i = divmod(int(np.argmax(over)), m)
+            raise _exhausted(i + 1, int(trials[b]))
+        # a frame's place in its cell's block: its place among the frames sorted by cell,
+        # less the frames of the cells before
+        place = np.empty(len(cells), np.int64)
+        place[np.argsort(cells, kind="stable")] = np.arange(len(cells))
+        nonces = np.empty(len(cells), _NONCE_FIELDS)
+        nonces["used"] = (used.reshape(-1) + taken - np.cumsum(taken))[cells] + place
+        nonces["trial"] = np.repeat(trials[rows], per_message)
+        nonces["sender"] = np.repeat(senders, per_message)
+        used += taken.reshape(nt, m)
         self.next = iter(nonces.view(f"V{NONCE_SIZE}").tolist()).__next__  # one bytes per frame
 
 
@@ -245,12 +283,12 @@ def _read_header(raw: bytes):
     return sender, receiver, k, _BYTE_KINDS[kind_byte], n
 
 
-def pack_frames(k, senders, receivers, parts):
+def pack_frames(k, senders, receivers, parts) -> np.ndarray:
     """Frames of round k, for each t and each (kind, values) in `parts`:
     values[t] from senders[t] to receivers[t], packed in one pass.
 
-    Returns the bytes (message t's frames back to back, in `parts` order),
-    the length of one message's frames, and each frame's (kind, start, end).
+    Returns one record per message, a field per kind in `parts` order, so the
+    record array's bytes are message t's frames back to back.
     """
     layout = np.dtype([(kind, _FRAME_HEADER + [("data", "<f8", values.shape[1:])])
                        for kind, values in parts])
@@ -260,9 +298,29 @@ def pack_frames(k, senders, receivers, parts):
         f["magic"], f["version"], f["k"], f["kind"] = MAGIC, VERSION, k, _KIND_BYTES[kind]
         f["sender"], f["receiver"] = senders, receivers
         f["count"], f["data"] = values.shape[1], values
-    offsets = [(kind, layout.fields[kind][1], layout.fields[kind][1] + layout[kind].itemsize)
-               for kind, _ in parts]
-    return frames.tobytes(), layout.itemsize, offsets
+    return frames
+
+
+# frames from which `cut_frames` cuts in numpy; slicing costs about as much at 24
+# frames (a one-trial fig5b round) and less below
+_CUT_BY_KIND = 48
+
+
+def cut_frames(frames) -> list:
+    """The frames of `pack_frames`' records, one bytes each, in frame order.
+
+    A few are sliced from the bytes; more are cut a kind at a time, each
+    kind's frames read as one array of fixed-size bytes.
+    """
+    kinds = frames.dtype.names
+    if len(frames) * len(kinds) < _CUT_BY_KIND:
+        raw, step = frames.tobytes(), frames.dtype.itemsize
+        spans = [(off, off + dt.itemsize) for dt, off in frames.dtype.fields.values()]
+        return [raw[at + lo : at + hi] for at in range(0, len(raw), step) for lo, hi in spans]
+    out = [None] * (len(frames) * len(kinds))
+    for j, kind in enumerate(kinds):
+        out[j :: len(kinds)] = frames[kind].view(f"V{frames.dtype[kind].itemsize}").tolist()
+    return out
 
 
 def encode_payload(p: PlainPayload) -> bytes:
@@ -284,6 +342,9 @@ def _aead(key_bytes: bytes) -> AESGCM:
     return AESGCM(key_bytes)
 
 
+_new = object.__new__
+
+
 def encrypt(key: SharedKey, p: PlainPayload,
             nonce_source: NonceCounter | RoundNonces) -> CipherEnvelope:
     """Seal a payload under `nonce_source.next()`. The clear header is bound as
@@ -291,16 +352,31 @@ def encrypt(key: SharedKey, p: PlainPayload,
     nonce = nonce_source.next()
     frame = p._wire
     header = frame[:_ROUTE_SIZE] + b"\0\0"
-    return CipherEnvelope.wrap(header + nonce + _aead(key.key).encrypt(nonce, frame, header))
+    envelope = _new(CipherEnvelope)
+    _set_wire(envelope, header + nonce + _aead(key.key).encrypt(nonce, frame, header))
+    return envelope
+
+
+def wrap_payloads(frames) -> list:
+    """`PlainPayload.wrap` of each of `frames`, in one pass."""
+    payloads = list(map(_new, repeat(PlainPayload, len(frames))))
+    deque(map(_set_wire, payloads, frames), maxlen=0)
+    return payloads
+
+
+_WIRE = attrgetter("_wire")
+_NONCE_AT = itemgetter(slice(HEADER_SIZE, HEADER_SIZE + NONCE_SIZE))
+_SEALED_AT = itemgetter(slice(HEADER_SIZE + NONCE_SIZE, None))
+_HEADER_AT = itemgetter(slice(HEADER_SIZE))
 
 
 def open_envelopes(key: SharedKey, envelopes) -> list:
     """The frames sealed in `envelopes`, opened in one pass, as bytes, unparsed;
     TamperError if any fails authentication."""
-    open_ = _aead(key.key).decrypt
+    wires = list(map(_WIRE, envelopes))
     try:
-        return [open_(w[HEADER_SIZE : HEADER_SIZE + NONCE_SIZE], w[HEADER_SIZE + NONCE_SIZE :],
-                      w[:HEADER_SIZE]) for e in envelopes for w in (e._wire,)]
+        return list(map(_aead(key.key).decrypt, map(_NONCE_AT, wires), map(_SEALED_AT, wires),
+                        map(_HEADER_AT, wires)))
     except InvalidTag as exc:
         raise TamperError("envelope failed authentication") from exc
 

@@ -25,11 +25,12 @@ reduction once the block is played; a run with one takes them each round
 and ends the block where a trial meets its rule. The start is a block of
 one round, so a trial leaves the batch by one path at round 0 or later.
 
-Those per-edge shares are also what goes on the wire: each trial's
-`Transport` packs all of a round's frames at once, in a fixed order,
-seals and opens each under AES-GCM when encryption is on, checks that
-every opened frame is byte for byte the frame sent, and logs the traffic
-when asked. The trajectory never reads from the transport, so sealed and
+Those per-edge shares are also what goes on the wire: the batch's one
+`Transport` packs all of a round's frames, every running trial's, at
+once, in a fixed order, takes their nonces as one array, seals each and
+opens all under AES-GCM when encryption is on, checks that every opened
+frame is byte for byte the frame sent, and logs each trial's traffic when
+asked. The trajectory never reads from the transport, so sealed and
 plain runs are the same computation.
 
 The fixed-weight baseline (`push-diging`) is the same kernel with uniform
@@ -45,6 +46,8 @@ import numbers
 import reprlib
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -57,11 +60,14 @@ from .channel import (
     RoundNonces,
     SharedKey,
     TamperError,
+    cut_frames,
     decrypt,  # noqa: F401  (kept as engine.decrypt for perfbench's tracer)
     encode_payload,
     encrypt,
+    nonce_trials,
     open_envelopes,
     pack_frames,
+    wrap_payloads,
 )
 from .graphs import graph_at  # noqa: F401  (kept as engine.graph_at for perfbench's tracer)
 from .mixing import MixingParams, WeightColumn, assemble_weight_matrix, generate_weight_column
@@ -281,78 +287,107 @@ def uniform_out_columns(graph, k: int) -> dict:
 
 
 class Transport:
-    """The wire under a run: per-edge values in, framed (and sealed) messages out.
+    """The wire under a batch of trials: per-edge values in, framed (and sealed)
+    messages out, in one call a round for every trial that plays it.
 
-    Messages go out sender ascending, then receiver ascending, then Y, S,
-    W, so nonces and bytes are reproducible. Every frame of a round is
-    packed at once. With a key, the round's nonces come as one array
-    (`RoundNonces`), every sender reserving its round's block of its own
-    counter, in trial `trial`'s range; each frame is sealed under its
-    nonce, and every envelope of the round is opened in one pass. The
-    opened frames, joined, must be byte for byte the round's packed
-    frames: if not, or if an envelope fails authentication, the round
-    fails with a TamperError that names the first message at fault.
-    Without a key messages are only framed, for the log.
+    A round's messages go out batch row by batch row, and within a row sender
+    ascending, then receiver ascending, then Y, S, W, so nonces and bytes are
+    reproducible and each trial's frames are the ones it sends alone. Every
+    frame of the round is packed at once. With a key, the round's nonces
+    come as one array (`RoundNonces`) over the wire's (trial, sender)
+    counters `used`, each trial in its own range; each frame is sealed under
+    its nonce by `encrypt`, and every envelope of the round is opened in one
+    pass. The opened frames, joined, must be byte for byte the round's packed
+    frames: if not, or if an envelope fails authentication, the round fails
+    with a TamperError that names the trial and the first message at fault.
+    Without a key messages are only framed, for the logs.
+
+    `Transport(m, key, log, trial)` is one trial's wire, with its `log` and,
+    as `counters[i]`, sender i's `NonceCounter`, a view of `used`.
+    `Transport.batch(m, key, logs, trials)` is the wire of trials[b] at batch
+    row b. A log, if a list, gets its trial's messages in wire order.
     """
 
     def __init__(self, m: int, key: SharedKey | None, log: list | None, trial: int = 0):
-        self.key = key
-        if key is not None:
-            self.counters = {i: NonceCounter(i, trial) for i in range(1, m + 1)}
         self.log = log
+        self._open(m, key, None if log is None else [log], [trial])
+        if key is not None:
+            self.counters = {i: NonceCounter(i, trial, self.used[0, i - 1 : i])
+                             for i in range(1, m + 1)}
+
+    @classmethod
+    def batch(cls, m: int, key: SharedKey | None, logs: list | None, trials) -> "Transport":
+        wire = object.__new__(cls)
+        wire._open(m, key, logs, trials)
+        return wire
+
+    def _open(self, m, key, logs, trials):
+        self.key, self.logs = key, logs
+        self.trials = nonce_trials(trials)
+        self.used = np.zeros((len(self.trials), m), np.int64)
 
     def send(self, k, senders, receivers, jy, js, jw):
-        """Ship round k: one message from each senders[t] to receivers[t] (agents,
-        in wire order); jy[r-1, i-1] (and js, jw) is what sender i owes receiver r."""
+        """Ship round k of a one-trial wire: one message from each senders[t] to
+        receivers[t] (agents, in wire order); jy[r-1, i-1] (and js, jw) is what
+        sender i owes receiver r."""
+        at = (receivers - 1, senders - 1)
+        self._ship(k, np.zeros(len(senders), np.intp), senders, receivers, jy[at], js[at], jw[at])
+
+    def send_batch(self, k, adj, jy, js, jw, rows=None):
+        """Ship round k of batch rows `rows` (all of them if None): a message over
+        every edge adj[b, r-1, i-1] of rows[b], from sender i to receiver r,
+        whose values are jy[b, r-1, i-1] (and js, jw)."""
+        b, i, r = np.nonzero(adj.transpose(0, 2, 1))
+        self._ship(k, b if rows is None else rows[b], i + 1, r + 1, jy[b, r, i], js[b, r, i],
+                   jw[b, r, i])
+
+    def _ship(self, k, rows, senders, receivers, y, s, w):
+        """Round k's messages t from senders[t] to receivers[t] of batch rows rows[t],
+        carrying y[t], s[t] and w[t], in wire order."""
         if not len(senders):
             return
-        at_edges = (receivers - 1, senders - 1)
-        raw, step, offsets = pack_frames(k, senders, receivers, (
-            (KIND_Y, jy[at_edges]), (KIND_S, js[at_edges]), (KIND_W, jw[at_edges][:, None])))
+        packed = pack_frames(k, senders, receivers,
+                             ((KIND_Y, y), (KIND_S, s), (KIND_W, w[:, None])))
+        frames = cut_frames(packed)
+        kinds = packed.dtype.names
         envelopes = None
         if self.key is not None:
-            nonces = RoundNonces(self.counters, senders, len(offsets))
-            envelopes = [encrypt(self.key, PlainPayload.wrap(f), nonces)
-                         for f in _frames(raw, step, offsets)]
+            nonces = RoundNonces(self.used, self.trials, rows, senders, len(kinds))
+            envelopes = list(map(encrypt, repeat(self.key), wrap_payloads(frames), repeat(nonces)))
             try:
                 opened = open_envelopes(self.key, envelopes)
-                intact = b"".join(opened) == raw
+                intact = b"".join(opened) == packed.tobytes()
             except TamperError:
                 opened, intact = [None] * len(envelopes), False
             if not intact:
-                self._reject(k, _routes(senders, receivers, offsets), _frames(raw, step, offsets),
-                             envelopes, opened)
-        if self.log is not None:
-            for t, ((i, r, kind), frame) in enumerate(zip(_routes(senders, receivers, offsets),
-                                                          _frames(raw, step, offsets))):
+                self._reject(k, _routes(rows, senders, receivers, kinds), frames, envelopes,
+                             opened)
+        if self.logs is not None:
+            for t, ((b, i, r, kind), frame) in enumerate(zip(
+                    _routes(rows, senders, receivers, kinds), frames)):
                 p = PlainPayload.wrap(frame)
                 cipher = None if envelopes is None else envelopes[t].to_bytes()
-                self.log.append(MessageRecord(k, i, r, kind, p.data, encode_payload(p), cipher))
+                self.logs[b].append(MessageRecord(k, i, r, kind, p.data, encode_payload(p), cipher))
 
     def _reject(self, k, routes, frames, envelopes, opened):
-        """Raise the TamperError that names the first frame that did not open to
-        the bytes sent; an entry of `opened` is None where the round's open failed."""
-        for (i, r, kind), frame, env, got in zip(routes, frames, envelopes, opened):
+        """Raise the TamperError that names the trial and the first frame that did not
+        open to the bytes sent; an entry of `opened` is None where the round's open failed."""
+        for (b, i, r, kind), frame, env, got in zip(routes, frames, envelopes, opened):
+            where = f"trial {self.trials[b]} k={k} {kind} message {i}->{r}"
             if got is None:
                 try:
                     got = open_envelopes(self.key, [env])[0]
                 except TamperError as exc:
-                    raise TamperError(
-                        f"k={k} {kind} message {i}->{r} failed authentication") from exc
+                    raise TamperError(f"{where} failed authentication") from exc
             if got != frame:
-                raise TamperError(f"k={k} {kind} message {i}->{r} opened to other bytes")
+                raise TamperError(f"{where} opened to other bytes")
         raise TamperError(f"k={k} round opened to other bytes")
 
 
-def _frames(raw, step, offsets):
-    """The frames of a round packed by `pack_frames`, one by one, in frame order."""
-    return (raw[at + lo : at + hi] for at in range(0, len(raw), step) for _, lo, hi in offsets)
-
-
-def _routes(senders, receivers, offsets) -> list:
-    """(sender, receiver, kind) of each frame of a round, in frame order."""
-    return [(i, r, kind) for i, r in zip(senders.tolist(), receivers.tolist())
-            for kind, _, _ in offsets]
+def _routes(rows, senders, receivers, kinds) -> list:
+    """(batch row, sender, receiver, kind) of each frame of a round, in frame order."""
+    return [(b, i, r, kind) for b, i, r in zip(rows.tolist(), senders.tolist(),
+                                               receivers.tolist()) for kind in kinds]
 
 
 class _RoundPlan:
@@ -395,11 +430,6 @@ class _RoundPlan:
                 for count in (np.flatnonzero(np.bincount(row)[8:]) + 8).tolist():
                     rows = np.flatnonzero(row == count)
                     self.groups[r].append((rows, self.gather[r, rows, :count]))
-
-
-def _wire_order(adj):
-    """The 1-based (senders, receivers) of one round's messages in wire order."""
-    return tuple(ix + 1 for ix in np.nonzero(adj.T))
 
 
 def _draws_per_agent(m: int) -> int:
@@ -466,19 +496,18 @@ def _receive(shares, gather, groups, d):
     return out
 
 
-def _advance(z, g, a, plan, r, adj, step, k, gradients, *, reset_mass, transports,
-             trials=None):
+def _advance(z, g, a, plan, r, adj, step, k, gradients, *, reset_mass, wire, trials=None):
     """One synchronous round of every batch row b of z = [y | s | w] (nb, m, 2d+1), with
     gradients g at its estimates, under A(k) a[b] over edges adj[b], summed by round r
-    of `plan`. Returns z at k+1 and its RoundState, whose y, s and w are views of z."""
+    of `plan`; `wire`, if not None, ships the round's shares as `Transport.send_batch`
+    does. Returns z at k+1 and its RoundState, whose y, s and w are views of z."""
     nb, m, width = z.shape
     d = width // 2
     shares = plan.shares[:-1].reshape(nb, m, m, width)
     np.multiply(a[..., None], z[:, None], out=shares)
     jy, js = shares[..., :d], shares[..., d : 2 * d]
-    for b, transport in enumerate(transports):
-        if transport is not None:
-            transport.send(k, *_wire_order(adj[b]), jy[b], js[b], shares[b, ..., 2 * d])
+    if wire is not None:
+        wire(k, adj, jy, js, shares[..., 2 * d])
     jy -= step * js
     z = _receive(plan.shares, plan.gather[r], plan.groups[r], d).reshape(nb, m, width)
     y, s, w = z[..., :d], z[..., d : 2 * d], z[..., 2 * d]
@@ -511,7 +540,8 @@ def iterate(state: RoundState, columns, problem: GlobalProblem, step, k, *,
     a = assemble_weight_matrix(columns.values(), m)
     z = np.concatenate((state.y, state.s, state.w[:, None]), axis=1)[None]
     _, out = _advance(z, state.g[None], a[None], _RoundPlan(adj, 1, 2 * d + 1), 0, adj, step,
-                      k, problem.gradients, reset_mass=reset_mass, transports=[transport])
+                      k, problem.gradients, reset_mass=reset_mass,
+                      wire=None if transport is None else transport.send_batch)
     return _batch_rows(out, 0)
 
 
@@ -528,7 +558,7 @@ def _push_sum(weights):
     """The kernel of the private algorithm and push-diging: `_advance` under the A(k)
     that `weights(adj, plan, trials, k0)` gives a block of rounds."""
 
-    def rounds_of(state, adj, trials, k0, gradients, transports, config):
+    def rounds_of(state, adj, trials, k0, gradients, wire, config):
         rounds, nt, m, _ = adj.shape
         z = np.concatenate((state.y, state.s, state.w[..., None]), axis=2)
         plan = _RoundPlan(adj.reshape(rounds * nt, m, m), rounds, z.shape[-1])
@@ -536,7 +566,7 @@ def _push_sum(weights):
         for r in range(rounds):
             k = k0 + r
             z, state = _advance(z, state.g, a[r], plan, r, adj[r], config.step_size, k, gradients,
-                                reset_mass=(config.mass_reset and k == 0), transports=transports,
+                                reset_mass=(config.mass_reset and k == 0), wire=wire,
                                 trials=trials)
             yield state, a[r]
 
@@ -551,7 +581,7 @@ def _uniform_matrix(adj, axis) -> np.ndarray:
     return a / a.sum(axis=axis, keepdims=True)
 
 
-def _subgradient_push(state, adj, trials, k0, gradients, transports, config):
+def _subgradient_push(state, adj, trials, k0, gradients, wire, config):
     """Diminishing-step push-sum consensus plus a local (sub)gradient step:
     y is the pushed state, w the mass and x = (A y) / (A w) the estimate."""
     a = _uniform_matrix(adj, -2)
@@ -565,7 +595,7 @@ def _subgradient_push(state, adj, trials, k0, gradients, transports, config):
         yield state, None
 
 
-def _ab_push_pull(state, adj, trials, k0, gradients, transports, config):
+def _ab_push_pull(state, adj, trials, k0, gradients, wire, config):
     """Row-stochastic pull on the estimates x, column-stochastic push on the
     tracker s of the local gradients g."""
     rows, cols = _uniform_matrix(adj, -1), _uniform_matrix(adj, -2)
@@ -582,14 +612,16 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
 
     Trial trials[j] solves problems[j] on schedules[j] under `config` with
     its trial number. `running` indexes the trials still in the batch, and
-    each block reads their trial numbers, transports, optima and residual
-    scales through it. The kernel `rounds_of(state, adj, trials, k0,
-    gradients, transports, config)` plays them through a block of rounds
-    over their adjacencies adj[r, b], yielding the state and A(k) (None for
-    the dense kernels) after each round. A block ends at the next multiple
-    of `BLOCK`, within `_BLOCK_CELLS` per trial and `_BATCH_CELLS` per
-    batch, the horizon and the last round every schedule can play, so no
-    schedule is asked for a round the run cannot reach.
+    each block reads their trial numbers, optima and residual scales, and
+    their rows of the batch's one `Transport`, through it. The kernel
+    `rounds_of(state, adj, trials, k0, gradients, wire, config)` plays them
+    through a block of rounds over their adjacencies adj[r, b], shipping
+    each round by `wire` (None when nothing goes on the wire), and yields
+    the state and A(k) (None for the dense kernels) after each round. A
+    block ends at the next multiple of `BLOCK`, within `_BLOCK_CELLS` per
+    trial and `_BATCH_CELLS` per batch, the horizon and the last round
+    every schedule can play, so no schedule is asked for a round the run
+    cannot reach.
 
     Round r of a block writes row r of the block's buffers: the estimates,
     and the other states and A(k) when recorded. A run without a stopping
@@ -606,9 +638,9 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
     state = RoundState(*(np.stack([getattr(st, f.name) for st in starts])
                          for f in fields(RoundState)))
     key = SharedKey.from_seed(config.seed) if config.encryption else None
-    transports = [Transport(p.m, key, [] if config.record_messages else None, t)
-                  if config.encryption or config.record_messages else None
-                  for p, t in zip(problems, trials)]
+    logs = [[] for _ in trials] if config.record_messages else None
+    transport = (Transport.batch(problems[0].m, key, logs, trials)
+                 if config.encryption or config.record_messages else None)
     trajs = [Trajectory(algorithm=algorithm, residuals=np.empty(0), iterations=0,
                         x_star=optimal_solution(p), config=c) for p, c in zip(problems, configs)]
     x_star = np.stack([traj.x_star for traj in trajs])[:, None]
@@ -650,8 +682,9 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
             adj[:, b] = schedules[j].adjacencies(k, rounds)
         xs, scale = x_star[running], den[running]
         block = {name: np.empty((rounds, nt) + v.shape[2:]) for name, v in block.items()}
-        played = rounds_of(state, adj, [trials[j] for j in running], k, gradients,
-                           [transports[j] for j in running], config)
+        wire = None if transport is None else partial(transport.send_batch, rows=running)
+        played = rounds_of(state, adj, [trials[j] for j in running], k, gradients, wire,
+                           config)
         for r, (state, a) in enumerate(played):
             k += 1
             for name, f in series.items():
@@ -666,12 +699,12 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
             block["residuals"] = relative_residual(block["x_series"], None, xs, den=scale)
     for j in running:
         trajs[j].elapsed = time.perf_counter() - started
-    for traj, parts, transport in zip(trajs, slices, transports):
+    for j, (traj, parts) in enumerate(zip(trajs, slices)):
         for name, pieces in parts.items():
             setattr(traj, name, np.concatenate(pieces))
         traj.iterations = len(traj.residuals) - 1
-        if config.record_messages:
-            traj.messages = transport.log
+        if logs is not None:
+            traj.messages = logs[j]
     return trajs
 
 

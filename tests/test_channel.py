@@ -27,6 +27,7 @@ from cipheropt.channel import (
     encode_payload,
     encrypt,
     hex_dump_pair,
+    nonce_trials,
 )
 
 KEY = SharedKey.from_seed(0)
@@ -140,14 +141,19 @@ class TestNonces:
             counter.next()
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.integers(1, 4), max_size=12), st.integers(1, 3),
-           st.sampled_from([0, 1, 2**31 + 3, 2**32 - 1]))
-    def test_round_nonces_are_each_frames_next(self, senders, per_message, trial):
-        bulk = {i: NonceCounter(i, trial) for i in range(1, 5)}
-        each = {i: NonceCounter(i, trial) for i in range(1, 5)}
-        source = RoundNonces(bulk, np.array(senders, dtype=np.intp), per_message)
-        frames = [i for i in senders for _ in range(per_message)]
-        assert [source.next() for _ in frames] == [each[i].next() for i in frames]
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(1, 4)), max_size=12),
+           st.integers(1, 3),
+           st.sampled_from([(0, 1), (1, 2**31 + 3), (2**32 - 1, 0), (5, 2**32 - 2)]))
+    def test_round_nonces_are_each_frames_next(self, messages, per_message, trials):
+        # messages from (batch row, sender) in any order, over a batch of two trials
+        used = np.zeros((2, 4), np.int64)
+        bulk = {(b, i): NonceCounter(i, trials[b], used[b, i - 1 : i])
+                for b in range(2) for i in range(1, 5)}
+        each = {(b, i): NonceCounter(i, trials[b]) for b in range(2) for i in range(1, 5)}
+        rows, senders = np.array(messages, dtype=np.intp).reshape(-1, 2).T
+        source = RoundNonces(used, nonce_trials(trials), rows, senders, per_message)
+        frames = [cell for cell in messages for _ in range(per_message)]
+        assert [source.next() for _ in frames] == [each[cell].next() for cell in frames]
         assert [c.count for c in bulk.values()] == [c.count for c in each.values()]
         with pytest.raises(StopIteration):
             source.next()
@@ -209,6 +215,18 @@ class TestEncryption:
         p = payload()
         seen = {encrypt(KEY, p, counter).ciphertext for _ in range(50)}
         assert len(seen) == 50
+
+    @pytest.mark.parametrize("nonce,ciphertext,message", [
+        (b"abc", bytes(20), "nonce must be 12 bytes, got 3"),
+        (bytes(13), bytes(20), "nonce must be 12 bytes, got 13"),
+        (bytes(12), bytes(15), "ciphertext must hold at least the 16-byte tag, got 15 bytes"),
+        (bytes(12), b"", "ciphertext must hold at least the 16-byte tag, got 0 bytes"),
+    ])
+    def test_envelope_of_a_wrong_size_nonce_or_ciphertext_rejected(self, nonce, ciphertext,
+                                                                   message):
+        # a short nonce would read back with ciphertext bytes in it
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CipherEnvelope(1, 2, 3, KIND_Y, nonce, ciphertext)
 
     def test_mangled_envelope_bytes_rejected(self):
         with pytest.raises(DecodeError):

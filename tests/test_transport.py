@@ -201,3 +201,111 @@ class TestRoundNonces:
             with pytest.raises(OverflowError, match="sender 2 exhausted"):
                 _send_round(transport)
             assert sealed == []
+
+
+# a batch of three trials; row 1 holds trial 1 and sends the EDGES round, frames 9-17
+BATCH_TRIALS = [4, 1, 2**32 - 1]
+BATCH_EDGES = [[(2, 1), (3, 2)], EDGES, [(1, 3)]]
+
+
+def _batch_adjacency(edges_per_row, m=3):
+    adj = np.zeros((len(edges_per_row), m, m), dtype=bool)
+    for b, edges in enumerate(edges_per_row):
+        for l, i in edges:
+            adj[b, l - 1, i - 1] = True
+    return adj
+
+
+def _send_batch_round(wire, rows=None):
+    y = np.arange(54.0).reshape(3, 3, 3, 2)
+    adj = _batch_adjacency(BATCH_EDGES)
+    if rows is not None:
+        adj, y = adj[rows], y[rows]
+    wire.send_batch(7, adj, y, -y, y[..., 0], rows=rows)
+
+
+class TestBatchWire:
+    @pytest.mark.parametrize("rows", [None, np.array([1, 2])], ids=["all-rows", "row-0-left"])
+    @pytest.mark.parametrize("forge", [_flip_data_bit, _reroute], ids=["bit-flip", "reroute"])
+    def test_forged_frame_names_its_trial(self, monkeypatch, forge, rows):
+        # trial 1's S frame 1->3 is frame 4 of its run, after trial 4's 6 frames if it plays
+        _forge_at_open(monkeypatch, forge, {(6 if rows is None else 0) + 4})
+        with pytest.raises(TamperError,
+                           match=r"^trial 1 k=7 S message 1->3 opened to other bytes$"):
+            _send_batch_round(Transport.batch(3, KEY, None, BATCH_TRIALS), rows)
+
+    def test_altered_envelope_names_its_trial(self, monkeypatch):
+        real = engine.encrypt
+        sealed = []
+
+        def altering_encrypt(key, p, nonces):
+            env = real(key, p, nonces)
+            sealed.append(env)
+            if len(sealed) - 1 != 6 + 8:  # trial 1's W frame 2->1
+                return env
+            wire = bytearray(env.to_bytes())
+            wire[-1] ^= 0x01
+            return CipherEnvelope.wrap(bytes(wire))
+
+        monkeypatch.setattr(engine, "encrypt", altering_encrypt)
+        with pytest.raises(TamperError,
+                           match=r"^trial 1 k=7 W message 2->1 failed authentication$"):
+            _send_batch_round(Transport.batch(3, KEY, None, BATCH_TRIALS))
+        assert len(sealed) == 18
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_each_trial_sends_what_it_sends_alone(self, data):
+        """Every trial's log, nonces included, is its one-trial wire's, whichever trials
+        share the rounds: for each (trial, sender), the nonces `NonceCounter(sender,
+        trial).next()` gives, in order; a trial that left the batch takes none after."""
+        m = data.draw(st.integers(2, 4))
+        trials = data.draw(st.lists(st.sampled_from([0, 1, 5, 2**31, 2**32 - 1]), min_size=1,
+                                    max_size=3, unique=True))
+        rounds = data.draw(st.integers(1, 4))
+        leaves = [data.draw(st.integers(1, rounds)) for _ in trials]  # rounds each trial plays
+        adj = data.draw(arrays(np.bool_, (rounds, len(trials), m, m)))
+        adj &= ~np.eye(m, dtype=bool)
+        y = data.draw(arrays(np.float64, (rounds, len(trials), m, m, 2), elements=FLOATS))
+        logs = [[] for _ in trials]
+        wire = Transport.batch(m, KEY, logs, trials)
+        alone = [Transport(m, KEY, [], t) for t in trials]
+        for k in range(rounds):
+            rows = np.flatnonzero(np.array(leaves) > k)
+            wire.send_batch(k, adj[k, rows], y[k, rows], -y[k, rows], y[k, rows, ..., 0], rows=rows)
+            for b in rows:
+                alone[b].send(k, *wire_pairs((np.argwhere(adj[k, b]) + 1).tolist()),
+                              y[k, b], -y[k, b], y[k, b, ..., 0])
+        for b, trial in enumerate(trials):
+            assert [(r.k, r.sender, r.receiver, r.kind, r.plain, r.cipher) for r in logs[b]] == \
+                [(r.k, r.sender, r.receiver, r.kind, r.plain, r.cipher) for r in alone[b].log]
+            counters = {i: NonceCounter(i, trial) for i in range(1, m + 1)}
+            assert _nonces(logs[b]) == [counters[r.sender].next() for r in logs[b]]
+            assert wire.used[b].tolist() == [c.count - c.start for c in counters.values()]
+        every = [n for log in logs for n in _nonces(log)]
+        assert len(set(every)) == len(every)
+
+    @pytest.mark.parametrize("room", [2, 3], ids=["crosses", "fits"])
+    def test_a_round_past_a_trial_range_seals_nothing(self, monkeypatch, room):
+        real = engine.encrypt
+        sealed = []
+
+        def counting_encrypt(key, p, nonces):
+            sealed.append(p)
+            return real(key, p, nonces)
+
+        monkeypatch.setattr(engine, "encrypt", counting_encrypt)
+        logs = [[], [], []]
+        wire = Transport.batch(3, KEY, logs, BATCH_TRIALS)
+        wire.used[1, 1] = 2**32 - room  # trial 1's sender 2 sends one message: 3 frames
+        before = wire.used.copy()
+        if room == 3:
+            _send_batch_round(wire)
+            assert wire.used[1, 1] == 2**32
+            assert _nonces(logs[1])[-1] == struct.pack("<QI", (1 << 32) + 2**32 - 1, 2)
+        else:
+            with pytest.raises(OverflowError,
+                               match=r"sender 2 exhausted: 2\^32 messages in trial 1$"):
+                _send_batch_round(wire)
+            assert sealed == [] and logs == [[], [], []]
+            assert (wire.used == before).all()  # no counter moved, in any trial
