@@ -17,13 +17,19 @@ sum every receiver (`_receive`). Masks and weights do not depend on the
 state, so the run derives them a block of rounds at a time: every running
 trial's adjacency for up to 64 rounds (fewer for wide trials or a large
 batch), one index plan (ranks, gather) over all of them and every A(k) of
-the block, from one weight call. The mass is forced back to one when the
-first round's results land, which erases the random initial masses from
-the trajectory. Each round's local gradients come from one batched call.
-A run without a stopping rule takes all residuals of a block from one
-reduction once the block is played; a run with one takes them each round
-and ends the block where a trial meets its rule. The start is a block of
-one round, so a trial leaves the batch by one path at round 0 or later.
+the block, from one weight call. The kernel plays the block in place:
+each round reduces into its row of the block's [y | s | w] buffer and
+divides its estimates into the block's x buffer, and the weight call's
+A(k) array is the recorded one; it yields nothing per round. The mass is
+forced back to one when the first round's results land, which erases the
+random initial masses from the trajectory; every other round guards its
+division by the mass, with one reduction for a round whose masses all
+lie above the guard. Each round's local gradients come from one batched
+call. A run without a stopping rule takes all residuals of a block from
+one reduction once the block is played; a run with one takes them each
+round and ends the block where a trial meets its rule. The start is a
+block of one round, so a trial leaves the batch by one path at round 0
+or later.
 
 Those per-edge shares are also what goes on the wire: the batch's one
 `Transport` packs all of a round's frames, every running trial's, at
@@ -72,7 +78,7 @@ from .channel import (
 from .graphs import graph_at  # noqa: F401  (kept as engine.graph_at for perfbench's tracer)
 from .mixing import MixingParams, WeightColumn, assemble_weight_matrix, generate_weight_column
 from .objectives import GlobalProblem, optimal_solution
-from .streams import BLOCK, KeyedStream, check_seed
+from .streams import BLOCK, KeyedStream, check_non_negative, check_positive, check_seed
 
 _INIT_STREAM = 31
 _WEIGHT_STREAM = 32
@@ -99,7 +105,7 @@ class DegenerateStateError(ArithmeticError):
 class RoundState:
     """All agents' variables after one round, row i-1 for agent i.
 
-    Inside the round kernel every field has a leading batch axis, one row per trial.
+    Carried from block to block, every field has a leading batch axis, one row per trial.
     """
 
     y: np.ndarray  # running state, m-by-d
@@ -131,12 +137,13 @@ class RunConfig:
             raise ValueError(f"horizon must be a whole number of rounds, got {self.horizon!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if not (math.isfinite(self.step_size) and self.step_size > 0):
-            raise ValueError(f"step size must be positive and finite, got {self.step_size}")
-        if self.stop_residual is not None and not (
-                math.isfinite(self.stop_residual) and self.stop_residual >= 0):
-            raise ValueError(
-                f"stop residual must be finite and non-negative, got {self.stop_residual}")
+        self.step_size = check_positive("step size", self.step_size)
+        if self.stop_residual is not None:
+            self.stop_residual = check_non_negative("stop residual", self.stop_residual)
+        for name in ("encryption", "mass_reset", "record_states", "record_weights",
+                     "record_messages"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be True or False, got {getattr(self, name)!r}")
         for name in ("x0", "w0"):
             if getattr(self, name) is None:
                 continue
@@ -199,9 +206,6 @@ class Trajectory:
     s_series: np.ndarray = field(default_factory=lambda: np.empty(0))
     weight_matrices: np.ndarray = field(default_factory=lambda: np.empty(0))
     messages: list = field(default_factory=list)
-
-
-_SERIES = {"x_series": "x", "y_series": "y", "w_series": "w", "s_series": "s"}  # RoundState fields
 
 
 def _squared_distance(x, x_star):
@@ -478,7 +482,7 @@ def _drawn_weights(params: MixingParams, seed):
     return weights
 
 
-def _receive(shares, gather, groups, d):
+def _receive(shares, gather, groups, d, out=None):
     """Row j: `np.sum` over the senders of receiver j, ascending, of its rows of
     `shares` (2d+1 wide), by a round's `gather` and `groups` of a `_RoundPlan`.
 
@@ -489,18 +493,20 @@ def _receive(shares, gather, groups, d):
     single column numpy sums pairwise once it has 8 or more parts: receivers
     with that many (`groups`) sum theirs (w, and y and s when d == 1) again.
     """
-    out = np.add.reduce(shares.take(gather, axis=0), axis=1)
+    out = np.add.reduce(shares.take(gather, axis=0), axis=1, out=out)
     for rows, parts in groups:
         for c in range(3) if d == 1 else (2 * d,):
             out[rows, c] = np.add.reduce(shares[parts, c], axis=1)
     return out
 
 
-def _advance(z, g, a, plan, r, adj, step, k, gradients, *, reset_mass, wire, trials=None):
+def _advance(z, g, a, plan, r, adj, step, k, gradients, out, x, *, reset_mass, wire,
+             trials=None):
     """One synchronous round of every batch row b of z = [y | s | w] (nb, m, 2d+1), with
     gradients g at its estimates, under A(k) a[b] over edges adj[b], summed by round r
     of `plan`; `wire`, if not None, ships the round's shares as `Transport.send_batch`
-    does. Returns z at k+1 and its RoundState, whose y, s and w are views of z."""
+    does. Writes z at k+1 to `out` (C-contiguous) and its estimates y / w to `x`, and
+    returns the gradients at them."""
     nb, m, width = z.shape
     d = width // 2
     shares = plan.shares[:-1].reshape(nb, m, m, width)
@@ -509,21 +515,28 @@ def _advance(z, g, a, plan, r, adj, step, k, gradients, *, reset_mass, wire, tri
     if wire is not None:
         wire(k, adj, jy, js, shares[..., 2 * d])
     jy -= step * js
-    z = _receive(plan.shares, plan.gather[r], plan.groups[r], d).reshape(nb, m, width)
-    y, s, w = z[..., :d], z[..., d : 2 * d], z[..., 2 * d]
+    _receive(plan.shares, plan.gather[r], plan.groups[r], d, out.reshape(nb * m, width))
+    y, s, w = _cut(out)
     if reset_mass:
         w[...] = 1.0
-    elif np.fmin.reduce(np.abs(w), axis=None) < W_EPS:  # fmin skips NaN: no NaN is "low"
-        b, j = np.argwhere(np.abs(w) < W_EPS)[0]
+    # one reduction clears an all-positive round; a NaN is never low (fmin skips it)
+    elif not np.fmin.reduce(w, axis=None) >= W_EPS and (low := np.abs(w) < W_EPS).any():
+        b, j = np.argwhere(low)[0]
         where = "" if trials is None else f"trial {trials[b]} "
         raise DegenerateStateError(
             f"{where}agent {j + 1} mass {w[b, j]:.3e} at k={k + 1} is inside the division guard"
         )
-    x = y / w[..., None]
+    np.divide(y, w[..., None], out=x)
     g_next = gradients(x)
     s += g_next
     s -= g
-    return z, RoundState(y=y, s=s, w=w, x=x, g=g_next)
+    return g_next
+
+
+def _cut(z):
+    """The y, s and w of z = [y | s | w], as views of z."""
+    d = z.shape[-1] // 2
+    return z[..., :d], z[..., d : 2 * d], z[..., 2 * d]
 
 
 def iterate(state: RoundState, columns, problem: GlobalProblem, step, k, *,
@@ -539,36 +552,31 @@ def iterate(state: RoundState, columns, problem: GlobalProblem, step, k, *,
             adj[0, l - 1, i - 1] = l != i
     a = assemble_weight_matrix(columns.values(), m)
     z = np.concatenate((state.y, state.s, state.w[:, None]), axis=1)[None]
-    _, out = _advance(z, state.g[None], a[None], _RoundPlan(adj, 1, 2 * d + 1), 0, adj, step,
-                      k, problem.gradients, reset_mass=reset_mass,
-                      wire=None if transport is None else transport.send_batch)
-    return _batch_rows(out, 0)
-
-
-def _batch_rows(st: RoundState, rows) -> RoundState:
-    """The batch rows `rows` of every field (an int drops the batch axis)."""
-    return RoundState(y=st.y[rows], s=st.s[rows], w=st.w[rows], x=st.x[rows], g=st.g[rows])
-
-
-def _trial_config(config: RunConfig, trial) -> RunConfig:
-    return config if trial == config.trial else replace(config, trial=trial)
+    out, x = np.empty_like(z), np.empty((1, m, d))
+    g = _advance(z, state.g[None], a[None], _RoundPlan(adj, 1, 2 * d + 1), 0, adj, step, k,
+                 problem.gradients, out, x, reset_mass=reset_mass,
+                 wire=None if transport is None else transport.send_batch)
+    return RoundState(*_cut(out[0]), x=x[0], g=g[0])
 
 
 def _push_sum(weights):
     """The kernel of the private algorithm and push-diging: `_advance` under the A(k)
     that `weights(adj, plan, trials, k0)` gives a block of rounds."""
 
-    def rounds_of(state, adj, trials, k0, gradients, wire, config):
+    def rounds_of(state, adj, trials, k0, gradients, wire, config, x, z, landed):
         rounds, nt, m, _ = adj.shape
-        z = np.concatenate((state.y, state.s, state.w[..., None]), axis=2)
         plan = _RoundPlan(adj.reshape(rounds * nt, m, m), rounds, z.shape[-1])
         a = weights(adj, plan, trials, k0).reshape(adj.shape)
+        prev, g = np.concatenate((state.y, state.s, state.w[..., None]), axis=2), state.g
         for r in range(rounds):
             k = k0 + r
-            z, state = _advance(z, state.g, a[r], plan, r, adj[r], config.step_size, k, gradients,
-                                reset_mass=(config.mass_reset and k == 0), wire=wire,
-                                trials=trials)
-            yield state, a[r]
+            g = _advance(prev, g, a[r], plan, r, adj[r], config.step_size, k, gradients, z[r],
+                         x[r], reset_mass=(config.mass_reset and k == 0), wire=wire,
+                         trials=trials)
+            prev = z[r]
+            if landed is not None and landed(r):
+                break
+        return r + 1, RoundState(*_cut(prev), x=x[r], g=g), a
 
     return rounds_of
 
@@ -581,29 +589,38 @@ def _uniform_matrix(adj, axis) -> np.ndarray:
     return a / a.sum(axis=axis, keepdims=True)
 
 
-def _subgradient_push(state, adj, trials, k0, gradients, wire, config):
+def _subgradient_push(state, adj, trials, k0, gradients, wire, config, x, z, landed):
     """Diminishing-step push-sum consensus plus a local (sub)gradient step:
     y is the pushed state, w the mass and x = (A y) / (A w) the estimate."""
     a = _uniform_matrix(adj, -2)
+    y, w = state.y, state.w
     for r in range(len(adj)):
-        y = a[r] @ state.y
-        w = (a[r] @ state.w[..., None])[..., 0]
-        x = y / w[..., None]
-        g = gradients(x)
-        eta = 1.0 / (k0 + r + 3000)
-        state = RoundState(y=y - eta * g, s=state.s, w=w, x=x, g=g)
-        yield state, None
+        y = a[r] @ y
+        w = (a[r] @ w[..., None])[..., 0]
+        np.divide(y, w[..., None], out=x[r])
+        g = gradients(x[r])
+        y -= 1.0 / (k0 + r + 3000) * g
+        if landed is not None and landed(r):
+            break
+    return r + 1, RoundState(y=y, s=state.s, w=w, x=x[r], g=g), None
 
 
-def _ab_push_pull(state, adj, trials, k0, gradients, wire, config):
+def _ab_push_pull(state, adj, trials, k0, gradients, wire, config, x, z, landed):
     """Row-stochastic pull on the estimates x, column-stochastic push on the
     tracker s of the local gradients g."""
     rows, cols = _uniform_matrix(adj, -1), _uniform_matrix(adj, -2)
+    prev, s, g = state.x, state.s, state.g
     for r in range(len(adj)):
-        x = rows[r] @ (state.x - config.step_size * state.s)
-        g = gradients(x)
-        state = RoundState(y=x, s=cols[r] @ state.s + g - state.g, w=state.w, x=x, g=g)
-        yield state, None
+        np.matmul(rows[r], prev - config.step_size * s, out=x[r])
+        g_next = gradients(x[r])
+        prev, s, g = x[r], cols[r] @ s + g_next - g, g_next
+        if landed is not None and landed(r):
+            break
+    return r + 1, RoundState(y=prev, s=s, w=state.w, x=prev, g=g), None
+
+
+# A block's buffers, as `Trajectory` fields: residuals, x, the y, s and w of z, A(k)
+_SERIES = ("residuals", "x_series", "y_series", "s_series", "w_series", "weight_matrices")
 
 
 def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
@@ -613,27 +630,26 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
     Trial trials[j] solves problems[j] on schedules[j] under `config` with
     its trial number. `running` indexes the trials still in the batch, and
     each block reads their trial numbers, optima and residual scales, and
-    their rows of the batch's one `Transport`, through it. The kernel
-    `rounds_of(state, adj, trials, k0, gradients, wire, config)` plays them
-    through a block of rounds over their adjacencies adj[r, b], shipping
-    each round by `wire` (None when nothing goes on the wire), and yields
-    the state and A(k) (None for the dense kernels) after each round. A
-    block ends at the next multiple of `BLOCK`, within `_BLOCK_CELLS` per
-    trial and `_BATCH_CELLS` per batch, the horizon and the last round
-    every schedule can play, so no schedule is asked for a round the run
-    cannot reach.
+    their rows of the batch's one `Transport`, through it. A block ends at
+    the next multiple of `BLOCK`, within `_BLOCK_CELLS` per trial and
+    `_BATCH_CELLS` per batch, the horizon and the last round every schedule
+    can play, so no schedule is asked for a round the run cannot reach.
 
-    Round r of a block writes row r of the block's buffers: the estimates,
-    and the other states and A(k) when recorded. A run without a stopping
-    rule takes the block's residuals from its estimates in one call once
-    the block is played; a run with one takes each round's as it lands and
-    ends the block at the first round where a trial meets its rule. The
-    start is a block of one row, round 0, with no A(k). After every block
-    each running trial keeps its slice of every buffer, and the trials
-    that met the rule stop at the block's last round and leave the batch;
-    each trial joins its slices once, at the end of the run.
+    The kernel `rounds_of(state, adj, trials, k0, gradients, wire, config, x,
+    z, landed)` plays a block from `state` over adjacencies adj[r, b],
+    shipping each round by `wire` (None when nothing goes on the wire); it
+    writes round r's estimates to the block's buffer x[r] and its [y | s | w]
+    to z[r] (push-sum only), and yields nothing. Under a stopping rule,
+    `landed(r)` takes round r's residuals and says if a trial met the rule,
+    and the kernel ends the block there; without one (`landed` None) the
+    block's residuals come from x in one call. The kernel returns the rounds
+    played, the state after the last and the block's A(k) (None for the
+    dense kernels). The start is a block of one row, round 0, with no A(k).
+    After every block each running trial keeps its slice of every recorded
+    buffer, and the trials that met the rule stop at the block's last round
+    and leave the batch; each trial joins its slices once, at the end.
     """
-    configs = [_trial_config(config, t) for t in trials]
+    configs = [config if t == config.trial else replace(config, trial=t) for t in trials]
     starts = [_initial_state(p, c) for p, c in zip(problems, configs)]
     state = RoundState(*(np.stack([getattr(st, f.name) for st in starts])
                          for f in fields(RoundState)))
@@ -645,13 +661,9 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
                         x_star=optimal_solution(p), config=c) for p, c in zip(problems, configs)]
     x_star = np.stack([traj.x_star for traj in trajs])[:, None]
     den = _squared_distance(state.x, x_star)  # fixed for the run
-    m = problems[0].m
-    series = _SERIES if config.record_states else {"x_series": "x"}
-    block = {"residuals": relative_residual(state.x, None, x_star, den=den)[None],
-             **{name: getattr(state, f)[None] for name, f in series.items()}}
-    if config.record_weights:
-        block["weight_matrices"] = np.empty((0, len(trials), m, m))  # no A(k) before round 1
-    recorded = [name for name in block if config.record_states or name != "x_series"]
+    m, d = problems[0].m, problems[0].d
+    recorded = [name for name in _SERIES if name == "residuals" or (
+        config.record_weights if name == "weight_matrices" else config.record_states)]
     slices = [{name: [] for name in recorded} for _ in trials]
     stop = config.stop_residual
     running = np.arange(len(trials))
@@ -661,17 +673,22 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
         def gradients(x):
             return np.stack([problems[j].gradients(xb) for j, xb in zip(running, x)])
 
+    res = relative_residual(state.x, None, x_star, den=den)[None]
+    x, z = state.x[None], np.concatenate((state.y, state.s, state.w[..., None]), axis=2)[None]
+    a = np.empty((0, len(trials), m, m))  # no A(k) before round 1
     started = time.perf_counter()
     k = r = 0
     while True:
+        block = dict(zip(_SERIES, (res, x, *_cut(z), a)))
         for b, j in enumerate(running):
             for name in recorded:
                 slices[j][name].append(block[name][: r + 1, b])
-        if stop is not None and (stopped := block["residuals"][r] <= stop).any():
+        if stop is not None and (stopped := res[r] <= stop).any():
             elapsed = time.perf_counter() - started if k else 0.0
             for j in running[stopped]:
                 trajs[j].stopped_at, trajs[j].elapsed = k, elapsed
-            running, state = running[~stopped], _batch_rows(state, ~stopped)
+            running = running[~stopped]
+            state = RoundState(*(getattr(state, f.name)[~stopped] for f in fields(RoundState)))
         if not (nt := len(running)) or k == config.horizon:
             break
         ends = [schedules[j].length - k for j in running if schedules[j].length is not None]
@@ -681,22 +698,19 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
         for b, j in enumerate(running):
             adj[:, b] = schedules[j].adjacencies(k, rounds)
         xs, scale = x_star[running], den[running]
-        block = {name: np.empty((rounds, nt) + v.shape[2:]) for name, v in block.items()}
+        res, x = np.empty((rounds, nt)), np.empty((rounds, nt, m, d))
+        z = np.empty((rounds, nt, m, 2 * d + 1))
+        landed = None
+        if stop is not None:
+            def landed(r, res=res, x=x, xs=xs, scale=scale):
+                res[r] = relative_residual(x[r], None, xs, den=scale)
+                return (res[r] <= stop).any()
         wire = None if transport is None else partial(transport.send_batch, rows=running)
-        played = rounds_of(state, adj, [trials[j] for j in running], k, gradients, wire,
-                           config)
-        for r, (state, a) in enumerate(played):
-            k += 1
-            for name, f in series.items():
-                block[name][r] = getattr(state, f)
-            if config.record_weights:
-                block["weight_matrices"][r] = a
-            if stop is not None:
-                block["residuals"][r] = relative_residual(state.x, None, xs, den=scale)
-                if (block["residuals"][r] <= stop).any():
-                    break
+        played, state, a = rounds_of(state, adj, [trials[j] for j in running], k, gradients,
+                                     wire, config, x, z, landed)
+        r, k = played - 1, k + played
         if stop is None:
-            block["residuals"] = relative_residual(block["x_series"], None, xs, den=scale)
+            res = relative_residual(x, None, xs, den=scale)
     for j in running:
         trajs[j].elapsed = time.perf_counter() - started
     for j, (traj, parts) in enumerate(zip(trajs, slices)):

@@ -8,10 +8,11 @@ closes the column to an exact sum of 1.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .streams import check_positive
 
 
 @dataclass(frozen=True)
@@ -23,10 +24,8 @@ class MixingParams:
     k0_range: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.c0) and self.c0 > 0.0):
-            raise ValueError(f"c0 must be positive and finite, got {self.c0}")
-        if not (math.isfinite(self.k0_range) and self.k0_range > 0.0):
-            raise ValueError(f"k0_range must be positive and finite, got {self.k0_range}")
+        for name in ("c0", "k0_range"):
+            object.__setattr__(self, name, check_positive(name, getattr(self, name)))
 
     def validate_for(self, m: int):
         if not (self.c0 < 1.0 / m):

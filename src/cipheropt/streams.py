@@ -117,6 +117,15 @@ def check_positive(name: str, value) -> float:
     return float(value)
 
 
+def check_non_negative(name: str, value) -> float:
+    """`value` as a float if it is a non-negative, finite real number (not a bool),
+    else a ValueError naming `name`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value >= 0)):
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+    return float(value)
+
+
 class KeyedStream:
     """The uniform streams keyed (seed, *prefix, key) for every key >= 0.
 

@@ -234,6 +234,29 @@ class TestGuards:
         with pytest.raises(ValueError, match="stop residual"):
             RunConfig(step_size=1e-3, horizon=10, stop_residual=stop)
 
+    @settings(max_examples=60, deadline=None)
+    @given(field=st.sampled_from(["step_size", "stop_residual"]),
+           value=st.one_of(st.booleans(), st.text(), st.sampled_from(["0.1", b"1", [0.1]])))
+    def test_rejects_bool_or_text_step_and_stop_residual_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field.replace('_', ' ')} must be"):
+            RunConfig(**{"step_size": 1e-3, "horizon": 10, field: value})
+
+    @settings(max_examples=60, deadline=None)
+    @given(field=st.sampled_from(["encryption", "mass_reset", "record_states", "record_weights",
+                                  "record_messages"]),
+           value=st.one_of(st.text(), st.integers(), st.floats(), st.none(),
+                           st.sampled_from(["off", "False", np.int64(1), np.float64(0.0)])))
+    def test_rejects_a_switch_that_is_not_a_bool_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be True or False, got "):
+            RunConfig(step_size=1e-3, horizon=10, **{field: value})
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+    def test_switches_take_python_and_numpy_bools(self, value):
+        switches = ("encryption", "mass_reset", "record_states", "record_weights",
+                    "record_messages")
+        config = RunConfig(step_size=1e-3, horizon=10, **{name: value for name in switches})
+        assert all(getattr(config, name) == value for name in switches)
+
     @settings(max_examples=40, deadline=None)
     @given(horizon=st.one_of(st.floats(min_value=1.0, max_value=1e6), st.just(float("nan")),
                              st.just(True)))

@@ -12,6 +12,7 @@ schedule is asked for at once and count the keyed streams' block passes
 (`streams.KeyedStream`). The dense baselines must also match a plain
 per-trial loop of matrix products (`dense_oracle`).
 """
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -24,6 +25,7 @@ from hypothesis.extra.numpy import arrays
 from cipheropt import cli
 from cipheropt.channel import SharedKey
 from cipheropt.engine import (
+    W_EPS,
     DegenerateStateError,
     RunConfig,
     Transport,
@@ -435,6 +437,112 @@ def test_degenerate_mass_names_trial_agent_and_round():
                        w0=np.array([1e-13, 1.0]))
     with pytest.raises(DegenerateStateError, match=r"^trial 5 agent 1 mass 1\.000e-13 at k=1 "):
         run_trials([problem] * 2, [mixing, lonely], MixingParams(c0=0.3), config, [3, 5])
+
+
+# starting masses: negative, inside the guard (+-1e-13, 0), just outside it, and any
+MASSES = st.one_of(st.sampled_from([-1.0, -0.5, 2.0, 1e-13, -1e-13, 0.0, 2e-12, -2e-12]),
+                   st.floats(-2.0, 2.0))
+GUARD = r"trial (\d+) agent (\d+) mass (\S+) at k=(\d+) is inside the division guard"
+
+
+def next_masses(schedule, params, config, trial, k, w):
+    """w after round k of `trial`: each receiver's shares of the masses, summed by
+    senders ascending, its own share included, from the per-agent columns."""
+    a = assemble_weight_matrix(
+        draw_weight_columns(graph_at(schedule, k), params, config.seed, trial, k).values(), len(w))
+    parts = schedule.adjacencies(k, 1)[0] | np.eye(len(w), dtype=bool)
+    return np.array([np.add.reduce(a[l, parts[l]] * w[parts[l]]) for l in range(len(w))])
+
+
+def low_masses(traj):
+    return (np.abs(traj.w_series[1:]) < W_EPS).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(w0=st.lists(MASSES, min_size=2, max_size=3), edges=st.booleans(),
+       trials=st.lists(st.integers(0, 20), min_size=1, max_size=3, unique=True))
+@example(w0=[3e-12, -3e-12], edges=True, trials=[5, 3])  # the second trial's mass, k=1
+@example(w0=[5e-12, -5e-12], edges=True, trials=[0, 1, 2])  # k=2
+@example(w0=[1e-11, -1e-11], edges=True, trials=[7])  # k=4
+@example(w0=[2e-12, -1e-12, -1e-12], edges=True, trials=[5, 3])  # agent 3
+@example(w0=[1.0, -1.0], edges=True, trials=[0, 1, 2])  # runs to the horizon
+def test_the_mass_guard_raises_at_the_first_mass_inside_it(w0, edges, trials):
+    """Without the reset, a run fails exactly when some |w| falls under W_EPS, and
+    names the first round, then trial (batch order), then agent where it does;
+    the masses come from the per-agent columns and a recorded run to the round
+    before."""
+    m = len(w0)
+    problem = problem_from_instance(generate_sensor_fusion(m=m, s=2, d=2, omega=0.01, seed=3))
+    schedule = StaticSchedule(complete(m) if edges else DirectedGraph(m))
+    params = MixingParams(c0=0.1)
+    config = RunConfig(step_size=1e-3, horizon=4, encryption=False, mass_reset=False, w0=w0,
+                       seed=5, record_states=True)
+    batch = [problem] * len(trials), [schedule] * len(trials), params
+
+    try:
+        trajs = run_trials(*batch, config, trials)
+    except DegenerateStateError as exc:
+        trial, agent, mass, k = re.fullmatch(GUARD, str(exc)).groups()
+        trial, agent, k = int(trial), int(agent), int(k)
+    else:
+        assert not any(low_masses(traj) for traj in trajs)
+        return
+    if k == 1:
+        before = [np.array(w0, dtype=float)] * len(trials)
+    else:
+        earlier = run_trials(*batch, replace(config, horizon=k - 1), trials)
+        assert not any(low_masses(traj) for traj in earlier)
+        before = [traj.w_series[-1] for traj in earlier]
+    faults = []  # (trial, agent, mass) inside the guard at round k, in batch and agent order
+    for t, w in zip(trials, before):
+        w = next_masses(schedule, params, config, t, k - 1, w)
+        faults += [(t, l + 1, f"{w[l]:.3e}") for l in np.flatnonzero(np.abs(w) < W_EPS)]
+    assert faults and faults[0] == (trial, agent, mass)
+
+
+@pytest.mark.parametrize("T", [1, 2, 3])
+def test_a_negative_mass_outside_the_guard_runs(T):
+    """[-1, 2] has its minimum under W_EPS, but no |w| inside the guard: the
+    one-reduction test fails and the |w| test passes it."""
+    problem = problem_from_instance(generate_sensor_fusion(m=2, s=2, d=2, omega=0.01, seed=3))
+    config = RunConfig(step_size=1e-3, horizon=5, encryption=False, mass_reset=False,
+                       w0=[-1, 2], record_states=True)
+    trajs = run_trials([problem] * T, [StaticSchedule(DirectedGraph(2))] * T,
+                       MixingParams(c0=0.3), config, range(T))
+    for traj in trajs:
+        assert traj.iterations == 5
+        assert traj.w_series.tobytes() == np.tile([-1.0, 2.0], (6, 1)).tobytes()
+
+
+def test_recorded_series_own_their_memory():
+    """A sealed batch whose trials stop in different blocks: no series of one
+    trial shares memory with another trial's or a later run's, and writing into
+    one trial's series moves no other trial's and no rerun's bytes. A block
+    buffer or A(k) array kept across blocks or trials would fail this."""
+    m = 6
+    problem = problem_from_instance(generate_sensor_fusion(m=m, s=3, d=2, omega=0.01, seed=891))
+    batch = ([problem] * 3, [StaticSchedule(complete(m))] * 3, MixingParams(c0=0.5 / m),
+             RunConfig(step_size=2e-3, horizon=150, encryption=True, seed=3, stop_residual=2e-3,
+                       record_states=True, record_weights=True), [0, 1, 2])
+    gots = run_trials(*batch)
+    assert len({traj.stopped_at // BLOCK for traj in gots}) > 1
+
+    def owned(traj):
+        return [traj.residuals] + [getattr(traj, name) for name in SERIES]
+
+    def digest(traj):
+        return [a.tobytes() for a in owned(traj)]
+
+    want = [digest(traj) for traj in gots]
+    later = run_trials(*batch)
+    for i, traj in enumerate(gots):
+        others = [a for j, t in enumerate(gots + later) if j != i for a in owned(t)]
+        assert not any(np.shares_memory(a, b) for a in owned(traj) for b in others)
+    for a in owned(gots[0]):
+        a[...] = np.nan
+    assert [digest(traj) for traj in gots[1:]] == want[1:]
+    assert [digest(traj) for traj in later] == want
+    assert [digest(traj) for traj in run_trials(*batch)] == want
 
 
 def test_batch_shape_is_checked():

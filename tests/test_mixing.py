@@ -42,6 +42,13 @@ class TestParams:
         with pytest.raises(ValueError, match="c0"):
             MixingParams(c0=c0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(field=st.sampled_from(["c0", "k0_range"]),
+           value=st.one_of(st.booleans(), st.text(), st.sampled_from(["0.1", b"1", [0.1]])))
+    def test_rejects_bool_or_text_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got "):
+            MixingParams(**{"c0": 0.1, field: value})
+
 
 class TestSingleColumn:
     def test_isolated_agent_keeps_everything(self):
