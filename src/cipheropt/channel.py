@@ -198,8 +198,8 @@ class NonceCounter:
     Each sender owns its counter, and in trial t it counts from t * 2^32, so
     the trials of a seed, which share its key, never repeat a nonce either:
     sender ids are distinct and a sender has 2^32 messages to a trial.
-    `used`, a one-cell int64 array, holds how many of them it has taken; a
-    `Transport` hands each sender a cell of its (trial, sender) array.
+    `used`, a one-cell int64 array, holds how many of them it has taken. It
+    is the per-frame reference for `RoundNonces`.
     """
 
     def __init__(self, sender: int, trial: int = 0, used=None):
@@ -301,22 +301,10 @@ def pack_frames(k, senders, receivers, parts) -> np.ndarray:
     return frames
 
 
-# frames from which `cut_frames` cuts in numpy; slicing costs about as much at 24
-# frames (a one-trial fig5b round) and less below
-_CUT_BY_KIND = 48
-
-
 def cut_frames(frames) -> list:
-    """The frames of `pack_frames`' records, one bytes each, in frame order.
-
-    A few are sliced from the bytes; more are cut a kind at a time, each
-    kind's frames read as one array of fixed-size bytes.
-    """
+    """The frames of `pack_frames`' records, one bytes each, in frame order: cut
+    a kind at a time, each kind's frames read as one array of fixed-size bytes."""
     kinds = frames.dtype.names
-    if len(frames) * len(kinds) < _CUT_BY_KIND:
-        raw, step = frames.tobytes(), frames.dtype.itemsize
-        spans = [(off, off + dt.itemsize) for dt, off in frames.dtype.fields.values()]
-        return [raw[at + lo : at + hi] for at in range(0, len(raw), step) for lo, hi in spans]
     out = [None] * (len(frames) * len(kinds))
     for j, kind in enumerate(kinds):
         out[j :: len(kinds)] = frames[kind].view(f"V{frames.dtype[kind].itemsize}").tolist()

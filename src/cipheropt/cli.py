@@ -161,21 +161,20 @@ def resolve_config(command: str, args) -> dict:
             check_seed(name, config[name])
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    for name in ("capture", "redraw_noise"):
-        if not isinstance(config[name], bool):
-            raise ConfigError(f"{name} must be true or false, got {config[name]!r}")
+    for name, kind in (("capture", bool), ("redraw_noise", bool), ("schedule", str), ("out", str)):
+        if not isinstance(config[name], kind):
+            what = "text" if kind is str else "true or false"
+            raise ConfigError(f"{name} must be {what}, got {config[name]!r}")
     if config["encryption"] not in ("on", "off"):
         raise ConfigError("encryption must be 'on' or 'off'")
-    if config["algorithm"] not in ALGORITHM_NAMES and config["algorithm"] != "all":
+    if config["algorithm"] not in (*ALGORITHM_NAMES, "all"):
         raise ConfigError(f"unknown algorithm {config['algorithm']!r}")
     if config["scenario"] not in ("all", *PRIVACY_SCENARIOS):
         raise ConfigError(f"scenario must be 'all', 'b', 'c' or 'addopt', "
                           f"got {config['scenario']!r}")
-    # the numbers the runs take, put to the checks of the code that takes
-    # them; c0 < 1/m waits for the m a command runs
+    # the numbers the runs take, put to the checks of the code that takes them
     checks = {
-        "problem": lambda p: objectives.generate_sensor_fusion(
-            m=p["m"], s=p["s"], d=p["d"], omega=p["omega"], seed=p["instance_seed"]),
+        "problem": lambda _: objectives.problem_from_instance(_instance(config)),
         "activation": lambda v: v is None or graphs.RandomActivationSchedule(
             graphs.DirectedGraph(1), _real(v), seed=0),
         "step_size": lambda v: v is None or engine.RunConfig(step_size=_real(v), horizon=1),
@@ -183,7 +182,7 @@ def resolve_config(command: str, args) -> dict:
         "k0_range": lambda v: MixingParams(c0=1.0, k0_range=_real(v)),
         "stop": lambda v: [engine.RunConfig(step_size=1.0, horizon=1, stop_residual=_real(c))
                            for c in v],
-        "box": lambda v: check_positive("bound", _real(v)),
+        "box": lambda v: adversary.check_bound(_real(v)),
         "alpha": lambda v: check_positive("alpha", _real(v)),
         "beta": lambda v: check_positive("beta", _real(v)),
     }
@@ -238,14 +237,22 @@ def _trial_problem(config: dict, base, trial: int):
     return objectives.problem_from_instance(inst)
 
 
-def _mixing(config: dict) -> MixingParams:
-    return MixingParams(c0=float(config["c0"]), k0_range=float(config["k0_range"]))
+def _mixing(config: dict, m: int) -> MixingParams:
+    """The weights' parameters for m agents, taken before anything is written; a
+    ConfigError unless c0 < 1/m."""
+    params = MixingParams(c0=float(config["c0"]), k0_range=float(config["k0_range"]))
+    try:
+        params.validate_for(m)
+    except ValueError as exc:
+        raise ConfigError(f"c0: {exc}") from None
+    return params
 
 
 def _run_trials(config, problems, schedules, algorithm, run_config, trials):
     """Every trial of `trials` at once, in lockstep where the algorithm allows."""
     if algorithm == "algorithm1":
-        return engine.run_trials(problems, schedules, _mixing(config), run_config, trials)
+        return engine.run_trials(problems, schedules, _mixing(config, problems[0].m),
+                                 run_config, trials)
     return engine.run_baseline_trials(problems, schedules, run_config,
                                       ALGORITHM_NAMES[algorithm], trials)
 
@@ -293,8 +300,7 @@ def cmd_converge(config: dict) -> ExperimentResult:
 def cmd_stoptime(config: dict) -> ExperimentResult:
     if not config["stop"]:
         raise ConfigError("stoptime needs a non-empty stop criteria list")
-    base = _instance(config)
-    problem = _trial_problem(config, base, 0)
+    problem = _trial_problem(config, _instance(config), 0)
     algorithm = config["algorithm"] if config["algorithm"] != "all" else "algorithm1"
     step = _resolve_step(config, algorithm)
     out_dir = Path(config["out"])
@@ -362,6 +368,8 @@ def cmd_privacy(config: dict) -> ExperimentResult:
                 f"the schedule does not connect target {target} to adversary {adv} in "
                 f"rounds {unlinked}: scenario b needs a message from {target} to {adv} "
                 f"in every round 0..{K}")
+    mixing = {name: _mixing(config, agents) for name, agents in (("b", m), ("c", 2))
+              if name in scenarios}
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     result = ExperimentResult()
@@ -374,9 +382,8 @@ def cmd_privacy(config: dict) -> ExperimentResult:
     )
 
     if "b" in scenarios:
-        base = _instance(config)
-        problem = _trial_problem(config, base, 0)
-        traj = engine.run(problem, sched, _mixing(config), rc)
+        problem = _trial_problem(config, _instance(config), 0)
+        traj = engine.run(problem, sched, mixing["b"], rc)
         view = adversary.capture_view(traj.messages, adv, target)
         report = adversary.infer_states_scenario_b(view, K)
         truth = adversary.gradient_ground_truth(traj.x_series, problem, target, range(1, K + 1))
@@ -411,11 +418,10 @@ def cmd_privacy(config: dict) -> ExperimentResult:
 
     if "c" in scenarios or "addopt" in scenarios:
         c_config = _merge(config, {"problem": {"m": 2}}, "scenario-c")
-        base = _instance(c_config)
-        problem = _trial_problem(c_config, base, 0)
+        problem = _trial_problem(c_config, _instance(c_config), 0)
 
     if "c" in scenarios:
-        traj = engine.run(problem, _scenario_c_schedule(), _mixing(c_config), rc)
+        traj = engine.run(problem, _scenario_c_schedule(), mixing["c"], rc)
         view = adversary.capture_view(traj.messages, 2, 1)
         report = adversary.infer_scenario_c(view, K)
         truth = adversary.gradient_ground_truth(traj.x_series, problem, 1, range(1, K + 1))
@@ -450,12 +456,13 @@ def _recovery_error(recovered: dict, truth: np.ndarray, rounds) -> float:
 
 
 def cmd_theory(config: dict) -> ExperimentResult:
-    base = _instance(config)
-    problem = _trial_problem(config, base, 0)
+    problem = _trial_problem(config, _instance(config), 0)
     sched = _load_schedule(config, 0)
     connectivity = graphs.certify_uniform_connectivity(
         sched, horizon=config["certify_horizon"]
     )
+    if connectivity.b_tilde is not None:  # the certificate reads c0
+        _mixing(config, problem.m)
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "theory_certificate.txt"

@@ -20,16 +20,16 @@ batch), one index plan (ranks, gather) over all of them and every A(k) of
 the block, from one weight call. The kernel plays the block in place:
 each round reduces into its row of the block's [y | s | w] buffer and
 divides its estimates into the block's x buffer, and the weight call's
-A(k) array is the recorded one; it yields nothing per round. The mass is
-forced back to one when the first round's results land, which erases the
-random initial masses from the trajectory; every other round guards its
-division by the mass, with one reduction for a round whose masses all
-lie above the guard. Each round's local gradients come from one batched
-call. A run without a stopping rule takes all residuals of a block from
-one reduction once the block is played; a run with one takes them each
-round and ends the block where a trial meets its rule. The start is a
-block of one round, so a trial leaves the batch by one path at round 0
-or later.
+A(k) array is the recorded one; between blocks a run is the last row it
+played, its [y | s | w], estimates and gradients. The mass is forced back
+to one when the first round's results land, which erases the random
+initial masses from the trajectory; every other round guards its division
+by the mass, with one reduction for a round whose masses all lie above
+the guard. Each round's local gradients come from one batched call. A run
+without a stopping rule takes all residuals of a block from one reduction
+once the block is played; a run with one takes them each round and ends
+the block where a trial meets its rule. The start is a block of one
+round, so a trial leaves the batch by one path at round 0 or later.
 
 Those per-edge shares are also what goes on the wire: the batch's one
 `Transport` packs all of a round's frames, every running trial's, at
@@ -51,7 +51,7 @@ import math
 import numbers
 import reprlib
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import repeat
 
@@ -61,7 +61,6 @@ from .channel import (
     KIND_S,
     KIND_W,
     KIND_Y,
-    NonceCounter,
     PlainPayload,
     RoundNonces,
     SharedKey,
@@ -99,20 +98,6 @@ BASELINES = ("push-diging", "subgradient-push", "ab-push-pull")
 
 class DegenerateStateError(ArithmeticError):
     """A mass coordinate collapsed below the division guard."""
-
-
-@dataclass
-class RoundState:
-    """All agents' variables after one round, row i-1 for agent i.
-
-    Carried from block to block, every field has a leading batch axis, one row per trial.
-    """
-
-    y: np.ndarray  # running state, m-by-d
-    s: np.ndarray  # gradient tracker, m-by-d
-    w: np.ndarray  # mass, (m,)
-    x: np.ndarray  # estimate y / w, m-by-d
-    g: np.ndarray  # local gradients at x, m-by-d
 
 
 @dataclass
@@ -253,11 +238,11 @@ def _given_start(name, value, shape, size):
     return start.reshape(shape)
 
 
-def _initial_state(problem: GlobalProblem, config: RunConfig) -> RoundState:
-    """State at k=0: estimate and running state coincide, tracker holds the gradient."""
+def _initial_state(problem: GlobalProblem, config: RunConfig) -> tuple:
+    """State at k=0 as (z, x, g), z = [y | s | w]: y = x, and s holds the gradients g."""
     x0, w0 = _initial_positions(problem, config)
     g = problem.gradients(x0)
-    return RoundState(y=x0.copy(), s=g, w=w0, x=x0, g=g.copy())
+    return np.concatenate((x0, g, w0[:, None]), axis=1), x0, g
 
 
 def draw_weight_columns(graph, params: MixingParams, seed, trial, k) -> dict:
@@ -294,44 +279,28 @@ class Transport:
     """The wire under a batch of trials: per-edge values in, framed (and sealed)
     messages out, in one call a round for every trial that plays it.
 
-    A round's messages go out batch row by batch row, and within a row sender
-    ascending, then receiver ascending, then Y, S, W, so nonces and bytes are
-    reproducible and each trial's frames are the ones it sends alone. Every
-    frame of the round is packed at once. With a key, the round's nonces
-    come as one array (`RoundNonces`) over the wire's (trial, sender)
-    counters `used`, each trial in its own range; each frame is sealed under
-    its nonce by `encrypt`, and every envelope of the round is opened in one
-    pass. The opened frames, joined, must be byte for byte the round's packed
-    frames: if not, or if an envelope fails authentication, the round fails
-    with a TamperError that names the trial and the first message at fault.
-    Without a key messages are only framed, for the logs.
-
-    `Transport(m, key, log, trial)` is one trial's wire, with its `log` and,
-    as `counters[i]`, sender i's `NonceCounter`, a view of `used`.
-    `Transport.batch(m, key, logs, trials)` is the wire of trials[b] at batch
-    row b. A log, if a list, gets its trial's messages in wire order.
+    `Transport(m, key, logs, trials)` is the wire of m agents in trials[b] at
+    batch row b (trial 0 alone by default); logs[b], if `logs` is not None, gets
+    trials[b]'s messages in wire order. A round's messages go out batch row by
+    batch row, and within a row sender ascending, then receiver ascending, then
+    Y, S, W, so nonces and bytes are reproducible and each trial's frames are
+    the ones it sends alone. Every frame of the round is packed at once. With a
+    key, the round's nonces come as one array (`RoundNonces`) over the wire's
+    (trial, sender) counters `used`, each trial in its own range; each frame is
+    sealed under its nonce by `encrypt`, and every envelope of the round is
+    opened in one pass. The opened frames, joined, must be byte for byte the
+    round's packed frames: if not, or if an envelope fails authentication, the
+    round fails with a TamperError that names the trial and the first message at
+    fault. Without a key messages are only framed, for the logs.
     """
 
-    def __init__(self, m: int, key: SharedKey | None, log: list | None, trial: int = 0):
-        self.log = log
-        self._open(m, key, None if log is None else [log], [trial])
-        if key is not None:
-            self.counters = {i: NonceCounter(i, trial, self.used[0, i - 1 : i])
-                             for i in range(1, m + 1)}
-
-    @classmethod
-    def batch(cls, m: int, key: SharedKey | None, logs: list | None, trials) -> "Transport":
-        wire = object.__new__(cls)
-        wire._open(m, key, logs, trials)
-        return wire
-
-    def _open(self, m, key, logs, trials):
+    def __init__(self, m: int, key: SharedKey | None, logs: list | None, trials=(0,)):
         self.key, self.logs = key, logs
         self.trials = nonce_trials(trials)
         self.used = np.zeros((len(self.trials), m), np.int64)
 
     def send(self, k, senders, receivers, jy, js, jw):
-        """Ship round k of a one-trial wire: one message from each senders[t] to
+        """Ship round k of batch row 0: one message from each senders[t] to
         receivers[t] (agents, in wire order); jy[r-1, i-1] (and js, jw) is what
         sender i owes receiver r."""
         at = (receivers - 1, senders - 1)
@@ -539,24 +508,24 @@ def _cut(z):
     return z[..., :d], z[..., d : 2 * d], z[..., 2 * d]
 
 
-def iterate(state: RoundState, columns, problem: GlobalProblem, step, k, *,
-            reset_mass=False, transport: Transport | None = None) -> RoundState:
-    """One synchronous round of one trial. Returns the state at k+1.
+def iterate(state, columns, problem: GlobalProblem, step, k, *, reset_mass=False,
+            transport: Transport | None = None) -> tuple:
+    """One synchronous round of one trial: its (z, x, g) at k+1 from those at k.
 
     `columns` maps each agent to the `WeightColumn` it drew for round k.
     """
-    m, d = state.y.shape
+    z, x, g = state
+    m, d = x.shape
     adj = np.zeros((1, m, m), dtype=bool)
     for i, col in columns.items():
         for l in col.entries:
             adj[0, l - 1, i - 1] = l != i
     a = assemble_weight_matrix(columns.values(), m)
-    z = np.concatenate((state.y, state.s, state.w[:, None]), axis=1)[None]
-    out, x = np.empty_like(z), np.empty((1, m, d))
-    g = _advance(z, state.g[None], a[None], _RoundPlan(adj, 1, 2 * d + 1), 0, adj, step, k,
+    out, x = np.empty((1, m, 2 * d + 1)), np.empty((1, m, d))
+    g = _advance(z[None], g[None], a[None], _RoundPlan(adj, 1, 2 * d + 1), 0, adj, step, k,
                  problem.gradients, out, x, reset_mass=reset_mass,
                  wire=None if transport is None else transport.send_batch)
-    return RoundState(*_cut(out[0]), x=x[0], g=g[0])
+    return out[0], x[0], g[0]
 
 
 def _push_sum(weights):
@@ -567,7 +536,7 @@ def _push_sum(weights):
         rounds, nt, m, _ = adj.shape
         plan = _RoundPlan(adj.reshape(rounds * nt, m, m), rounds, z.shape[-1])
         a = weights(adj, plan, trials, k0).reshape(adj.shape)
-        prev, g = np.concatenate((state.y, state.s, state.w[..., None]), axis=2), state.g
+        prev, _, g = state
         for r in range(rounds):
             k = k0 + r
             g = _advance(prev, g, a[r], plan, r, adj[r], config.step_size, k, gradients, z[r],
@@ -576,7 +545,7 @@ def _push_sum(weights):
             prev = z[r]
             if landed is not None and landed(r):
                 break
-        return r + 1, RoundState(*_cut(prev), x=x[r], g=g), a
+        return r + 1, g, a
 
     return rounds_of
 
@@ -593,7 +562,7 @@ def _subgradient_push(state, adj, trials, k0, gradients, wire, config, x, z, lan
     """Diminishing-step push-sum consensus plus a local (sub)gradient step:
     y is the pushed state, w the mass and x = (A y) / (A w) the estimate."""
     a = _uniform_matrix(adj, -2)
-    y, w = state.y, state.w
+    y, _, w = (part.copy() for part in _cut(state[0]))  # C-contiguous, for stable product bits
     for r in range(len(adj)):
         y = a[r] @ y
         w = (a[r] @ w[..., None])[..., 0]
@@ -602,21 +571,24 @@ def _subgradient_push(state, adj, trials, k0, gradients, wire, config, x, z, lan
         y -= 1.0 / (k0 + r + 3000) * g
         if landed is not None and landed(r):
             break
-    return r + 1, RoundState(y=y, s=state.s, w=w, x=x[r], g=g), None
+    z[r, ..., : y.shape[-1]], z[r, ..., -1] = y, w
+    return r + 1, g, None
 
 
 def _ab_push_pull(state, adj, trials, k0, gradients, wire, config, x, z, landed):
     """Row-stochastic pull on the estimates x, column-stochastic push on the
     tracker s of the local gradients g."""
     rows, cols = _uniform_matrix(adj, -1), _uniform_matrix(adj, -2)
-    prev, s, g = state.x, state.s, state.g
+    _, prev, g = state
+    s = _cut(state[0])[1].copy()  # C-contiguous, for stable product bits
     for r in range(len(adj)):
         np.matmul(rows[r], prev - config.step_size * s, out=x[r])
         g_next = gradients(x[r])
         prev, s, g = x[r], cols[r] @ s + g_next - g, g_next
         if landed is not None and landed(r):
             break
-    return r + 1, RoundState(y=prev, s=s, w=state.w, x=prev, g=g), None
+    _cut(z[r])[1][...] = s
+    return r + 1, g, None
 
 
 # A block's buffers, as `Trajectory` fields: residuals, x, the y, s and w of z, A(k)
@@ -635,32 +607,32 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
     `_BATCH_CELLS` per batch, the horizon and the last round every schedule
     can play, so no schedule is asked for a round the run cannot reach.
 
-    The kernel `rounds_of(state, adj, trials, k0, gradients, wire, config, x,
-    z, landed)` plays a block from `state` over adjacencies adj[r, b],
-    shipping each round by `wire` (None when nothing goes on the wire); it
-    writes round r's estimates to the block's buffer x[r] and its [y | s | w]
-    to z[r] (push-sum only), and yields nothing. Under a stopping rule,
+    The state is the last row played, (z, x, g): the running trials' [y | s |
+    w] (nt, m, 2d+1), estimates and gradients at them. The kernel
+    `rounds_of(state, adj, trials, k0, gradients, wire, config, x, z, landed)`
+    plays a block from `state` over adjacencies adj[r, b], shipping each
+    round by `wire` (None when nothing goes on the wire); it writes round r's
+    estimates to the block's buffer x[r] and its [y | s | w] to z[r] (a dense
+    kernel only what it carries, to the last row). Under a stopping rule,
     `landed(r)` takes round r's residuals and says if a trial met the rule,
     and the kernel ends the block there; without one (`landed` None) the
     block's residuals come from x in one call. The kernel returns the rounds
-    played, the state after the last and the block's A(k) (None for the
+    played, the gradients after the last and the block's A(k) (None for the
     dense kernels). The start is a block of one row, round 0, with no A(k).
     After every block each running trial keeps its slice of every recorded
     buffer, and the trials that met the rule stop at the block's last round
     and leave the batch; each trial joins its slices once, at the end.
     """
     configs = [config if t == config.trial else replace(config, trial=t) for t in trials]
-    starts = [_initial_state(p, c) for p, c in zip(problems, configs)]
-    state = RoundState(*(np.stack([getattr(st, f.name) for st in starts])
-                         for f in fields(RoundState)))
+    state = tuple(map(np.stack, zip(*(_initial_state(p, c) for p, c in zip(problems, configs)))))
     key = SharedKey.from_seed(config.seed) if config.encryption else None
     logs = [[] for _ in trials] if config.record_messages else None
-    transport = (Transport.batch(problems[0].m, key, logs, trials)
+    transport = (Transport(problems[0].m, key, logs, trials)
                  if config.encryption or config.record_messages else None)
     trajs = [Trajectory(algorithm=algorithm, residuals=np.empty(0), iterations=0,
                         x_star=optimal_solution(p), config=c) for p, c in zip(problems, configs)]
     x_star = np.stack([traj.x_star for traj in trajs])[:, None]
-    den = _squared_distance(state.x, x_star)  # fixed for the run
+    den = _squared_distance(state[1], x_star)  # fixed for the run
     m, d = problems[0].m, problems[0].d
     recorded = [name for name in _SERIES if name == "residuals" or (
         config.record_weights if name == "weight_matrices" else config.record_states)]
@@ -673,8 +645,8 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
         def gradients(x):
             return np.stack([problems[j].gradients(xb) for j, xb in zip(running, x)])
 
-    res = relative_residual(state.x, None, x_star, den=den)[None]
-    x, z = state.x[None], np.concatenate((state.y, state.s, state.w[..., None]), axis=2)[None]
+    res = relative_residual(state[1], None, x_star, den=den)[None]
+    x, z = state[1][None], state[0][None]
     a = np.empty((0, len(trials), m, m))  # no A(k) before round 1
     started = time.perf_counter()
     k = r = 0
@@ -688,7 +660,7 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
             for j in running[stopped]:
                 trajs[j].stopped_at, trajs[j].elapsed = k, elapsed
             running = running[~stopped]
-            state = RoundState(*(getattr(state, f.name)[~stopped] for f in fields(RoundState)))
+            state = tuple(part[~stopped] for part in state)
         if not (nt := len(running)) or k == config.horizon:
             break
         ends = [schedules[j].length - k for j in running if schedules[j].length is not None]
@@ -706,9 +678,10 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
                 res[r] = relative_residual(x[r], None, xs, den=scale)
                 return (res[r] <= stop).any()
         wire = None if transport is None else partial(transport.send_batch, rows=running)
-        played, state, a = rounds_of(state, adj, [trials[j] for j in running], k, gradients,
-                                     wire, config, x, z, landed)
+        played, g, a = rounds_of(state, adj, [trials[j] for j in running], k, gradients,
+                                 wire, config, x, z, landed)
         r, k = played - 1, k + played
+        state = z[r], x[r], g
         if stop is None:
             res = relative_residual(x, None, xs, den=scale)
     for j in running:

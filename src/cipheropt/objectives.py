@@ -117,6 +117,9 @@ class GlobalProblem:
         self.mu_bar = sum(mus) / len(mus)
         if not self.mu_bar > 0:
             raise ValueError("the aggregate problem must be strongly convex")
+        if not np.isfinite([self.l_bar, self.mu_bar]).all():
+            raise ValueError(f"the aggregate curvature must be finite, got L = {self.l_bar!r} "
+                             f"and mu = {self.mu_bar!r}")
         self.kappa = self.l_hat / self.mu_bar
         self._stacked = None
         if all(isinstance(obj, QuadraticSensorObjective) for obj in self.objectives) and len(

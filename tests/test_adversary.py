@@ -295,6 +295,13 @@ class TestSolutionSampling:
         with pytest.raises(ValueError, match="^bound must be positive and finite"):
             sample_gradient_solutions(report, 10, bound=bound)
 
+    def test_box_must_have_a_finite_width(self, sampled_report):
+        report, _ = sampled_report
+        with pytest.raises(ValueError, match=r"^bound must leave \[-bound, bound\] a finite width"):
+            sample_gradient_solutions(report, 10, bound=1e308)
+        widest = sample_gradient_solutions(report, 10, bound=np.finfo(float).max / 2)
+        assert np.abs(widest.samples).max() > 1e300
+
     def test_truth_length_checked(self, sampled_report):
         report, _ = sampled_report
         with pytest.raises(ValueError, match="truth"):

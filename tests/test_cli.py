@@ -1,8 +1,11 @@
 import json
 import math
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cipheropt import cli
@@ -33,6 +36,24 @@ SMALL = {
     "horizon": 8,
     "trials": 2,
 }
+
+
+# every top-level key, and every key of the problem table as "problem.<key>"
+CONFIG_KEYS = [key for key in cli._COMMON_DEFAULTS if key != "problem"] + [
+    f"problem.{key}" for key in cli._COMMON_DEFAULTS["problem"]]
+# a JSON value of every kind; no large whole number, which is a valid long run
+ANY_JSON = [None, True, "x", [], {}, -1, 0, 2.5, 1e308, [0.1, "x"], "nan"]
+
+
+def tiny_config(command):
+    """A config of a few rounds of one trial; theory certifies the README's two-cycle,
+    written to the working directory (fig5b's certificate takes seconds)."""
+    config = {"horizon": 4, "trials": 1, "samples": 5, "certify_horizon": 10, "out": "out"}
+    if command == "theory":
+        Path("twocycle.graph").write_text("m 2\nschedule static\nedge 1 2\nedge 2 1\n")
+        config.update(problem={"m": 2, "s": 2, "d": 2, "instance_seed": 3},
+                      schedule="twocycle.graph", c0=0.49)
+    return config
 
 
 class TestConfigResolution:
@@ -272,12 +293,16 @@ class TestConfigResolution:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(activation=st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0,
                                                       exclude_min=True)),
+           # a box whose width 2 * box is finite, and an omega small enough to keep
+           # the curvature finite and large enough to outweigh rounding in M'M's
+           # smallest eigenvalue, so the problem stays strongly convex
            positive=st.fixed_dictionaries({
-               name: st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-               for name in ("box", "alpha", "beta")}),
+               "box": st.floats(min_value=0.0, exclude_min=True, max_value=sys.float_info.max / 2),
+               **{name: st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+                  for name in ("alpha", "beta")}}),
            problem=st.fixed_dictionaries({
                "m": st.integers(1, 8), "s": st.integers(1, 3), "d": st.integers(1, 3),
-               "omega": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+               "omega": st.floats(min_value=1e-9, max_value=1e300),
                "instance_seed": st.integers(0, 2**32)}),
            flags=st.fixed_dictionaries({"capture": st.booleans(),
                                         "redraw_noise": st.booleans()}))
@@ -299,8 +324,23 @@ class TestConfigResolution:
         ("privacy", {"box": "nan"}, "box: bound must be positive and finite, got nan"),
         ("privacy", {"capture": "no"}, "capture must be true or false, got 'no'"),
         ("theory", {"alpha": -1}, "alpha: alpha must be positive and finite, got -1.0"),
+        ("privacy", {"box": 1e308},
+         "box: bound must leave [-bound, bound] a finite width, got 1e+308"),
+        ("theory", {"problem": {"omega": 1e308}},
+         "problem: the aggregate curvature must be finite, got L = inf and mu = inf"),
+        ("converge", {"c0": 0.4}, "c0: c0=0.4 must be < 1/m = 0.3333333333333333"),
+        ("stoptime", {"c0": 0.4, "algorithm": "all"},
+         "c0: c0=0.4 must be < 1/m = 0.3333333333333333"),
+        ("theory", {"c0": 0.2, "schedule": "fig5b", "problem": {"m": 6}},
+         "c0: c0=0.2 must be < 1/m = 0.16666666666666666"),
+        ("privacy", {"c0": 0.4, "scenario": "b"}, "c0: c0=0.4 must be < 1/m = 0.3333333333333333"),
+        ("privacy", {"c0": 0.5, "scenario": "c"}, "c0: c0=0.5 must be < 1/m = 0.5"),
+        ("converge", {"schedule": 5}, "schedule must be text, got 5"),
+        ("stoptime", {"algorithm": []}, "unknown algorithm []"),
     ], ids=["activation", "omega", "m-fractional", "m-zero", "instance-seed", "box-negative",
-            "box-nan", "capture-string", "alpha-negative"])
+            "box-nan", "capture-string", "alpha-negative", "box-huge", "omega-huge",
+            "converge-c0", "stoptime-c0", "theory-c0", "privacy-b-c0", "privacy-c-c0",
+            "schedule-number", "algorithm-list"])
     def test_bad_problem_or_number_exits_1_and_writes_nothing(self, tmp_path, capsys, command,
                                                                payload, message):
         cfg = write_config(tmp_path, {**SMALL, **payload,
@@ -377,12 +417,24 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
 
     def test_runtime_problem_exits_two(self, tmp_path, capsys):
-        # c0 = 0.4 is structurally invalid for six agents, but only the
-        # engine can tell: that is a runtime failure, not a config one
-        cfg = write_config(tmp_path, {"c0": 0.4, "horizon": 5, "trials": 1})
-        code = main(["converge", "--config", cfg, "--out", str(tmp_path / "out")])
+        # the config is good, but its output directory cannot be made
+        cfg = write_config(tmp_path, {"horizon": 5, "trials": 1})
+        (tmp_path / "file").write_text("")
+        code = main(["converge", "--config", cfg, "--out", str(tmp_path / "file" / "out")])
         assert code == 2
-        assert "error" in capsys.readouterr().err
+        assert "error: NotADirectoryError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, payload", [
+        ("converge", {"algorithm": "push_diging"}),
+        ("converge", {"algorithm": "ab_pushpull"}),
+        ("stoptime", {"algorithm": "subgradient_push"}),
+        ("privacy", {"scenario": "addopt"}),
+        ("theory", {"schedule": "fig5a", "problem": {"m": 3, "s": 1, "d": 1},
+                    "certify_horizon": 40}),  # no certificate: nothing reads c0
+    ])
+    def test_c0_of_a_run_that_never_reads_it_is_not_checked(self, tmp_path, command, payload):
+        cfg = write_config(tmp_path, {"c0": 0.45, "horizon": 5, "trials": 1, **payload})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
     def test_malformed_schedule_file_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.graph"
@@ -414,6 +466,31 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["converge", "--frobnicate"])
         assert exc.value.code == 1
+
+    @settings(max_examples=600, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(sorted(cli.COMMANDS)), key=st.sampled_from(CONFIG_KEYS),
+           value=st.sampled_from(ANY_JSON))
+    @example(command="converge", key="schedule", value=2.5)
+    @example(command="theory", key="out", value=None)
+    @example(command="stoptime", key="algorithm", value=[])
+    @example(command="converge", key="c0", value=2.5)
+    @example(command="privacy", key="c0", value=2.5)
+    @example(command="theory", key="c0", value=1e308)
+    @example(command="privacy", key="box", value=1e308)
+    @example(command="theory", key="problem.omega", value=1e308)
+    def test_any_value_of_any_key_runs_or_exits_1_naming_it(self, tmp_path, monkeypatch, capsys,
+                                                           command, key, value):
+        monkeypatch.chdir(tempfile.mkdtemp(dir=tmp_path))  # a text "out" lands here
+        config = tiny_config(command)
+        top, _, sub = key.partition(".")
+        if sub:
+            config["problem"] = {**config.get("problem", {}), sub: value}
+        else:
+            config[top] = value
+        code = main([command, "--config", write_config(Path.cwd(), config)])
+        err = capsys.readouterr().err
+        assert code == 0 or (code == 1 and "config error:" in err and top in err), err
 
 
 class TestConvergeCommand:

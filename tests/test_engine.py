@@ -7,6 +7,7 @@ from cipheropt.engine import (
     BASELINES,
     DegenerateStateError,
     RunConfig,
+    _cut,
     _initial_positions,
     _initial_state,
     draw_weight_columns,
@@ -414,13 +415,15 @@ class TestBaselines:
 class TestInitialization:
     def test_tracker_starts_at_local_gradient(self):
         problem = make_problem(m=3, s=2, d=2)
-        state = _initial_state(problem, RunConfig(step_size=1e-3, horizon=1))
+        z, x, _ = _initial_state(problem, RunConfig(step_size=1e-3, horizon=1))
+        y, s, _ = _cut(z)
         for i in range(1, problem.m + 1):
-            assert np.array_equal(state.s[i - 1], problem.gradient(i, state.x[i - 1]))
-            assert np.array_equal(state.y[i - 1], state.x[i - 1])
+            assert np.array_equal(s[i - 1], problem.gradient(i, x[i - 1]))
+            assert np.array_equal(y[i - 1], x[i - 1])
 
     def test_initial_masses_in_signed_unit_range(self):
         problem = make_problem(m=20, s=2, d=2)
-        ws = _initial_state(problem, RunConfig(step_size=1e-3, horizon=1)).w
+        z, _, _ = _initial_state(problem, RunConfig(step_size=1e-3, horizon=1))
+        ws = _cut(z)[2]
         assert np.all(ws >= -1.0) and np.all(ws <= 1.0)
         assert ws.min() < 0 < ws.max()

@@ -420,13 +420,15 @@ def test_one_round_at_a_time_is_the_run():
                        record_messages=True, seed=2, trial=1)
     traj = run(problem, schedule, params, config)
     state = _initial_state(problem, config)
-    transport = Transport(5, SharedKey.from_seed(2), [], trial=1)
+    log = []
+    transport = Transport(5, SharedKey.from_seed(2), [log], trials=[1])
     for k in range(config.horizon):
         columns = draw_weight_columns(graph_at(schedule, k), params, 2, 1, k)
         state = iterate(state, columns, problem, config.step_size, k, reset_mass=k == 0,
                         transport=transport)
-        assert state.x.tobytes() == traj.x_series[k + 1].tobytes()
-    assert [r.cipher for r in transport.log] == [r.cipher for r in traj.messages]
+        _, x, _ = state
+        assert x.tobytes() == traj.x_series[k + 1].tobytes()
+    assert [r.cipher for r in log] == [r.cipher for r in traj.messages]
 
 
 def test_degenerate_mass_names_trial_agent_and_round():

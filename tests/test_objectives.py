@@ -110,6 +110,13 @@ class TestGeneration:
         assert problem.mu_bar == pytest.approx(sum(mus) / 4)
         assert problem.kappa == pytest.approx(max(ls) / (sum(mus) / 4))
 
+    @pytest.mark.parametrize("omega", [1e308, 5e307], ids=["each-infinite", "sum-infinite"])
+    def test_problem_of_infinite_curvature_rejected(self, omega):
+        # at 1e308 each agent's L and mu overflow; at 5e307 each is finite, their mean not
+        inst = generate_sensor_fusion(m=4, s=3, d=2, omega=omega, seed=11)
+        with pytest.raises(ValueError, match="^the aggregate curvature must be finite, got L = inf"):
+            problem_from_instance(inst)
+
 
 class TestOptimalSolution:
     def test_normal_equations_residual(self, problem):

@@ -69,7 +69,7 @@ class TestRoundFraming:
     def test_bulk_frames_match_per_message_framing(self, case):
         m, edges, jy, js, jw, k = case
         log = []
-        Transport(m, None, log).send(k, *wire_pairs(edges), jy, js, jw)
+        Transport(m, None, [log]).send(k, *wire_pairs(edges), jy, js, jw)
         assert [(rec.sender, rec.receiver, rec.kind, rec.plain) for rec in log] == \
             expected_messages(m, edges, jy, js, jw, k)
 
@@ -78,7 +78,7 @@ class TestRoundFraming:
     def test_sealed_round_opens_to_the_same_bits(self, case):
         m, edges, jy, js, jw, k = case
         log = []
-        Transport(m, KEY, log).send(k, *wire_pairs(edges), jy, js, jw)
+        Transport(m, KEY, [log]).send(k, *wire_pairs(edges), jy, js, jw)
         expected = expected_messages(m, edges, jy, js, jw, k)
         assert [rec.plain for rec in log] == [frame for *_, frame in expected]
         assert all(rec.cipher is not None for rec in log)
@@ -170,7 +170,7 @@ class TestRoundNonces:
     @pytest.mark.parametrize("trial", [0, 2**31 + 3, 2**32 - 1])
     def test_round_nonces_are_the_per_message_counters(self, trial):
         log = []
-        transport = Transport(4, KEY, log, trial)
+        transport = Transport(4, KEY, [log], [trial])
         z = np.zeros((4, 4, 2))
         for k, edges in enumerate(self.ROUNDS):
             transport.send(k, *wire_pairs(edges), z, z, z[:, :, 0])
@@ -190,13 +190,13 @@ class TestRoundNonces:
             return real(key, p, nonces)
 
         monkeypatch.setattr(engine, "encrypt", counting_encrypt)
-        transport = Transport(3, KEY, [], trial)
-        sender_2 = transport.counters[2]
-        sender_2.count = sender_2.end - room  # sender 2 sends one message: 3 frames
+        log = []
+        transport = Transport(3, KEY, [log], [trial])
+        transport.used[0, 1] = 2**32 - room  # sender 2 sends one message: 3 frames
         if room == 3:
             _send_round(transport)
-            assert sender_2.count == sender_2.end
-            assert _nonces(transport.log)[-1] == struct.pack("<QI", sender_2.end - 1, 2)
+            assert transport.used[0, 1] == 2**32  # sender 2's range in this trial is used up
+            assert _nonces(log)[-1] == struct.pack("<QI", (trial << 32) + 2**32 - 1, 2)
         else:
             with pytest.raises(OverflowError, match="sender 2 exhausted"):
                 _send_round(transport)
@@ -232,7 +232,7 @@ class TestBatchWire:
         _forge_at_open(monkeypatch, forge, {(6 if rows is None else 0) + 4})
         with pytest.raises(TamperError,
                            match=r"^trial 1 k=7 S message 1->3 opened to other bytes$"):
-            _send_batch_round(Transport.batch(3, KEY, None, BATCH_TRIALS), rows)
+            _send_batch_round(Transport(3, KEY, None, BATCH_TRIALS), rows)
 
     def test_altered_envelope_names_its_trial(self, monkeypatch):
         real = engine.encrypt
@@ -250,7 +250,7 @@ class TestBatchWire:
         monkeypatch.setattr(engine, "encrypt", altering_encrypt)
         with pytest.raises(TamperError,
                            match=r"^trial 1 k=7 W message 2->1 failed authentication$"):
-            _send_batch_round(Transport.batch(3, KEY, None, BATCH_TRIALS))
+            _send_batch_round(Transport(3, KEY, None, BATCH_TRIALS))
         assert len(sealed) == 18
 
     @settings(max_examples=40, deadline=None)
@@ -268,17 +268,18 @@ class TestBatchWire:
         adj &= ~np.eye(m, dtype=bool)
         y = data.draw(arrays(np.float64, (rounds, len(trials), m, m, 2), elements=FLOATS))
         logs = [[] for _ in trials]
-        wire = Transport.batch(m, KEY, logs, trials)
-        alone = [Transport(m, KEY, [], t) for t in trials]
+        wire = Transport(m, KEY, logs, trials)
+        alone = [[] for _ in trials]
+        alone_wires = [Transport(m, KEY, [log], [t]) for log, t in zip(alone, trials)]
         for k in range(rounds):
             rows = np.flatnonzero(np.array(leaves) > k)
             wire.send_batch(k, adj[k, rows], y[k, rows], -y[k, rows], y[k, rows, ..., 0], rows=rows)
             for b in rows:
-                alone[b].send(k, *wire_pairs((np.argwhere(adj[k, b]) + 1).tolist()),
-                              y[k, b], -y[k, b], y[k, b, ..., 0])
+                alone_wires[b].send(k, *wire_pairs((np.argwhere(adj[k, b]) + 1).tolist()),
+                                    y[k, b], -y[k, b], y[k, b, ..., 0])
         for b, trial in enumerate(trials):
             assert [(r.k, r.sender, r.receiver, r.kind, r.plain, r.cipher) for r in logs[b]] == \
-                [(r.k, r.sender, r.receiver, r.kind, r.plain, r.cipher) for r in alone[b].log]
+                [(r.k, r.sender, r.receiver, r.kind, r.plain, r.cipher) for r in alone[b]]
             counters = {i: NonceCounter(i, trial) for i in range(1, m + 1)}
             assert _nonces(logs[b]) == [counters[r.sender].next() for r in logs[b]]
             assert wire.used[b].tolist() == [c.count - c.start for c in counters.values()]
@@ -296,7 +297,7 @@ class TestBatchWire:
 
         monkeypatch.setattr(engine, "encrypt", counting_encrypt)
         logs = [[], [], []]
-        wire = Transport.batch(3, KEY, logs, BATCH_TRIALS)
+        wire = Transport(3, KEY, logs, BATCH_TRIALS)
         wire.used[1, 1] = 2**32 - room  # trial 1's sender 2 sends one message: 3 frames
         before = wire.used.copy()
         if room == 3:
