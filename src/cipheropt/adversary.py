@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import HEADER_SIZE, KIND_S, KIND_W, KIND_Y, NONCE_SIZE, hex_dump_pair
-from .streams import check_positive
+from .streams import check_width
 
 _SAMPLER_STREAM = 41
 
@@ -303,14 +303,6 @@ def attack_fixed_weight_baseline(view: AdversaryView, out_degree: int, K: int) -
     )
 
 
-def check_bound(bound) -> float:
-    """`bound` as a float if it is positive and [-bound, bound] has a finite width."""
-    bound = check_positive("bound", bound)
-    if not np.isfinite(2.0 * bound):
-        raise ValueError(f"bound must leave [-bound, bound] a finite width, got {bound!r}")
-    return bound
-
-
 def sample_gradient_solutions(report: InferenceReport, n: int, bound: float = 10.0,
                               seed: int = 0, truth: np.ndarray | None = None) -> InferenceReport:
     """Populate a report with n solutions of its gradient system.
@@ -318,9 +310,9 @@ def sample_gradient_solutions(report: InferenceReport, n: int, bound: float = 10
     Solutions are the minimum-norm particular solution plus null-space
     combinations with coefficients uniform on [-bound, bound]. When the true
     gradient sequence is supplied, each sample gets the summed relative
-    Euclidean distance to it. `bound` is put to `check_bound`, n must be at least 1.
+    Euclidean distance to it. `bound` is put to `check_width`, n must be at least 1.
     """
-    bound = check_bound(bound)
+    bound = check_width("bound", bound)
     if n < 1:
         raise ValueError(f"need at least one sample, got n={n}")
     if report.gradient_matrix is None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import adversary, engine, graphs, objectives, theory
 from .mixing import MixingParams
-from .streams import check_positive, check_seed
+from .streams import check_positive, check_seed, check_width
 
 
 class ConfigError(ValueError):
@@ -182,7 +182,7 @@ def resolve_config(command: str, args) -> dict:
         "k0_range": lambda v: MixingParams(c0=1.0, k0_range=_real(v)),
         "stop": lambda v: [engine.RunConfig(step_size=1.0, horizon=1, stop_residual=_real(c))
                            for c in v],
-        "box": lambda v: adversary.check_bound(_real(v)),
+        "box": lambda v: check_width("bound", _real(v)),
         "alpha": lambda v: check_positive("alpha", _real(v)),
         "beta": lambda v: check_positive("beta", _real(v)),
     }
@@ -222,6 +222,14 @@ def _load_schedule(config: dict, trial: int):
             entropy=int(config["schedule_seed"]), spawn_key=(12, trial)
         ).generate_state(1, dtype=np.uint64)[0]
         sched = graphs.RandomActivationSchedule(sched.base, p, seed=int(entropy))
+    return sched
+
+
+def _schedule(config: dict, trial: int):
+    """`_load_schedule`, or a ConfigError if the schedule is not over the problem's agents."""
+    sched, m = _load_schedule(config, trial), config["problem"]["m"]
+    if sched.m != m:
+        raise ConfigError(f"schedule is over {sched.m} agents but the problem has {m}")
     return sched
 
 
@@ -278,7 +286,7 @@ def cmd_converge(config: dict) -> ExperimentResult:
     # takes every trial's gradients in one call
     problems = ([_trial_problem(config, base, t) for t in trials] if config["redraw_noise"]
                 else [_trial_problem(config, base, 0)] * len(trials))
-    schedules = [_load_schedule(config, t) for t in trials]
+    schedules = [_schedule(config, t) for t in trials]
 
     for algorithm in algorithms:
         rc = engine.RunConfig(
@@ -309,7 +317,7 @@ def cmd_stoptime(config: dict) -> ExperimentResult:
     timing = []
     for criterion in config["stop"]:
         for enc in ("on", "off"):
-            sched = _load_schedule(config, 0)
+            sched = _schedule(config, 0)
             rc = engine.RunConfig(
                 step_size=step, horizon=config["horizon"],
                 stop_residual=float(criterion), encryption=enc == "on",
@@ -357,9 +365,7 @@ def cmd_privacy(config: dict) -> ExperimentResult:
         if not (1 <= adv <= m and 1 <= target <= m and adv != target):
             raise ConfigError(f"adversary and target must be two different agents of 1..{m}, "
                               f"got {adv} and {target}")
-        sched = _load_schedule(config, 0)
-        if sched.m != m:
-            raise ConfigError(f"schedule is over {sched.m} agents but the problem has {m}")
+        sched = _schedule(config, 0)
         playable = horizon if sched.length is None else min(horizon, sched.length)
         sent = sched.adjacencies(0, playable)[:, adv - 1, target - 1].tolist()
         unlinked = [k for k in range(horizon) if k >= playable or not sent[k]]
@@ -457,7 +463,7 @@ def _recovery_error(recovered: dict, truth: np.ndarray, rounds) -> float:
 
 def cmd_theory(config: dict) -> ExperimentResult:
     problem = _trial_problem(config, _instance(config), 0)
-    sched = _load_schedule(config, 0)
+    sched = _schedule(config, 0)
     connectivity = graphs.certify_uniform_connectivity(
         sched, horizon=config["certify_horizon"]
     )

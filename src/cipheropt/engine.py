@@ -17,19 +17,21 @@ sum every receiver (`_receive`). Masks and weights do not depend on the
 state, so the run derives them a block of rounds at a time: every running
 trial's adjacency for up to 64 rounds (fewer for wide trials or a large
 batch), one index plan (ranks, gather) over all of them and every A(k) of
-the block, from one weight call. The kernel plays the block in place:
-each round reduces into its row of the block's [y | s | w] buffer and
-divides its estimates into the block's x buffer, and the weight call's
-A(k) array is the recorded one; between blocks a run is the last row it
-played, its [y | s | w], estimates and gradients. The mass is forced back
-to one when the first round's results land, which erases the random
-initial masses from the trajectory; every other round guards its division
-by the mass, with one reduction for a round whose masses all lie above
-the guard. Each round's local gradients come from one batched call. A run
-without a stopping rule takes all residuals of a block from one reduction
-once the block is played; a run with one takes them each round and ends
-the block where a trial meets its rule. The start is a block of one
-round, so a trial leaves the batch by one path at round 0 or later.
+the block, from one weight call. One loop body (`_push_sum`) plays every
+push-sum round in place, over views built once per block, and `iterate` is
+a block of one round: each round reduces into its row of the block's
+[y | s | w] buffer and divides its estimates into the block's x buffer,
+and the weight call's A(k) array is the recorded one; between blocks a
+run is the last row it played, its [y | s | w], estimates and gradients.
+The mass is forced back to one when round 0's results land, which erases
+the random initial masses from the trajectory; every other round guards
+its division by the mass, with one reduction for a round whose masses all
+lie above the guard. Each round's local gradients come from one batched
+call. A run without a stopping rule takes all residuals of a block from
+one reduction once the block is played; a run with one takes them each
+round and ends the block where a trial meets its rule. The start is a
+block of one row, so a trial leaves the batch by one path at round 0 or
+later.
 
 Those per-edge shares are also what goes on the wire: the batch's one
 `Transport` packs all of a round's frames, every running trial's, at
@@ -92,9 +94,6 @@ W_EPS = 1e-12
 # peak memory of a round at a time.
 _BLOCK_CELLS = 2**12
 _BATCH_CELLS = 2**18
-
-BASELINES = ("push-diging", "subgradient-push", "ab-push-pull")
-
 
 class DegenerateStateError(ArithmeticError):
     """A mass coordinate collapsed below the division guard."""
@@ -469,39 +468,6 @@ def _receive(shares, gather, groups, d, out=None):
     return out
 
 
-def _advance(z, g, a, plan, r, adj, step, k, gradients, out, x, *, reset_mass, wire,
-             trials=None):
-    """One synchronous round of every batch row b of z = [y | s | w] (nb, m, 2d+1), with
-    gradients g at its estimates, under A(k) a[b] over edges adj[b], summed by round r
-    of `plan`; `wire`, if not None, ships the round's shares as `Transport.send_batch`
-    does. Writes z at k+1 to `out` (C-contiguous) and its estimates y / w to `x`, and
-    returns the gradients at them."""
-    nb, m, width = z.shape
-    d = width // 2
-    shares = plan.shares[:-1].reshape(nb, m, m, width)
-    np.multiply(a[..., None], z[:, None], out=shares)
-    jy, js = shares[..., :d], shares[..., d : 2 * d]
-    if wire is not None:
-        wire(k, adj, jy, js, shares[..., 2 * d])
-    jy -= step * js
-    _receive(plan.shares, plan.gather[r], plan.groups[r], d, out.reshape(nb * m, width))
-    y, s, w = _cut(out)
-    if reset_mass:
-        w[...] = 1.0
-    # one reduction clears an all-positive round; a NaN is never low (fmin skips it)
-    elif not np.fmin.reduce(w, axis=None) >= W_EPS and (low := np.abs(w) < W_EPS).any():
-        b, j = np.argwhere(low)[0]
-        where = "" if trials is None else f"trial {trials[b]} "
-        raise DegenerateStateError(
-            f"{where}agent {j + 1} mass {w[b, j]:.3e} at k={k + 1} is inside the division guard"
-        )
-    np.divide(y, w[..., None], out=x)
-    g_next = gradients(x)
-    s += g_next
-    s -= g
-    return g_next
-
-
 def _cut(z):
     """The y, s and w of z = [y | s | w], as views of z."""
     d = z.shape[-1] // 2
@@ -510,39 +476,61 @@ def _cut(z):
 
 def iterate(state, columns, problem: GlobalProblem, step, k, *, reset_mass=False,
             transport: Transport | None = None) -> tuple:
-    """One synchronous round of one trial: its (z, x, g) at k+1 from those at k.
-
-    `columns` maps each agent to the `WeightColumn` it drew for round k.
+    """One synchronous round of one trial, its (z, x, g) at k+1 from those at k:
+    a block of one round of the push-sum kernel under the `WeightColumn` that
+    `columns` maps each agent to. As in a run, `reset_mass` forces the mass to
+    one only at k = 0; a degenerate mass names the transport's trial (0 if none).
     """
     z, x, g = state
     m, d = x.shape
-    adj = np.zeros((1, m, m), dtype=bool)
+    adj = np.zeros((1, 1, m, m), dtype=bool)
     for i, col in columns.items():
         for l in col.entries:
-            adj[0, l - 1, i - 1] = l != i
+            adj[0, 0, l - 1, i - 1] = l != i
     a = assemble_weight_matrix(columns.values(), m)
-    out, x = np.empty((1, m, 2 * d + 1)), np.empty((1, m, d))
-    g = _advance(z[None], g[None], a[None], _RoundPlan(adj, 1, 2 * d + 1), 0, adj, step, k,
-                 problem.gradients, out, x, reset_mass=reset_mass,
-                 wire=None if transport is None else transport.send_batch)
-    return out[0], x[0], g[0]
+    wire, trials = (None, [0]) if transport is None else (transport.send_batch, transport.trials)
+    x_next, z_next = np.empty((1, 1, m, d)), np.empty((1, 1, m, 2 * d + 1))
+    kernel = _push_sum(lambda *_: a)
+    _, g, _ = kernel((z[None], x[None], g[None]), adj, trials, k, problem.gradients, wire,
+                     RunConfig(step, 1, mass_reset=reset_mass), x_next, z_next, None)
+    return z_next[0, 0], x_next[0, 0], g[0]
 
 
 def _push_sum(weights):
-    """The kernel of the private algorithm and push-diging: `_advance` under the A(k)
-    that `weights(adj, plan, trials, k0)` gives a block of rounds."""
+    """The kernel of the private algorithm and push-diging, under the A(k) that
+    `weights(adj, plan, trials, k0)` gives a block of rounds: the one body of a
+    push-sum round, over the block's fixed views (the shares over the plan's
+    rows, their y, s and w cuts, the A(k) columns, z's receiver rows)."""
 
     def rounds_of(state, adj, trials, k0, gradients, wire, config, x, z, landed):
         rounds, nt, m, _ = adj.shape
-        plan = _RoundPlan(adj.reshape(rounds * nt, m, m), rounds, z.shape[-1])
+        width = z.shape[-1]
+        plan = _RoundPlan(adj.reshape(rounds * nt, m, m), rounds, width)
         a = weights(adj, plan, trials, k0).reshape(adj.shape)
+        cols, sums = a[..., None], z.reshape(rounds, nt * m, width)
+        shares = plan.shares[:-1].reshape(nt, m, m, width)
+        jy, js, jw = _cut(shares)
         prev, _, g = state
         for r in range(rounds):
             k = k0 + r
-            g = _advance(prev, g, a[r], plan, r, adj[r], config.step_size, k, gradients, z[r],
-                         x[r], reset_mass=(config.mass_reset and k == 0), wire=wire,
-                         trials=trials)
-            prev = z[r]
+            np.multiply(cols[r], prev[:, None], out=shares)
+            if wire is not None:
+                wire(k, adj[r], jy, js, jw)
+            jy -= config.step_size * js
+            _receive(plan.shares, plan.gather[r], plan.groups[r], width // 2, sums[r])
+            y, s, w = _cut(z[r])
+            if k == 0 and config.mass_reset:
+                w[...] = 1.0
+            # one reduction clears an all-positive round; a NaN is never low (fmin skips it)
+            elif not np.fmin.reduce(w, axis=None) >= W_EPS and (low := np.abs(w) < W_EPS).any():
+                b, j = np.argwhere(low)[0]
+                raise DegenerateStateError(f"trial {trials[b]} agent {j + 1} mass {w[b, j]:.3e} "
+                                           f"at k={k + 1} is inside the division guard")
+            np.divide(y, w[..., None], out=x[r])
+            g_next = gradients(x[r])
+            s += g_next
+            s -= g
+            g, prev = g_next, z[r]
             if landed is not None and landed(r):
                 break
         return r + 1, g, a
@@ -591,6 +579,10 @@ def _ab_push_pull(state, adj, trials, k0, gradients, wire, config, x, z, landed)
     return r + 1, g, None
 
 
+_BASELINE_KERNELS = {"push-diging": _push_sum(lambda adj, *_: _uniform_matrix(adj, -2)),
+                     "subgradient-push": _subgradient_push, "ab-push-pull": _ab_push_pull}
+BASELINES = tuple(_BASELINE_KERNELS)
+
 # A block's buffers, as `Trajectory` fields: residuals, x, the y, s and w of z, A(k)
 _SERIES = ("residuals", "x_series", "y_series", "s_series", "w_series", "weight_matrices")
 
@@ -610,18 +602,20 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
     The state is the last row played, (z, x, g): the running trials' [y | s |
     w] (nt, m, 2d+1), estimates and gradients at them. The kernel
     `rounds_of(state, adj, trials, k0, gradients, wire, config, x, z, landed)`
-    plays a block from `state` over adjacencies adj[r, b], shipping each
-    round by `wire` (None when nothing goes on the wire); it writes round r's
-    estimates to the block's buffer x[r] and its [y | s | w] to z[r] (a dense
-    kernel only what it carries, to the last row). Under a stopping rule,
-    `landed(r)` takes round r's residuals and says if a trial met the rule,
-    and the kernel ends the block there; without one (`landed` None) the
-    block's residuals come from x in one call. The kernel returns the rounds
-    played, the gradients after the last and the block's A(k) (None for the
-    dense kernels). The start is a block of one row, round 0, with no A(k).
-    After every block each running trial keeps its slice of every recorded
-    buffer, and the trials that met the rule stop at the block's last round
-    and leave the batch; each trial joins its slices once, at the end.
+    plays a block from `state` over adjacencies adj[r, b], shipping each round
+    by `wire` (None when nothing goes on the wire); for push-sum it is
+    `_push_sum`'s one round body over views built once per block, which
+    `iterate` plays as a block of one round. It writes round r's estimates to
+    the block's buffer x[r] and its [y | s | w] to z[r] (a dense kernel only
+    what it carries, to the last row). Under a stopping rule, `landed(r)` takes
+    round r's residuals and says if a trial met the rule, and the kernel ends
+    the block there; without one (`landed` None) the block's residuals come
+    from x in one call. The kernel returns the rounds played, the gradients
+    after the last and the block's A(k) (None for the dense kernels). The start
+    is a block of one row, round 0, with no A(k). After every block each
+    running trial keeps its slice of every recorded buffer, and the trials that
+    met the rule stop at the block's last round and leave the batch; each trial
+    joins its slices once, at the end.
     """
     configs = [config if t == config.trial else replace(config, trial=t) for t in trials]
     state = tuple(map(np.stack, zip(*(_initial_state(p, c) for p, c in zip(problems, configs)))))
@@ -743,15 +737,14 @@ def run_baseline_trials(problems, schedules, config: RunConfig, algorithm: str, 
     """
     trials = list(trials)
     _check_batch(problems, schedules, trials)
-    kernels = {"push-diging": _push_sum(lambda adj, plan, trials, k0: _uniform_matrix(adj, -2)),
-               "subgradient-push": _subgradient_push, "ab-push-pull": _ab_push_pull}
-    if algorithm not in kernels:
+    if algorithm not in _BASELINE_KERNELS:
         raise ValueError(f"unknown baseline {algorithm!r}; expected one of {BASELINES}")
     cfg = replace(config, mass_reset=False, w0=np.ones(problems[0].m))
     if algorithm != "push-diging":
         cfg = replace(cfg, encryption=False, record_states=False, record_weights=False,
                       record_messages=False)
-    return _run_lockstep(problems, schedules, cfg, trials, kernels[algorithm], algorithm)
+    return _run_lockstep(problems, schedules, cfg, trials, _BASELINE_KERNELS[algorithm],
+                         algorithm)
 
 
 def run_baseline(problem: GlobalProblem, schedule, config: RunConfig, algorithm: str) -> Trajectory:

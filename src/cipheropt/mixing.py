@@ -12,20 +12,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import check_positive
+from .streams import check_positive, check_width
 
 
 @dataclass(frozen=True)
 class MixingParams:
     """c0: positive floor for the k >= 1 weights, must satisfy c0 < 1/m.
-    k0_range: half-width R of the symmetric iteration-0 draw."""
+    k0_range: half-width R of the symmetric iteration-0 draw; 2R must be finite."""
 
     c0: float
     k0_range: float = 1.0
 
     def __post_init__(self):
-        for name in ("c0", "k0_range"):
-            object.__setattr__(self, name, check_positive(name, getattr(self, name)))
+        object.__setattr__(self, "c0", check_positive("c0", self.c0))
+        object.__setattr__(self, "k0_range", check_width("k0_range", self.k0_range))
 
     def validate_for(self, m: int):
         if not (self.c0 < 1.0 / m):

@@ -117,6 +117,15 @@ def check_positive(name: str, value) -> float:
     return float(value)
 
 
+def check_width(name: str, value) -> float:
+    """`value` as a float if it is positive and [-value, value] has a finite width
+    (`check_positive`, and 2 * value finite), else a ValueError naming `name`."""
+    value = check_positive(name, value)
+    if not math.isfinite(2.0 * value):
+        raise ValueError(f"{name} must leave [-{name}, {name}] a finite width, got {value!r}")
+    return value
+
+
 def check_non_negative(name: str, value) -> float:
     """`value` as a float if it is a non-negative, finite real number (not a bool),
     else a ValueError naming `name`."""

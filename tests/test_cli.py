@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from cipheropt import cli
@@ -198,6 +198,8 @@ class TestConfigResolution:
            value=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
            stop=st.lists(st.floats(min_value=0.0, allow_infinity=False), max_size=3))
     def test_good_numbers_in_file_pass(self, tmp_path, field, value, stop):
+        # a k0_range whose width 2R overflows is refused (test_mixing.py)
+        assume(field != "k0_range" or math.isfinite(2.0 * value))
         cfg = write_config(tmp_path, {field: value, "stop": stop})
         config = resolve_config("stoptime", parse("stoptime", "--config", cfg))
         assert (config[field], config["stop"]) == (value, stop)
@@ -337,10 +339,16 @@ class TestConfigResolution:
         ("privacy", {"c0": 0.5, "scenario": "c"}, "c0: c0=0.5 must be < 1/m = 0.5"),
         ("converge", {"schedule": 5}, "schedule must be text, got 5"),
         ("stoptime", {"algorithm": []}, "unknown algorithm []"),
+        ("converge", {"k0_range": 1e308},
+         "k0_range: k0_range must leave [-k0_range, k0_range] a finite width, got 1e+308"),
+        ("converge", {"schedule": "fig5b"}, "schedule is over 6 agents but the problem has 3"),
+        ("stoptime", {"schedule": "fig5b"}, "schedule is over 6 agents but the problem has 3"),
+        ("theory", {"schedule": "fig5b"}, "schedule is over 6 agents but the problem has 3"),
     ], ids=["activation", "omega", "m-fractional", "m-zero", "instance-seed", "box-negative",
             "box-nan", "capture-string", "alpha-negative", "box-huge", "omega-huge",
             "converge-c0", "stoptime-c0", "theory-c0", "privacy-b-c0", "privacy-c-c0",
-            "schedule-number", "algorithm-list"])
+            "schedule-number", "algorithm-list", "k0-range-huge", "converge-schedule-agents",
+            "stoptime-schedule-agents", "theory-schedule-agents"])
     def test_bad_problem_or_number_exits_1_and_writes_nothing(self, tmp_path, capsys, command,
                                                                payload, message):
         cfg = write_config(tmp_path, {**SMALL, **payload,

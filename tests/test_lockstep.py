@@ -411,24 +411,47 @@ def test_batch_trials_take_their_own_problems(problems):
         assert_bit_identical(got, want)
 
 
-def test_one_round_at_a_time_is_the_run():
-    """`iterate`, one round of one trial from its columns, walks the same path as `run`."""
-    problem = problem_from_instance(generate_sensor_fusion(m=5, s=2, d=2, omega=0.01, seed=1))
-    schedule = RandomActivationSchedule(complete(5), 0.7, seed=3)
-    params = MixingParams(c0=0.1)
-    config = RunConfig(step_size=1e-3, horizon=4, encryption=True, record_states=True,
-                       record_messages=True, seed=2, trial=1)
-    traj = run(problem, schedule, params, config)
+@st.composite
+def one_trial_runs(draw):
+    m = draw(st.integers(1, 8))
+    return dict(m=m, schedule=draw(schedules_on(m)),
+                algorithm=draw(st.sampled_from(["private", "push-diging"])),
+                sealed=draw(st.booleans()), seed=draw(st.integers(0, 2**16)),
+                trial=draw(st.integers(0, 50)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_trial_runs())
+@example(dict(m=5, schedule=RandomActivationSchedule(complete(5), 0.7, seed=3),
+              algorithm="private", sealed=True, seed=2, trial=1))
+def test_one_round_at_a_time_is_the_run(case):
+    """`iterate`, one round of one trial from its columns, walks the same path as `run`
+    (the private algorithm's drawn columns) or `run_baseline` (push-diging's uniform
+    ones), sealed or plain, and sends the same messages."""
+    m, schedule, seed, trial = case["m"], case["schedule"], case["seed"], case["trial"]
+    problem = problem_from_instance(generate_sensor_fusion(m=m, s=2, d=2, omega=0.01, seed=1))
+    params = MixingParams(c0=0.5 / m)
+    config = RunConfig(step_size=1e-3, horizon=4, encryption=case["sealed"], record_states=True,
+                       record_messages=True, seed=seed, trial=trial)
+    private = case["algorithm"] == "private"
+    if private:
+        traj = run(problem, schedule, params, config)
+    else:
+        traj = run_baseline(problem, schedule, config, "push-diging")
+        config = replace(config, mass_reset=False, w0=np.ones(m))
     state = _initial_state(problem, config)
     log = []
-    transport = Transport(5, SharedKey.from_seed(2), [log], trials=[1])
+    key = SharedKey.from_seed(seed) if case["sealed"] else None
+    transport = Transport(m, key, [log], trials=[trial])
     for k in range(config.horizon):
-        columns = draw_weight_columns(graph_at(schedule, k), params, 2, 1, k)
-        state = iterate(state, columns, problem, config.step_size, k, reset_mass=k == 0,
-                        transport=transport)
+        graph = graph_at(schedule, k)
+        columns = (draw_weight_columns(graph, params, seed, trial, k) if private
+                   else uniform_out_columns(graph, k))
+        state = iterate(state, columns, problem, config.step_size, k,
+                        reset_mass=config.mass_reset and k == 0, transport=transport)
         _, x, _ = state
         assert x.tobytes() == traj.x_series[k + 1].tobytes()
-    assert [r.cipher for r in log] == [r.cipher for r in traj.messages]
+    assert [(r.plain, r.cipher) for r in log] == [(r.plain, r.cipher) for r in traj.messages]
 
 
 def test_degenerate_mass_names_trial_agent_and_round():

@@ -37,6 +37,13 @@ class TestParams:
         with pytest.raises(ValueError, match="k0_range"):
             MixingParams(c0=0.1, k0_range=r)
 
+    @pytest.mark.parametrize("r", [1e308, 9e307, float(np.finfo(float).max)])
+    def test_rejects_k0_range_whose_width_overflows(self, r):
+        """Round 0 draws u * (2R) - R: an infinite 2R would run to NaN weights."""
+        with pytest.raises(ValueError, match="^k0_range must leave .* a finite width"):
+            MixingParams(c0=0.1, k0_range=r)
+        assert MixingParams(c0=0.1, k0_range=r / 4).k0_range == r / 4
+
     @pytest.mark.parametrize("c0", [float("nan"), float("inf")])
     def test_rejects_nonfinite_c0(self, c0):
         with pytest.raises(ValueError, match="c0"):
