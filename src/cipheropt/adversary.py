@@ -154,10 +154,13 @@ def _chain_matrix(K: int, d: int):
     return a
 
 
+def _rank(sv: np.ndarray) -> int:
+    """How many of the descending singular values `sv` exceed RANK_TOL times the largest."""
+    return int(np.sum(sv > RANK_TOL * (sv[0] if sv.size else 1.0)))
+
+
 def _rank_and_dof(a: np.ndarray):
-    sv = np.linalg.svd(a, compute_uv=False)
-    tol = RANK_TOL * (sv[0] if sv.size else 1.0)
-    rank = int(np.sum(sv > tol))
+    rank = _rank(np.linalg.svd(a, compute_uv=False))
     return rank, a.shape[1] - rank
 
 
@@ -211,20 +214,11 @@ def infer_scenario_a(view: AdversaryView, K: int) -> InferenceReport:
 
     # Unknowns per round k=1..K: the gradient g(k) and the tracker s(k).
     # Each round k=1..K-1 yields d tracker-chain equations that now involve
-    # both, s(k+1) = s(k) - J_s(k) + g(k+1) - g(k), so the system has
-    # (K-1)d equations in 2Kd unknowns.
-    n = 2 * K * d
-    matrix = np.zeros(((K - 1) * d, n))
-    rhs = np.zeros((K - 1) * d)
-    for k in range(1, K):
-        rows = slice((k - 1) * d, k * d)
-        g_at = lambda kk: slice((kk - 1) * d, kk * d)
-        s_at = lambda kk: slice(K * d + (kk - 1) * d, K * d + kk * d)
-        matrix[rows, s_at(k + 1)] += np.eye(d)
-        matrix[rows, s_at(k)] -= np.eye(d)
-        matrix[rows, g_at(k + 1)] -= np.eye(d)
-        matrix[rows, g_at(k)] += np.eye(d)
-        rhs[rows] = -view.triple(k).j_s
+    # both, s(k+1) - s(k) - (g(k+1) - g(k)) = -J_s(k), so the system is
+    # [-C | C] with C the chain matrix: (K-1)d equations in 2Kd unknowns.
+    chain = _chain_matrix(K, d) + 0.0  # + 0.0 and 0.0 - leave no -0.0 entry
+    matrix = np.hstack([0.0 - chain, chain])
+    rhs = np.concatenate([-view.triple(k).j_s for k in range(1, K)])
     rank, dof = _rank_and_dof(matrix)
 
     return InferenceReport(
@@ -323,9 +317,7 @@ def sample_gradient_solutions(report: InferenceReport, n: int, bound: float = 10
     rhs = report.gradient_rhs
     particular, *_ = np.linalg.lstsq(a, rhs, rcond=None)
     _, sv, vt = np.linalg.svd(a)
-    tol = RANK_TOL * (sv[0] if sv.size else 1.0)
-    rank = int(np.sum(sv > tol))
-    null_basis = vt[rank:].T  # columns span the solution space's directions
+    null_basis = vt[_rank(sv):].T  # columns span the solution space's directions
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_SAMPLER_STREAM,)))
     coeffs = rng.uniform(-bound, bound, size=(n, null_basis.shape[1]))

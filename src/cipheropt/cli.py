@@ -27,25 +27,18 @@ class ConfigError(ValueError):
     pass
 
 
-ALGORITHM_NAMES = {
-    "algorithm1": None,
-    "push_diging": "push-diging",
-    "subgradient_push": "subgradient-push",
-    "ab_pushpull": "ab-push-pull",
+# each algorithm's baseline engine name (None: the private algorithm) and the step
+# size it runs when the config does not pin one
+ALGORITHMS = {
+    "algorithm1": (None, 1.1e-3),
+    "push_diging": ("push-diging", 1.2e-3),
+    "subgradient_push": ("subgradient-push", 1.0),  # unread: its kernel takes its own steps
+    "ab_pushpull": ("ab-push-pull", 1.2e-3),
 }
 
-# Step sizes used when the config does not pin one explicitly.
-DEFAULT_STEPS = {
-    "algorithm1": 1.1e-3,
-    "push_diging": 1.2e-3,
-    "subgradient_push": None,  # fixed diminishing schedule, step ignored
-    "ab_pushpull": 1.2e-3,
-}
-
-PRIVACY_SCENARIOS = ("b", "c", "addopt")  # "all" runs each
-# the shortest horizon each attack takes: it reads rounds 0..K, K = horizon - 1,
-# and scenario b needs K >= 2, scenario c K >= 1
-_PRIVACY_MIN_HORIZON = {"b": 3, "c": 2, "addopt": 1}
+# each privacy scenario ("all" runs each) and the shortest horizon its attack takes:
+# it reads rounds 0..K, K = horizon - 1, and scenario b needs K >= 2, scenario c K >= 1
+PRIVACY_SCENARIOS = {"b": 3, "c": 2, "addopt": 1}
 
 # keys that count something: trials, rounds, samples or an agent
 _COUNT_KEYS = ("trials", "horizon", "certify_horizon", "samples", "adversary", "target")
@@ -158,7 +151,7 @@ def resolve_config(command: str, args) -> dict:
             raise ConfigError(f"{name} must be at least 1")
     for name in ("seed", "schedule_seed"):
         try:
-            check_seed(name, config[name])
+            config[name] = check_seed(name, config[name])
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     for name, kind in (("capture", bool), ("redraw_noise", bool), ("schedule", str), ("out", str)):
@@ -167,38 +160,38 @@ def resolve_config(command: str, args) -> dict:
             raise ConfigError(f"{name} must be {what}, got {config[name]!r}")
     if config["encryption"] not in ("on", "off"):
         raise ConfigError("encryption must be 'on' or 'off'")
-    if config["algorithm"] not in (*ALGORITHM_NAMES, "all"):
+    if config["algorithm"] not in (*ALGORITHMS, "all"):
         raise ConfigError(f"unknown algorithm {config['algorithm']!r}")
     if config["scenario"] not in ("all", *PRIVACY_SCENARIOS):
         raise ConfigError(f"scenario must be 'all', 'b', 'c' or 'addopt', "
                           f"got {config['scenario']!r}")
-    # the numbers the runs take, put to the checks of the code that takes them
+    # the numbers the runs take, put to the checks of the code that takes them; each
+    # check hands back the value that code accepted, which replaces the config's own
     checks = {
-        "problem": lambda _: objectives.problem_from_instance(_instance(config)),
-        "activation": lambda v: v is None or graphs.RandomActivationSchedule(
-            graphs.DirectedGraph(1), _real(v), seed=0),
-        "step_size": lambda v: v is None or engine.RunConfig(step_size=_real(v), horizon=1),
-        "c0": lambda v: MixingParams(c0=_real(v)),
-        "k0_range": lambda v: MixingParams(c0=1.0, k0_range=_real(v)),
-        "stop": lambda v: [engine.RunConfig(step_size=1.0, horizon=1, stop_residual=_real(c))
-                           for c in v],
+        "problem": lambda v: objectives.problem_from_instance(_instance(config)) and v,  # as is
+        "activation": lambda v: None if v is None else graphs.RandomActivationSchedule(
+            graphs.DirectedGraph(1), _real(v), seed=0).p,
+        "step_size": lambda v: None if v is None else engine.RunConfig(
+            step_size=_real(v), horizon=1).step_size,
+        "c0": lambda v: MixingParams(c0=_real(v)).c0,
+        "k0_range": lambda v: MixingParams(c0=1.0, k0_range=_real(v)).k0_range,
+        "stop": lambda v: [engine.RunConfig(step_size=1.0, horizon=1,
+                                            stop_residual=_real(c)).stop_residual for c in v],
         "box": lambda v: check_width("bound", _real(v)),
         "alpha": lambda v: check_positive("alpha", _real(v)),
         "beta": lambda v: check_positive("beta", _real(v)),
     }
     for name, check in checks.items():
         try:
-            check(config[name])
+            config[name] = check(config[name])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{name}: {exc}") from None
     return config
 
 
 def _resolve_step(config: dict, algorithm: str) -> float:
-    if config["step_size"] is not None:
-        return float(config["step_size"])
-    step = DEFAULT_STEPS[algorithm]
-    return 1.0 if step is None else step
+    step = config["step_size"]
+    return ALGORITHMS[algorithm][1] if step is None else step
 
 
 def _load_schedule(config: dict, trial: int):
@@ -216,20 +209,24 @@ def _load_schedule(config: dict, trial: int):
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     if isinstance(sched, graphs.RandomActivationSchedule):
-        p = sched.p if config["activation"] is None else float(config["activation"])
+        p = sched.p if config["activation"] is None else config["activation"]
         # distinct integer activation seed per trial, stable across runs
         entropy = np.random.SeedSequence(
-            entropy=int(config["schedule_seed"]), spawn_key=(12, trial)
+            entropy=config["schedule_seed"], spawn_key=(12, trial)
         ).generate_state(1, dtype=np.uint64)[0]
         sched = graphs.RandomActivationSchedule(sched.base, p, seed=int(entropy))
     return sched
 
 
-def _schedule(config: dict, trial: int):
-    """`_load_schedule`, or a ConfigError if the schedule is not over the problem's agents."""
+def _schedule(config: dict, trial: int, rounds: str | None = None):
+    """`_load_schedule`, or a ConfigError if the schedule is not over the problem's agents
+    or, given the key `rounds`, plays fewer graphs than config[rounds] rounds."""
     sched, m = _load_schedule(config, trial), config["problem"]["m"]
     if sched.m != m:
         raise ConfigError(f"schedule is over {sched.m} agents but the problem has {m}")
+    if rounds and sched.length is not None and sched.length < config[rounds]:
+        raise ConfigError(f"{rounds} must be at most {sched.length}, the rounds the schedule "
+                          f"plays, got {config[rounds]}")
     return sched
 
 
@@ -248,7 +245,7 @@ def _trial_problem(config: dict, base, trial: int):
 def _mixing(config: dict, m: int) -> MixingParams:
     """The weights' parameters for m agents, taken before anything is written; a
     ConfigError unless c0 < 1/m."""
-    params = MixingParams(c0=float(config["c0"]), k0_range=float(config["k0_range"]))
+    params = MixingParams(c0=config["c0"], k0_range=config["k0_range"])
     try:
         params.validate_for(m)
     except ValueError as exc:
@@ -262,7 +259,7 @@ def _run_trials(config, problems, schedules, algorithm, run_config, trials):
         return engine.run_trials(problems, schedules, _mixing(config, problems[0].m),
                                  run_config, trials)
     return engine.run_baseline_trials(problems, schedules, run_config,
-                                      ALGORITHM_NAMES[algorithm], trials)
+                                      ALGORITHMS[algorithm][0], trials)
 
 
 def _write_csv(path: Path, header, rows):
@@ -275,7 +272,7 @@ def _write_csv(path: Path, header, rows):
 
 
 def cmd_converge(config: dict) -> ExperimentResult:
-    algorithms = list(ALGORITHM_NAMES) if config["algorithm"] == "all" else [config["algorithm"]]
+    algorithms = list(ALGORITHMS) if config["algorithm"] == "all" else [config["algorithm"]]
     base = _instance(config)
     horizon = config["horizon"]
     out_dir = Path(config["out"])
@@ -286,12 +283,12 @@ def cmd_converge(config: dict) -> ExperimentResult:
     # takes every trial's gradients in one call
     problems = ([_trial_problem(config, base, t) for t in trials] if config["redraw_noise"]
                 else [_trial_problem(config, base, 0)] * len(trials))
-    schedules = [_schedule(config, t) for t in trials]
+    schedules = [_schedule(config, t, "horizon") for t in trials]
 
     for algorithm in algorithms:
         rc = engine.RunConfig(
             step_size=_resolve_step(config, algorithm), horizon=horizon,
-            encryption=config["encryption"] == "on", seed=int(config["seed"]),
+            encryption=config["encryption"] == "on", seed=config["seed"],
         )
         total = np.zeros(horizon + 1)
         for traj in _run_trials(config, problems, schedules, algorithm, rc, trials):
@@ -313,21 +310,20 @@ def cmd_stoptime(config: dict) -> ExperimentResult:
     step = _resolve_step(config, algorithm)
     out_dir = Path(config["out"])
 
+    sched = _schedule(config, 0)
     rows = []
     timing = []
     for criterion in config["stop"]:
         for enc in ("on", "off"):
-            sched = _schedule(config, 0)
             rc = engine.RunConfig(
                 step_size=step, horizon=config["horizon"],
-                stop_residual=float(criterion), encryption=enc == "on",
-                seed=int(config["seed"]), trial=0,
+                stop_residual=criterion, encryption=enc == "on", seed=config["seed"], trial=0,
             )
             (traj,) = _run_trials(config, [problem], [sched], algorithm, rc, [0])
             reached = traj.stopped_at is not None
             iterations = traj.stopped_at if reached else traj.iterations
-            rows.append((float(criterion), enc, iterations, int(reached)))
-            timing.append((float(criterion), enc, iterations, traj.elapsed))
+            rows.append((criterion, enc, iterations, int(reached)))
+            timing.append((criterion, enc, iterations, traj.elapsed))
 
     csv_path = out_dir / "stoptime.csv"
     _write_csv(csv_path, ["criterion", "encryption", "iterations", "reached"], rows)
@@ -346,10 +342,6 @@ def cmd_stoptime(config: dict) -> ExperimentResult:
     )
 
 
-def _scenario_c_schedule():
-    return graphs.StaticSchedule(graphs.DirectedGraph(2, frozenset({(2, 1)})))
-
-
 def cmd_privacy(config: dict) -> ExperimentResult:
     if not config["capture"]:
         raise ConfigError("privacy analysis requires capture: true")
@@ -358,8 +350,8 @@ def cmd_privacy(config: dict) -> ExperimentResult:
     horizon = config["horizon"]
     K = horizon - 1
     for scenario in scenarios:
-        if horizon < _PRIVACY_MIN_HORIZON[scenario]:
-            raise ConfigError(f"horizon must be at least {_PRIVACY_MIN_HORIZON[scenario]} "
+        if horizon < PRIVACY_SCENARIOS[scenario]:
+            raise ConfigError(f"horizon must be at least {PRIVACY_SCENARIOS[scenario]} "
                               f"for scenario {scenario}, got {horizon}")
     if "b" in scenarios:
         if not (1 <= adv <= m and 1 <= target <= m and adv != target):
@@ -383,8 +375,7 @@ def cmd_privacy(config: dict) -> ExperimentResult:
     step = _resolve_step(config, "algorithm1")
     rc = engine.RunConfig(
         step_size=step, horizon=horizon, encryption=encryption,
-        seed=int(config["seed"]), trial=0,
-        record_states=True, record_messages=True,
+        seed=config["seed"], trial=0, record_states=True, record_messages=True,
     )
 
     if "b" in scenarios:
@@ -394,8 +385,8 @@ def cmd_privacy(config: dict) -> ExperimentResult:
         report = adversary.infer_states_scenario_b(view, K)
         truth = adversary.gradient_ground_truth(traj.x_series, problem, target, range(1, K + 1))
         adversary.sample_gradient_solutions(
-            report, n=config["samples"], bound=float(config["box"]),
-            seed=int(config["seed"]), truth=truth.reshape(-1),
+            report, n=config["samples"], bound=config["box"], seed=config["seed"],
+            truth=truth.reshape(-1),
         )
         path = out_dir / "privacy_scenario_b.txt"
         path.write_text(adversary.report_to_text(report))
@@ -425,29 +416,24 @@ def cmd_privacy(config: dict) -> ExperimentResult:
     if "c" in scenarios or "addopt" in scenarios:
         c_config = _merge(config, {"problem": {"m": 2}}, "scenario-c")
         problem = _trial_problem(c_config, _instance(c_config), 0)
-
-    if "c" in scenarios:
-        traj = engine.run(problem, _scenario_c_schedule(), mixing["c"], rc)
-        view = adversary.capture_view(traj.messages, 2, 1)
-        report = adversary.infer_scenario_c(view, K)
-        truth = adversary.gradient_ground_truth(traj.x_series, problem, 1, range(1, K + 1))
-        err = _recovery_error(report.recovered_series("g"), truth, range(1, K + 1))
-        path = out_dir / "privacy_scenario_c.txt"
+        pair = graphs.StaticSchedule(graphs.DirectedGraph(2, frozenset({(2, 1)})))
+    # agent 2 hears agent 1 alone, and recovers its gradients from round `first` on
+    for name, stem, first in (("c", "scenario_c", 1), ("addopt", "addopt", 0)):
+        if name not in scenarios:
+            continue
+        if name == "c":  # the private algorithm
+            traj = engine.run(problem, pair, mixing["c"], rc)
+            report = adversary.infer_scenario_c(adversary.capture_view(traj.messages, 2, 1), K)
+        else:  # push-DIGing, whose weights are published
+            traj = engine.run_baseline(problem, pair, rc, "push-diging")
+            report = adversary.attack_fixed_weight_baseline(
+                adversary.capture_view(traj.messages, 2, 1), out_degree=1, K=K)
+        truth = adversary.gradient_ground_truth(traj.x_series, problem, 1, range(first, K + 1))
+        err = _recovery_error(report.recovered_series("g"), truth, range(first, K + 1))
+        path = out_dir / f"privacy_{stem}.txt"
         path.write_text(adversary.report_to_text(report) + f"max_relative_error: {err!r}\n")
         result.artifacts.append(str(path))
-        result.summary["scenario_c_error"] = err
-
-    if "addopt" in scenarios:
-        traj = engine.run_baseline(problem, _scenario_c_schedule(), rc, "push-diging")
-        view = adversary.capture_view(traj.messages, 2, 1)
-        report = adversary.attack_fixed_weight_baseline(view, out_degree=1, K=K)
-        truth = adversary.gradient_ground_truth(traj.x_series, problem, 1, range(0, K + 1))
-        err = _recovery_error(report.recovered_series("g"), truth, range(0, K + 1))
-        path = out_dir / "privacy_addopt.txt"
-        path.write_text(adversary.report_to_text(report) + f"max_relative_error: {err!r}\n")
-        result.artifacts.append(str(path))
-        result.summary["addopt_error"] = err
-
+        result.summary[f"{stem}_error"] = err
     return result
 
 
@@ -463,7 +449,7 @@ def _recovery_error(recovered: dict, truth: np.ndarray, rounds) -> float:
 
 def cmd_theory(config: dict) -> ExperimentResult:
     problem = _trial_problem(config, _instance(config), 0)
-    sched = _schedule(config, 0)
+    sched = _schedule(config, 0, "certify_horizon")
     connectivity = graphs.certify_uniform_connectivity(
         sched, horizon=config["certify_horizon"]
     )
@@ -482,10 +468,10 @@ def cmd_theory(config: dict) -> ExperimentResult:
         return ExperimentResult(artifacts=[str(path)], summary={"certificate": "none"})
 
     consts = theory.build_constants(
-        c0=float(config["c0"]), m=problem.m, b_tilde=connectivity.b_tilde,
+        c0=config["c0"], m=problem.m, b_tilde=connectivity.b_tilde,
         l_hat=problem.l_hat, l_bar=problem.l_bar,
         mu_hat=problem.mu_hat, mu_bar=problem.mu_bar,
-        alpha=float(config["alpha"]), beta=float(config["beta"]),
+        alpha=config["alpha"], beta=config["beta"],
     )
     cert = theory.theorem1_certificate(consts)
     text = theory.format_certificate(cert)
@@ -531,8 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, help="number of seeded trials")
         p.add_argument("--out", help="output directory")
         p.add_argument("--encryption", choices=("on", "off"))
-        p.add_argument("--algorithm",
-                       choices=tuple(ALGORITHM_NAMES) + ("all",))
+        p.add_argument("--algorithm", choices=(*ALGORITHMS, "all"))
         p.add_argument("--stop", action="append",
                        help="stopping criterion (repeatable or comma-separated)")
     return parser

@@ -38,6 +38,9 @@ SMALL = {
 }
 
 
+# two graphs of the two-cycle, played once: a run can read rounds 0 and 1 of them
+ONCE = "m 2\nschedule scripted\nmode once\n" + "begin graph\nedge 1 2\nedge 2 1\nend graph\n" * 2
+
 # every top-level key, and every key of the problem table as "problem.<key>"
 CONFIG_KEYS = [key for key in cli._COMMON_DEFAULTS if key != "problem"] + [
     f"problem.{key}" for key in cli._COMMON_DEFAULTS["problem"]]
@@ -204,6 +207,16 @@ class TestConfigResolution:
         config = resolve_config("stoptime", parse("stoptime", "--config", cfg))
         assert (config[field], config["stop"]) == (value, stop)
 
+    def test_checked_numbers_come_back_as_floats(self, tmp_path):
+        # no whole number is a valid c0, which must lie below 1/m
+        payload = {"step_size": 1, "k0_range": 2, "box": 3, "alpha": 2, "beta": 4,
+                   "activation": 1, "stop": [0, 1]}
+        config = resolve_config("privacy", parse("privacy", "--config",
+                                                 write_config(tmp_path, payload)))
+        for key, value in payload.items():
+            assert config[key] == value
+            assert {type(v) for v in (config[key] if key == "stop" else [config[key]])} == {float}
+
     @pytest.mark.parametrize("command, payload, argv, message", [
         ("converge", {"step_size": -1}, [],
          "step_size: step size must be positive and finite, got -1.0"),
@@ -344,19 +357,38 @@ class TestConfigResolution:
         ("converge", {"schedule": "fig5b"}, "schedule is over 6 agents but the problem has 3"),
         ("stoptime", {"schedule": "fig5b"}, "schedule is over 6 agents but the problem has 3"),
         ("theory", {"schedule": "fig5b"}, "schedule is over 6 agents but the problem has 3"),
+        ("converge", {"schedule": "once.graph", "problem": {"m": 2}, "horizon": 3},
+         "horizon must be at most 2, the rounds the schedule plays, got 3"),
+        ("theory", {"schedule": "once.graph", "problem": {"m": 2}, "certify_horizon": 3},
+         "certify_horizon must be at most 2, the rounds the schedule plays, got 3"),
     ], ids=["activation", "omega", "m-fractional", "m-zero", "instance-seed", "box-negative",
             "box-nan", "capture-string", "alpha-negative", "box-huge", "omega-huge",
             "converge-c0", "stoptime-c0", "theory-c0", "privacy-b-c0", "privacy-c-c0",
             "schedule-number", "algorithm-list", "k0-range-huge", "converge-schedule-agents",
-            "stoptime-schedule-agents", "theory-schedule-agents"])
-    def test_bad_problem_or_number_exits_1_and_writes_nothing(self, tmp_path, capsys, command,
-                                                               payload, message):
+            "stoptime-schedule-agents", "theory-schedule-agents", "converge-once-short",
+            "theory-once-short"])
+    def test_bad_problem_or_number_exits_1_and_writes_nothing(self, tmp_path, monkeypatch,
+                                                               capsys, command, payload, message):
+        monkeypatch.chdir(tmp_path)  # where a case's relative schedule file is written
+        Path("once.graph").write_text(ONCE)
         cfg = write_config(tmp_path, {**SMALL, **payload,
                                       "problem": {**SMALL["problem"], **payload.get("problem", {})}})
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, payload", [
+        ("converge", {"horizon": 2}), ("theory", {"certify_horizon": 2}),
+        ("stoptime", {"horizon": 3, "stop": [1.0]}),  # its stop rule ends the run at round 0
+    ])
+    def test_once_schedule_as_long_as_the_run_reads_runs(self, tmp_path, monkeypatch, command,
+                                                         payload):
+        monkeypatch.chdir(tmp_path)
+        Path("once.graph").write_text(ONCE)
+        cfg = write_config(tmp_path, {**SMALL, "schedule": "once.graph",
+                                      "problem": {"m": 2, "s": 1, "d": 1}, **payload})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("scenario", ["x", "B", "", None, ["b"]])
     def test_bad_scenario_rejected(self, tmp_path, scenario):
