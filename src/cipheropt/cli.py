@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import numbers
 import sys
 from dataclasses import dataclass, field
@@ -195,27 +196,27 @@ def _resolve_step(config: dict, algorithm: str) -> float:
 
 
 def _load_schedule(config: dict, trial: int):
+    """The schedule of `trial`; a random_activation one draws from the trial's own
+    seed, derived from schedule_seed, and at p = `activation` when that is set."""
+    # distinct integer activation seed per trial, stable across runs
+    seed = int(np.random.SeedSequence(entropy=config["schedule_seed"], spawn_key=(12, trial))
+               .generate_state(1, dtype=np.uint64)[0])
     name = config["schedule"]
-    if name in ("fig5a", "fig5b"):
-        source = resources.files("cipheropt").joinpath(f"data/{name}.graph")
-        with resources.as_file(source) as path:
-            sched = graphs.load_graph_file(path)
-    else:
-        path = Path(name)
-        if not path.is_file():
-            raise ConfigError(f"schedule file not found: {path}")
+    packaged = name in ("fig5a", "fig5b")
+    source = resources.files("cipheropt") / f"data/{name}.graph" if packaged else Path(name)
+    if not source.is_file():
+        raise ConfigError(f"schedule file not found: {source}")
+    with resources.as_file(source) as path:
         try:
-            sched = graphs.load_graph_file(path)
+            sched = graphs.load_graph_file(path, seed=seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    if isinstance(sched, graphs.RandomActivationSchedule):
-        p = sched.p if config["activation"] is None else config["activation"]
-        # distinct integer activation seed per trial, stable across runs
-        entropy = np.random.SeedSequence(
-            entropy=config["schedule_seed"], spawn_key=(12, trial)
-        ).generate_state(1, dtype=np.uint64)[0]
-        sched = graphs.RandomActivationSchedule(sched.base, p, seed=int(entropy))
-    return sched
+    if config["activation"] is None:
+        return sched
+    if not isinstance(sched, graphs.RandomActivationSchedule):
+        raise ConfigError(f"activation: applies only to a random_activation schedule, "
+                          f"and {name} is not one")
+    return graphs.RandomActivationSchedule(sched.base, config["activation"], seed=seed)
 
 
 def _schedule(config: dict, trial: int, rounds: str | None = None):
@@ -311,12 +312,14 @@ def cmd_stoptime(config: dict) -> ExperimentResult:
     out_dir = Path(config["out"])
 
     sched = _schedule(config, 0)
+    # a once schedule ends the runs it is shorter than, which then miss their criterion
+    horizon = config["horizon"] if sched.length is None else min(config["horizon"], sched.length)
     rows = []
     timing = []
     for criterion in config["stop"]:
         for enc in ("on", "off"):
             rc = engine.RunConfig(
-                step_size=step, horizon=config["horizon"],
+                step_size=step, horizon=horizon,
                 stop_residual=criterion, encryption=enc == "on", seed=config["seed"], trial=0,
             )
             (traj,) = _run_trials(config, [problem], [sched], algorithm, rc, [0])
@@ -537,7 +540,10 @@ def main(argv=None) -> int:
     for path in result.artifacts:
         print(f"wrote {path}")
     if result.summary:
-        print(json.dumps(result.summary, default=str))
+        # strict JSON: a diverged run's non-finite numbers print as null
+        summary = {key: None if isinstance(value, float) and not math.isfinite(value) else value
+                   for key, value in result.summary.items()}
+        print(json.dumps(summary, default=str, allow_nan=False))
     return 0
 
 

@@ -69,34 +69,26 @@ class DirectedGraph:
         return sorted(self.edges)
 
 
-def _strongly_connected(a: np.ndarray) -> bool:
-    """True iff the m-by-m adjacency `a` (True at [l, i] when l receives from
-    i) joins every ordered pair of distinct agents by a directed path.
+def _strongly_connected(a: np.ndarray) -> np.ndarray:
+    """Whether each adjacency of the stack `a` (..., m, m), True at [..., l, i] when l
+    receives from i, joins every ordered pair of distinct agents by a directed path.
 
-    Two depth-first sweeps from agent 1: one along out-edges (1 reaches all)
-    and one along in-edges (all reach 1).
+    Two sweeps from agent 1 over every graph at once, along out-edges (1 reaches all)
+    and along in-edges (all reach 1), each until no graph reaches a new agent.
     """
-    m = len(a)
-    for steps in (a.T, a):  # [v, u] True: the sweep may step from v to u
-        nxt = [[] for _ in range(m)]
-        rows, cols = np.nonzero(steps)
-        for v, u in zip(rows.tolist(), cols.tolist()):
-            nxt[v].append(u)
-        seen = [True] + [False] * (m - 1)
-        stack = [0]
-        while stack:
-            for u in nxt[stack.pop()]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        if not all(seen):
-            return False
-    return True
+    connected = np.ones(a.shape[:-2], dtype=bool)
+    for steps in (a, np.swapaxes(a, -1, -2)):  # [..., u, v] True: a step from v to u
+        seen = np.zeros(a.shape[:-1] + (1,), dtype=bool)
+        seen[..., 0, 0] = True
+        while (new := steps @ seen & ~seen).any():
+            seen |= new
+        connected &= seen.all(axis=(-2, -1))
+    return connected
 
 
 def is_strongly_connected(g: DirectedGraph) -> bool:
     """True iff every ordered pair of distinct agents is joined by a directed path."""
-    return _strongly_connected(g.matrix)
+    return bool(_strongly_connected(g.matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +240,7 @@ def certify_uniform_connectivity(schedule, horizon=200) -> ConnectivityCertifica
     probabilistic = isinstance(schedule, RandomActivationSchedule)
     for b in range(1, horizon + 1):
         unions = adj[: horizon // b * b].reshape(-1, b, m, m).any(axis=1)
-        # a repeating schedule repeats its unions: check each distinct one once
-        if all(_strongly_connected(u) for u in {u.tobytes(): u for u in unions}.values()):
+        if _strongly_connected(unions).all():
             return ConnectivityCertificate(b_tilde=b, horizon=horizon, probabilistic=probabilistic)
     return ConnectivityCertificate(b_tilde=None, horizon=horizon, probabilistic=probabilistic)
 
@@ -285,9 +276,9 @@ def save_graph_file(schedule, path):
 def load_graph_file(path, seed=None):
     """Read a schedule from a description file.
 
-    seed overrides the file's activation seed when given; required if a
-    random_activation file carries none. A malformed line raises ValueError
-    naming `path:line`.
+    seed overrides the file's activation seed when given, though a seed line is
+    still checked; it is required if a random_activation file carries none. A
+    malformed line raises ValueError naming `path:line`.
     """
     keys = {}  # name -> (text, "path:line")
     edges = {}  # (receiver, sender) -> "path:line"
@@ -352,8 +343,9 @@ def load_graph_file(path, seed=None):
         gs = [graph(g) for g in graphs]
         return value("mode", lambda mode: ScriptedSchedule(gs, mode=mode), default="once")
     if kind == "random_activation":
-        if seed is None:
-            seed = value("seed", lambda text: check_seed("seed", int(text)))
+        if seed is None or "seed" in keys:
+            line_seed = value("seed", lambda text: check_seed("seed", int(text)))
+            seed = line_seed if seed is None else seed
         base = graph(edges)
         return value("p", lambda p: RandomActivationSchedule(base, p=float(p), seed=seed))
     raise ValueError(f"{path}: unknown schedule kind {kind!r}")

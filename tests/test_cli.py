@@ -361,12 +361,14 @@ class TestConfigResolution:
          "horizon must be at most 2, the rounds the schedule plays, got 3"),
         ("theory", {"schedule": "once.graph", "problem": {"m": 2}, "certify_horizon": 3},
          "certify_horizon must be at most 2, the rounds the schedule plays, got 3"),
+        ("converge", {"activation": 0.5},
+         "activation: applies only to a random_activation schedule, and fig5a is not one"),
     ], ids=["activation", "omega", "m-fractional", "m-zero", "instance-seed", "box-negative",
             "box-nan", "capture-string", "alpha-negative", "box-huge", "omega-huge",
             "converge-c0", "stoptime-c0", "theory-c0", "privacy-b-c0", "privacy-c-c0",
             "schedule-number", "algorithm-list", "k0-range-huge", "converge-schedule-agents",
             "stoptime-schedule-agents", "theory-schedule-agents", "converge-once-short",
-            "theory-once-short"])
+            "theory-once-short", "activation-not-random"])
     def test_bad_problem_or_number_exits_1_and_writes_nothing(self, tmp_path, monkeypatch,
                                                                capsys, command, payload, message):
         monkeypatch.chdir(tmp_path)  # where a case's relative schedule file is written
@@ -389,6 +391,15 @@ class TestConfigResolution:
         cfg = write_config(tmp_path, {**SMALL, "schedule": "once.graph",
                                       "problem": {"m": 2, "s": 1, "d": 1}, **payload})
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+    def test_stoptime_stops_at_the_end_of_a_short_once_schedule(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("once.graph").write_text(ONCE)
+        cfg = write_config(tmp_path, {**SMALL, "schedule": "once.graph", "horizon": 3,
+                                      "problem": {"m": 2, "s": 1, "d": 1}})
+        assert main(["stoptime", "--config", cfg, "--out", "out"]) == 0
+        rows = Path("out/stoptime.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2:] for row in rows] == [["2", "0"]] * 6
 
     @pytest.mark.parametrize("scenario", ["x", "B", "", None, ["b"]])
     def test_bad_scenario_rejected(self, tmp_path, scenario):
@@ -426,6 +437,16 @@ class TestScheduleLoading:
         config["schedule"] = str(path)
         assert cli._load_schedule(config, 0).m == 2
 
+    def test_seedless_random_file_is_seeded_per_trial(self, tmp_path):
+        path = tmp_path / "noseed.graph"
+        path.write_text("m 3\nschedule random_activation\np 0.5\nedge 2 1\nedge 3 2\n")
+        config = resolve_config("converge", parse("converge"))
+        config["schedule"] = str(path)
+        sched = cli._load_schedule(config, 1)
+        assert isinstance(sched, RandomActivationSchedule)
+        assert (sched.p, sched.seed) == (0.5, cli._load_schedule({**config, "schedule": "fig5b"},
+                                                                 1).seed)
+
     def test_missing_schedule_file(self):
         config = resolve_config("converge", parse("converge"))
         config["schedule"] = "/no/such.graph"
@@ -449,6 +470,17 @@ class TestExitCodes:
         assert code == 0
         out = capsys.readouterr().out
         assert "wrote" in out
+
+    def test_diverged_summary_is_strict_json(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"step_size": 1e308, "horizon": 4, "trials": 1})
+        with pytest.warns(RuntimeWarning):
+            assert main(["converge", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+        def refuse(name):
+            raise AssertionError(f"summary holds {name}")
+
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert json.loads(line, parse_constant=refuse) == {"algorithm1": None}
 
     def test_config_problem_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"no_such": 1})

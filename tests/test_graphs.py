@@ -165,6 +165,17 @@ class TestStrongConnectivity:
         assert is_strongly_connected(g) == oracle_strongly_connected(g)
 
     @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 10),
+           lead=st.one_of(st.tuples(st.integers(1, 6)),
+                          st.tuples(st.integers(1, 3), st.integers(1, 3))))
+    def test_stack_sweeps_are_the_oracle_graph_by_graph(self, data, m, lead):
+        gs = [data.draw(graphs_on(m)) for _ in range(int(np.prod(lead)))]
+        stack = np.stack([g.matrix for g in gs]).reshape(*lead, m, m)
+        got = graphs._strongly_connected(stack)
+        assert got.shape == lead
+        assert got.reshape(-1).tolist() == [oracle_strongly_connected(g) for g in gs]
+
+    @settings(max_examples=100, deadline=None)
     @given(data=st.data(), m=st.integers(1, 12))
     def test_neighbor_queries_are_the_edge_set_definitions(self, data, m):
         g = data.draw(graphs_on(m))
@@ -326,20 +337,20 @@ class TestCertification:
         assert certify_uniform_connectivity(s, horizon=40).b_tilde == 2
         assert asked == [(0, 40)]
 
-    def test_each_distinct_union_is_checked_once(self, monkeypatch):
+    def test_one_connectivity_call_per_window_size(self, monkeypatch):
         checked = []
         strongly_connected = graphs._strongly_connected
         monkeypatch.setattr(graphs, "_strongly_connected",
                             lambda a: checked.append(a) or strongly_connected(a))
         assert certify_uniform_connectivity(StaticSchedule(ring(6)), horizon=200).b_tilde == 1
-        assert len(checked) == 1
-        # the cycling halves: b=1 stops at the first half, every 2-window is one union
+        assert [a.shape for a in checked] == [(200, 6, 6)]
+        # the cycling halves: one stack of the 40 rounds at b=1, of their 20 2-windows at b=2
         checked.clear()
         half1 = DirectedGraph(4, frozenset({(2, 1), (3, 2)}))
         half2 = DirectedGraph(4, frozenset({(4, 3), (1, 4)}))
         s = ScriptedSchedule([half1, half2], mode="cycle")
         assert certify_uniform_connectivity(s, horizon=40).b_tilde == 2
-        assert [a.sum() for a in checked] == [2, 4]
+        assert [a.shape for a in checked] == [(40, 4, 4), (20, 4, 4)]
 
     def test_short_once_schedule_is_exhausted_at_its_length(self):
         s = ScriptedSchedule([ring(3)] * 5, mode="once")
@@ -382,6 +393,20 @@ class TestGraphFiles:
         save_graph_file(s, path)
         loaded = load_graph_file(path, seed=10)
         assert loaded.seed == 10
+
+    def test_seedless_random_file_loads_only_with_a_seed(self, tmp_path):
+        path = tmp_path / "noseed.graph"
+        path.write_text("m 3\nschedule random_activation\np 0.5\nedge 2 1\nedge 3 2\n")
+        assert load_graph_file(path, seed=4).seed == 4
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing 'seed' line$"):
+            load_graph_file(path)
+
+    @pytest.mark.parametrize("line", ["seed -1", "seed 2.5"])
+    def test_bad_seed_line_is_refused_though_overridden(self, tmp_path, line):
+        path = tmp_path / "bad.graph"
+        path.write_text(f"m 2\nschedule random_activation\np 0.5\n{line}\nedge 2 1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: bad seed "):
+            load_graph_file(path, seed=4)
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "g.graph"
