@@ -19,10 +19,15 @@ Payloads and envelopes are immutable records that hold exactly those bytes
 and read their fields from them, so frames packed a round at once are sealed
 and opened without being parsed or packed again.
 
+A block of rounds is packed at once (`pack_frames`): every header is set
+before the first round is sealed, and each round writes its values into its
+frames and cuts them (`cut_frames`).
+
 Nonces are 8-byte counter || 4-byte sender, and trial t's counters run from
-t * 2^32. A round's frames, over every trial of a batch, take theirs from one
-`RoundNonces` array over the batch's (trial, sender) counters, and
-`open_envelopes` opens a round's envelopes in one pass.
+t * 2^32. Each counter is fixed once a block's messages are known, so a
+block's frames, over every trial of a batch, take theirs from one
+`BlockNonces` array over the batch's (trial, sender) counters, a round at a
+time, and `open_envelopes` opens a round's envelopes in one pass.
 """
 from __future__ import annotations
 
@@ -57,9 +62,6 @@ TAG_SIZE = 16
 _U32 = 0xFFFFFFFF
 _PER_TRIAL = 2**32  # nonces of one sender in one trial
 _NONCE = struct.Struct("<QI")  # counter, sender
-# the same bytes as numpy fields: the little-endian counter trial * 2^32 + used is the
-# <u4 `used`, then the <u4 `trial`
-_NONCE_FIELDS = np.dtype([("used", "<u4"), ("trial", "<u4"), ("sender", "<u4")])
 
 
 class TamperError(ValueError):
@@ -179,7 +181,7 @@ class CipherEnvelope(_Record):
 
 
 def nonce_trials(trials) -> np.ndarray:
-    """`trials` as the array `RoundNonces` takes; ValueError if one lies outside
+    """`trials` as the array `BlockNonces` takes; ValueError if one lies outside
     0..2^32-1, where it would own no counter range."""
     for trial in trials:
         if not 0 <= trial <= _U32:
@@ -199,7 +201,7 @@ class NonceCounter:
     the trials of a seed, which share its key, never repeat a nonce either:
     sender ids are distinct and a sender has 2^32 messages to a trial.
     `used`, a one-cell int64 array, holds how many of them it has taken. It
-    is the per-frame reference for `RoundNonces`.
+    is the per-frame reference for `BlockNonces`.
     """
 
     def __init__(self, sender: int, trial: int = 0, used=None):
@@ -227,38 +229,62 @@ class NonceCounter:
         return _NONCE.pack(self.start + used, self.sender)
 
 
-class RoundNonces:
-    """Nonce source of one round's frames over a batch of trials, in frame order.
+class BlockNonces:
+    """Nonce source of a block of rounds' frames over a batch of trials.
 
     `used[b, i-1]` counts the nonces sender i has taken in trials[b], the
-    trial of batch row b, as its `NonceCounter` counts them. Message t of the
-    round is `per_message` frames from sender senders[t] of batch row
-    rows[t]. Every (row, sender) takes the block of counters its frames need
-    in one pass over the array, so its frames count up from the block's
-    start in the order they come: the nonces a `next()` per frame would
-    give. A block that would leave its trial's range raises OverflowError
-    here, before any counter moves or any frame of the round is sealed.
+    trial of batch row b, as its `NonceCounter` counts them. Message t of
+    the block is `per_message` frames from sender senders[t] of batch row
+    rows[t] in round at[t]; `bounds[r]:bounds[r+1]` are round r's messages.
+    Every counter of the block is fixed here, in one pass over the block's
+    messages: each (row, sender) counts its frames up from its `used`, in
+    the order they come, so they are the nonces a `next()` per frame would
+    give (the deterministic construction of NIST SP 800-38D, 8.2.1).
+
+    `round(r)` moves `used` on by round r's frames only, so a block that
+    ends early takes no counters for the rounds it did not play, and makes
+    `next` give round r's nonces in frame order. The round in which a
+    (row, sender) would leave its trial's range raises OverflowError from
+    `round`, before its counters move or any of its frames is sealed.
     """
 
-    __slots__ = ("next",)
+    __slots__ = ("used", "next", "_taken", "_bounds", "_nonces", "_crossing")
 
-    def __init__(self, used, trials, rows, senders, per_message: int):
+    def __init__(self, used, trials, at, rows, senders, per_message: int, bounds):
         nt, m = used.shape
-        cells = np.repeat(rows * m + senders - 1, per_message)  # each frame's (row, sender)
-        taken = np.bincount(cells, minlength=nt * m)
-        if (over := used.reshape(-1) + taken > _PER_TRIAL).any():
-            b, i = divmod(int(np.argmax(over)), m)
-            raise _exhausted(i + 1, int(trials[b]))
-        # a frame's place in its cell's block: its place among the frames sorted by cell,
-        # less the frames of the cells before
+        rounds = len(bounds) - 1
+        cells = rows * m + senders - 1  # each message's (row, sender)
+        taken = np.bincount(at * (nt * m) + cells, minlength=rounds * nt * m)
+        self._taken = per_message * taken.reshape(rounds, nt, m)
+        sent = np.add.reduce(taken.reshape(rounds, nt * m))
+        # a message's place among its cell's messages: its place among the messages
+        # sorted by cell, less the messages of the cells before
         place = np.empty(len(cells), np.int64)
-        place[np.argsort(cells, kind="stable")] = np.arange(len(cells))
-        nonces = np.empty(len(cells), _NONCE_FIELDS)
-        nonces["used"] = (used.reshape(-1) + taken - np.cumsum(taken))[cells] + place
-        nonces["trial"] = np.repeat(trials[rows], per_message)
-        nonces["sender"] = np.repeat(senders, per_message)
-        used += taken.reshape(nt, m)
-        self.next = iter(nonces.view(f"V{NONCE_SIZE}").tolist()).__next__  # one bytes per frame
+        place[cells.argsort(kind="stable")] = np.arange(len(cells))
+        first = (used.reshape(-1) - per_message * (sent.cumsum() - sent))[cells] + \
+            per_message * place  # the counter of each message's first frame
+        played, self._crossing = rounds, None
+        if (over := first + per_message > _PER_TRIAL).any():
+            t = int(over.argmax())
+            played = int(at[t])
+            self._crossing = played, _exhausted(int(senders[t]), int(trials[rows[t]]))
+        self.used, self._bounds = used, [per_message * b for b in bounds]
+        n = bounds[played]  # the messages of the rounds before the crossing one
+        # a nonce's bytes as three <u4: the little-endian counter trial * 2^32 + used
+        # is the used count, then the trial; then the sender
+        nonces = np.empty((n, per_message, 3), "<u4")
+        nonces[..., 0] = first[:n, None] + np.arange(per_message)
+        nonces[..., 1] = trials[rows[:n], None]
+        nonces[..., 2] = senders[:n, None]
+        self._nonces = nonces.view(f"V{NONCE_SIZE}").reshape(-1)
+
+    def round(self, r: int) -> "BlockNonces":
+        """The source of round r's nonces, its counters taken."""
+        if self._crossing is not None and self._crossing[0] == r:
+            raise self._crossing[1]
+        self.used += self._taken[r]
+        self.next = iter(self._nonces[self._bounds[r] : self._bounds[r + 1]].tolist()).__next__
+        return self
 
 
 def _header(sender, receiver, k, kind, count=0) -> bytes:
@@ -283,22 +309,34 @@ def _read_header(raw: bytes):
     return sender, receiver, k, _BYTE_KINDS[kind_byte], n
 
 
-def pack_frames(k, senders, receivers, parts) -> np.ndarray:
-    """Frames of round k, for each t and each (kind, values) in `parts`:
-    values[t] from senders[t] to receivers[t], packed in one pass.
+def pack_frames(k, senders, receivers, widths) -> np.ndarray:
+    """Frames of message t from senders[t] to receivers[t] in round k[t], one
+    for each (kind, count) in `widths`, packed in one pass: every header field
+    set, the `count` data entries left for the sender to fill.
 
-    Returns one record per message, a field per kind in `parts` order, so the
+    Returns one record per message, a field per kind in `widths` order, so the
     record array's bytes are message t's frames back to back.
     """
-    layout = np.dtype([(kind, _FRAME_HEADER + [("data", "<f8", values.shape[1:])])
-                       for kind, values in parts])
-    frames = np.zeros(len(senders), layout)
-    for kind, values in parts:
+    layout, blank = _blank_frame(tuple(widths))
+    frames = np.empty(len(senders), layout)
+    frames.view(np.uint8).reshape(len(senders), layout.itemsize)[...] = blank
+    for kind, _ in widths:
         f = frames[kind]
-        f["magic"], f["version"], f["k"], f["kind"] = MAGIC, VERSION, k, _KIND_BYTES[kind]
-        f["sender"], f["receiver"] = senders, receivers
-        f["count"], f["data"] = values.shape[1], values
+        f["sender"], f["receiver"], f["k"] = senders, receivers, k
     return frames
+
+
+@lru_cache(maxsize=8)
+def _blank_frame(widths) -> tuple:
+    """The layout of `pack_frames`' records, and the bytes of one with the fields
+    every message shares set (magic, version, kind, count), as a uint8 array."""
+    blank = np.zeros((), [(kind, _FRAME_HEADER + [("data", "<f8", (count,))])
+                          for kind, count in widths])
+    for kind, count in widths:
+        f = blank[kind]
+        f["magic"], f["version"], f["kind"], f["count"] = MAGIC, VERSION, _KIND_BYTES[kind], count
+    raw = np.frombuffer(blank.tobytes(), np.uint8)  # read-only
+    return blank.dtype, raw
 
 
 def cut_frames(frames) -> list:
@@ -334,7 +372,7 @@ _new = object.__new__
 
 
 def encrypt(key: SharedKey, p: PlainPayload,
-            nonce_source: NonceCounter | RoundNonces) -> CipherEnvelope:
+            nonce_source: NonceCounter | BlockNonces) -> CipherEnvelope:
     """Seal a payload under `nonce_source.next()`. The clear header is bound as
     associated data."""
     nonce = nonce_source.next()
@@ -352,7 +390,7 @@ def wrap_payloads(frames) -> list:
     return payloads
 
 
-_WIRE = attrgetter("_wire")
+record_bytes = attrgetter("_wire")  # a payload's or envelope's bytes, for a `map` over many
 _NONCE_AT = itemgetter(slice(HEADER_SIZE, HEADER_SIZE + NONCE_SIZE))
 _SEALED_AT = itemgetter(slice(HEADER_SIZE + NONCE_SIZE, None))
 _HEADER_AT = itemgetter(slice(HEADER_SIZE))
@@ -361,7 +399,7 @@ _HEADER_AT = itemgetter(slice(HEADER_SIZE))
 def open_envelopes(key: SharedKey, envelopes) -> list:
     """The frames sealed in `envelopes`, opened in one pass, as bytes, unparsed;
     TamperError if any fails authentication."""
-    wires = list(map(_WIRE, envelopes))
+    wires = list(map(record_bytes, envelopes))
     try:
         return list(map(_aead(key.key).decrypt, map(_NONCE_AT, wires), map(_SEALED_AT, wires),
                         map(_HEADER_AT, wires)))

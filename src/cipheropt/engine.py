@@ -33,13 +33,15 @@ round and ends the block where a trial meets its rule. The start is a
 block of one row, so a trial leaves the batch by one path at round 0 or
 later.
 
-Those per-edge shares are also what goes on the wire: the batch's one
-`Transport` packs all of a round's frames, every running trial's, at
-once, in a fixed order, takes their nonces as one array, seals each and
-opens all under AES-GCM when encryption is on, checks that every opened
+Those per-edge shares are also what goes on the wire. The batch's one
+`Transport` plans a block's wire once, from the block's adjacencies: every
+round's messages, every running trial's, in a fixed order, one record
+array with all of the block's frame headers and, when encryption is on,
+every nonce of the block. Each round then writes its shares into its
+frames, seals each and opens all under AES-GCM, checks that every opened
 frame is byte for byte the frame sent, and logs each trial's traffic when
-asked. The trajectory never reads from the transport, so sealed and
-plain runs are the same computation.
+asked, in one pass. The trajectory never reads from the transport, so
+sealed and plain runs are the same computation.
 
 The fixed-weight baseline (`push-diging`) is the same kernel with uniform
 columns, so an eavesdropper or a curious neighbor sees exactly the traffic
@@ -53,9 +55,11 @@ import math
 import numbers
 import reprlib
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,17 +67,17 @@ from .channel import (
     KIND_S,
     KIND_W,
     KIND_Y,
-    PlainPayload,
-    RoundNonces,
+    BlockNonces,
     SharedKey,
     TamperError,
     cut_frames,
     decrypt,  # noqa: F401  (kept as engine.decrypt for perfbench's tracer)
-    encode_payload,
+    encode_payload,  # noqa: F401  (kept as engine.encode_payload for perfbench's tracer)
     encrypt,
     nonce_trials,
     open_envelopes,
     pack_frames,
+    record_bytes,
     wrap_payloads,
 )
 from .graphs import graph_at  # noqa: F401  (kept as engine.graph_at for perfbench's tracer)
@@ -155,8 +159,7 @@ def _numbers(name, value) -> np.ndarray:
     return start
 
 
-@dataclass(frozen=True)
-class MessageRecord:
+class MessageRecord(NamedTuple):
     """One wire message: values as sent plus the exact bytes that moved."""
 
     k: int
@@ -274,23 +277,26 @@ def uniform_out_columns(graph, k: int) -> dict:
     return cols
 
 
+_KINDS = (KIND_Y, KIND_S, KIND_W)
+_record = partial(tuple.__new__, MessageRecord)
+
+
 class Transport:
     """The wire under a batch of trials: per-edge values in, framed (and sealed)
-    messages out, in one call a round for every trial that plays it.
+    messages out, planned a block of rounds at a time.
 
     `Transport(m, key, logs, trials)` is the wire of m agents in trials[b] at
     batch row b (trial 0 alone by default); logs[b], if `logs` is not None, gets
     trials[b]'s messages in wire order. A round's messages go out batch row by
     batch row, and within a row sender ascending, then receiver ascending, then
     Y, S, W, so nonces and bytes are reproducible and each trial's frames are
-    the ones it sends alone. Every frame of the round is packed at once. With a
-    key, the round's nonces come as one array (`RoundNonces`) over the wire's
-    (trial, sender) counters `used`, each trial in its own range; each frame is
-    sealed under its nonce by `encrypt`, and every envelope of the round is
-    opened in one pass. The opened frames, joined, must be byte for byte the
-    round's packed frames: if not, or if an envelope fails authentication, the
-    round fails with a TamperError that names the trial and the first message at
-    fault. Without a key messages are only framed, for the logs.
+    the ones it sends alone. With a key, each trial takes its nonces in its own
+    range of the wire's (trial, sender) counters `used`. The opened frames of a
+    round, joined, must be byte for byte the round's frames: if not, or if an
+    envelope fails authentication, the round fails with a TamperError that
+    names the trial and the first message at fault. Without a key messages are
+    only framed, for the logs. `send` and `send_batch` ship one round, as a
+    block of one.
     """
 
     def __init__(self, m: int, key: SharedKey | None, logs: list | None, trials=(0,)):
@@ -298,54 +304,90 @@ class Transport:
         self.trials = nonce_trials(trials)
         self.used = np.zeros((len(self.trials), m), np.int64)
 
+    def block(self, k0, adj, d, rows=None):
+        """The wire of rounds k0 .. k0+len(adj)-1 of batch rows `rows` (all of them
+        if None): in round k0+r a message over every edge adj[r, b, l-1, i-1] of
+        rows[b], from sender i to receiver l, carrying d-vectors Y and S and a W.
+
+        It is planned once, here: every round's wire pairs, one record array with
+        every header of the block set (`pack_frames`) and, with a key, every
+        nonce of the block (`BlockNonces`). Call the returned `ship(r, jy, js,
+        jw)` for each round r played, in order, with jy[b, l-1, i-1] (and js,
+        jw) what sender i owes receiver l: it writes the round's values into its
+        frames and cuts them; with a key it takes only that round's counters,
+        seals each frame under its nonce by `encrypt` and opens the round in one
+        pass; and it logs the round's messages in one pass.
+        """
+        masks = adj.transpose(0, 1, 3, 2)  # [r, b, i-1, l-1]: a message from i to l
+        at, b, i, l = np.nonzero(masks)
+        rows = b if rows is None else rows[b]
+        senders, receivers = i + 1, l + 1
+        bounds = [0] + np.cumsum(np.bincount(at, minlength=len(adj))).tolist()
+        packed = pack_frames(k0 + at, senders, receivers, ((KIND_Y, d), (KIND_S, d), (KIND_W, 1)))
+        data = [packed[kind]["data"] for kind in _KINDS]
+        source = None if self.key is None else BlockNonces(
+            self.used, self.trials, at, rows, senders, len(_KINDS), bounds)
+        if self.logs is not None:  # each frame's route and log, in frame order
+            routes = [np.repeat(part, len(_KINDS)).tolist()
+                      for part in (k0 + at, senders, receivers)] + [list(_KINDS) * len(at)]
+            logs = list(map(self.logs.__getitem__, np.repeat(rows, len(_KINDS)).tolist()))
+
+        def ship(r, jy, js, jw):
+            s, e = bounds[r], bounds[r + 1]
+            if s == e:
+                return
+            if source is not None:
+                nonces = source.round(r)
+            values = [part.swapaxes(1, 2)[masks[r]] for part in (jy, js, jw[..., None])]
+            for field, v in zip(data, values):
+                field[s:e] = v
+            frames = cut_frames(packed[s:e])
+            envelopes = None
+            if source is not None:
+                envelopes = list(map(encrypt, repeat(self.key), wrap_payloads(frames),
+                                     repeat(nonces)))
+                try:
+                    opened = open_envelopes(self.key, envelopes)
+                    intact = b"".join(opened) == packed[s:e].tobytes()
+                except TamperError:
+                    opened, intact = [None] * len(envelopes), False
+                if not intact:
+                    self._reject(k0 + r, zip(rows[s:e].tolist(), senders[s:e].tolist(),
+                                             receivers[s:e].tolist()), frames, envelopes, opened)
+            if self.logs is not None:
+                datas = [None] * len(frames)
+                for j, v in enumerate(values):
+                    datas[j :: len(_KINDS)] = map(tuple, v.tolist())
+                ciphers = repeat(None) if envelopes is None else map(record_bytes, envelopes)
+                s, e = s * len(_KINDS), e * len(_KINDS)
+                records = map(_record, zip(*(part[s:e] for part in routes), datas, frames,
+                                           ciphers))
+                deque(map(list.append, logs[s:e], records), maxlen=0)
+
+        return ship
+
     def send(self, k, senders, receivers, jy, js, jw):
         """Ship round k of batch row 0: one message from each senders[t] to
         receivers[t] (agents, in wire order); jy[r-1, i-1] (and js, jw) is what
         sender i owes receiver r."""
-        at = (receivers - 1, senders - 1)
-        self._ship(k, np.zeros(len(senders), np.intp), senders, receivers, jy[at], js[at], jw[at])
+        adj = np.zeros((1, 1) + jw.shape, dtype=bool)
+        adj[0, 0, receivers - 1, senders - 1] = True
+        self.block(k, adj, jy.shape[-1])(0, jy[None], js[None], jw[None])
 
     def send_batch(self, k, adj, jy, js, jw, rows=None):
         """Ship round k of batch rows `rows` (all of them if None): a message over
         every edge adj[b, r-1, i-1] of rows[b], from sender i to receiver r,
         whose values are jy[b, r-1, i-1] (and js, jw)."""
-        b, i, r = np.nonzero(adj.transpose(0, 2, 1))
-        self._ship(k, b if rows is None else rows[b], i + 1, r + 1, jy[b, r, i], js[b, r, i],
-                   jw[b, r, i])
+        self.block(k, adj[None], jy.shape[-1], rows)(0, jy, js, jw)
 
-    def _ship(self, k, rows, senders, receivers, y, s, w):
-        """Round k's messages t from senders[t] to receivers[t] of batch rows rows[t],
-        carrying y[t], s[t] and w[t], in wire order."""
-        if not len(senders):
-            return
-        packed = pack_frames(k, senders, receivers,
-                             ((KIND_Y, y), (KIND_S, s), (KIND_W, w[:, None])))
-        frames = cut_frames(packed)
-        kinds = packed.dtype.names
-        envelopes = None
-        if self.key is not None:
-            nonces = RoundNonces(self.used, self.trials, rows, senders, len(kinds))
-            envelopes = list(map(encrypt, repeat(self.key), wrap_payloads(frames), repeat(nonces)))
-            try:
-                opened = open_envelopes(self.key, envelopes)
-                intact = b"".join(opened) == packed.tobytes()
-            except TamperError:
-                opened, intact = [None] * len(envelopes), False
-            if not intact:
-                self._reject(k, _routes(rows, senders, receivers, kinds), frames, envelopes,
-                             opened)
-        if self.logs is not None:
-            for t, ((b, i, r, kind), frame) in enumerate(zip(
-                    _routes(rows, senders, receivers, kinds), frames)):
-                p = PlainPayload.wrap(frame)
-                cipher = None if envelopes is None else envelopes[t].to_bytes()
-                self.logs[b].append(MessageRecord(k, i, r, kind, p.data, encode_payload(p), cipher))
-
-    def _reject(self, k, routes, frames, envelopes, opened):
-        """Raise the TamperError that names the trial and the first frame that did not
-        open to the bytes sent; an entry of `opened` is None where the round's open failed."""
-        for (b, i, r, kind), frame, env, got in zip(routes, frames, envelopes, opened):
-            where = f"trial {self.trials[b]} k={k} {kind} message {i}->{r}"
+    def _reject(self, k, messages, frames, envelopes, opened):
+        """Raise the TamperError that names the trial and the first frame of round k
+        that did not open to the bytes sent; `messages` gives each message's (batch
+        row, sender, receiver), and an entry of `opened` is None where the round's
+        open failed."""
+        routes = [(b, i, l, kind) for b, i, l in messages for kind in _KINDS]
+        for (b, i, l, kind), frame, env, got in zip(routes, frames, envelopes, opened):
+            where = f"trial {self.trials[b]} k={k} {kind} message {i}->{l}"
             if got is None:
                 try:
                     got = open_envelopes(self.key, [env])[0]
@@ -354,12 +396,6 @@ class Transport:
             if got != frame:
                 raise TamperError(f"{where} opened to other bytes")
         raise TamperError(f"k={k} round opened to other bytes")
-
-
-def _routes(rows, senders, receivers, kinds) -> list:
-    """(batch row, sender, receiver, kind) of each frame of a round, in frame order."""
-    return [(b, i, r, kind) for b, i, r in zip(rows.tolist(), senders.tolist(),
-                                               receivers.tolist()) for kind in kinds]
 
 
 class _RoundPlan:
@@ -488,7 +524,7 @@ def iterate(state, columns, problem: GlobalProblem, step, k, *, reset_mass=False
         for l in col.entries:
             adj[0, 0, l - 1, i - 1] = l != i
     a = assemble_weight_matrix(columns.values(), m)
-    wire, trials = (None, [0]) if transport is None else (transport.send_batch, transport.trials)
+    wire, trials = (None, [0]) if transport is None else (transport.block, transport.trials)
     x_next, z_next = np.empty((1, 1, m, d)), np.empty((1, 1, m, 2 * d + 1))
     kernel = _push_sum(lambda *_: a)
     _, g, _ = kernel((z[None], x[None], g[None]), adj, trials, k, problem.gradients, wire,
@@ -500,7 +536,8 @@ def _push_sum(weights):
     """The kernel of the private algorithm and push-diging, under the A(k) that
     `weights(adj, plan, trials, k0)` gives a block of rounds: the one body of a
     push-sum round, over the block's fixed views (the shares over the plan's
-    rows, their y, s and w cuts, the A(k) columns, z's receiver rows)."""
+    rows, their y, s and w cuts, the A(k) columns, z's receiver rows) and the
+    block's wire, planned once."""
 
     def rounds_of(state, adj, trials, k0, gradients, wire, config, x, z, landed):
         rounds, nt, m, _ = adj.shape
@@ -511,11 +548,12 @@ def _push_sum(weights):
         shares = plan.shares[:-1].reshape(nt, m, m, width)
         jy, js, jw = _cut(shares)
         prev, _, g = state
+        ship = None if wire is None else wire(k0, adj, width // 2)
         for r in range(rounds):
             k = k0 + r
             np.multiply(cols[r], prev[:, None], out=shares)
-            if wire is not None:
-                wire(k, adj[r], jy, js, jw)
+            if ship is not None:
+                ship(r, jy, js, jw)
             jy -= config.step_size * js
             _receive(plan.shares, plan.gather[r], plan.groups[r], width // 2, sums[r])
             y, s, w = _cut(z[r])
@@ -603,7 +641,8 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
     w] (nt, m, 2d+1), estimates and gradients at them. The kernel
     `rounds_of(state, adj, trials, k0, gradients, wire, config, x, z, landed)`
     plays a block from `state` over adjacencies adj[r, b], shipping each round
-    by `wire` (None when nothing goes on the wire); for push-sum it is
+    by the block's wire `wire(k0, adj, d)` plans once (`Transport.block` over the
+    running rows; None when nothing goes on the wire); for push-sum it is
     `_push_sum`'s one round body over views built once per block, which
     `iterate` plays as a block of one round. It writes round r's estimates to
     the block's buffer x[r] and its [y | s | w] to z[r] (a dense kernel only
@@ -671,7 +710,7 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
             def landed(r, res=res, x=x, xs=xs, scale=scale):
                 res[r] = relative_residual(x[r], None, xs, den=scale)
                 return (res[r] <= stop).any()
-        wire = None if transport is None else partial(transport.send_batch, rows=running)
+        wire = None if transport is None else partial(transport.block, rows=running)
         played, g, a = rounds_of(state, adj, [trials[j] for j in running], k, gradients,
                                  wire, config, x, z, landed)
         r, k = played - 1, k + played

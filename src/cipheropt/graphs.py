@@ -73,17 +73,15 @@ def _strongly_connected(a: np.ndarray) -> np.ndarray:
     """Whether each adjacency of the stack `a` (..., m, m), True at [..., l, i] when l
     receives from i, joins every ordered pair of distinct agents by a directed path.
 
-    Two sweeps from agent 1 over every graph at once, along out-edges (1 reaches all)
-    and along in-edges (all reach 1), each until no graph reaches a new agent.
+    Two sweeps from agent 1 over every graph, run as one: along out-edges (1
+    reaches all) and along in-edges (all reach 1), until no graph reaches a new agent.
     """
-    connected = np.ones(a.shape[:-2], dtype=bool)
-    for steps in (a, np.swapaxes(a, -1, -2)):  # [..., u, v] True: a step from v to u
-        seen = np.zeros(a.shape[:-1] + (1,), dtype=bool)
-        seen[..., 0, 0] = True
-        while (new := steps @ seen & ~seen).any():
-            seen |= new
-        connected &= seen.all(axis=(-2, -1))
-    return connected
+    steps = np.stack((a, np.swapaxes(a, -1, -2)))  # [..., u, v] True: a step from v to u
+    seen = np.zeros(steps.shape[:-1] + (1,), dtype=bool)
+    seen[..., 0, 0] = True
+    while (new := steps @ seen & ~seen).any():
+        seen |= new
+    return seen.all(axis=(0, -2, -1))
 
 
 def is_strongly_connected(g: DirectedGraph) -> bool:
@@ -226,6 +224,11 @@ class ConnectivityCertificate:
         return None if self.b_tilde is None else 2 * self.b_tilde - 1
 
 
+# unions of a window size swept before the rest: on five fig5b trial schedules, every
+# window size that fails has a cut union among its first 21
+_FIRST_UNIONS = 32
+
+
 def certify_uniform_connectivity(schedule, horizon=200) -> ConnectivityCertificate:
     """Smallest window B such that every length-B union graph over the horizon
     is strongly connected.
@@ -239,8 +242,11 @@ def certify_uniform_connectivity(schedule, horizon=200) -> ConnectivityCertifica
     m = schedule.m
     probabilistic = isinstance(schedule, RandomActivationSchedule)
     for b in range(1, horizon + 1):
-        unions = adj[: horizon // b * b].reshape(-1, b, m, m).any(axis=1)
-        if _strongly_connected(unions).all():
+        windows = adj[: horizon // b * b].reshape(-1, b, m, m)
+        # the first unions, then the rest: a window size with a cut union among its
+        # first ones is dropped before the rest are stacked and swept
+        if all(_strongly_connected(part.any(axis=1)).all()
+               for part in (windows[:_FIRST_UNIONS], windows[_FIRST_UNIONS:]) if len(part)):
             return ConnectivityCertificate(b_tilde=b, horizon=horizon, probabilistic=probabilistic)
     return ConnectivityCertificate(b_tilde=None, horizon=horizon, probabilistic=probabilistic)
 

@@ -15,11 +15,11 @@ from cipheropt.channel import (
     KIND_Y,
     NONCE_SIZE,
     TAG_SIZE,
+    BlockNonces,
     CipherEnvelope,
     DecodeError,
     NonceCounter,
     PlainPayload,
-    RoundNonces,
     SharedKey,
     TamperError,
     decode_payload,
@@ -141,22 +141,29 @@ class TestNonces:
             counter.next()
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(1, 4)), max_size=12),
+    @given(st.lists(st.lists(st.tuples(st.integers(0, 1), st.integers(1, 4)), max_size=6),
+                    min_size=1, max_size=3),
            st.integers(1, 3),
            st.sampled_from([(0, 1), (1, 2**31 + 3), (2**32 - 1, 0), (5, 2**32 - 2)]))
-    def test_round_nonces_are_each_frames_next(self, messages, per_message, trials):
-        # messages from (batch row, sender) in any order, over a batch of two trials
+    def test_block_nonces_are_each_frames_next(self, block, per_message, trials):
+        # each round's messages from (batch row, sender) in any order, over a batch of two
+        # trials; the counters move a round at a time
         used = np.zeros((2, 4), np.int64)
         bulk = {(b, i): NonceCounter(i, trials[b], used[b, i - 1 : i])
                 for b in range(2) for i in range(1, 5)}
         each = {(b, i): NonceCounter(i, trials[b]) for b in range(2) for i in range(1, 5)}
+        messages = [cell for messages in block for cell in messages]
         rows, senders = np.array(messages, dtype=np.intp).reshape(-1, 2).T
-        source = RoundNonces(used, nonce_trials(trials), rows, senders, per_message)
-        frames = [cell for cell in messages for _ in range(per_message)]
-        assert [source.next() for _ in frames] == [each[cell].next() for cell in frames]
-        assert [c.count for c in bulk.values()] == [c.count for c in each.values()]
-        with pytest.raises(StopIteration):
-            source.next()
+        at = np.repeat(np.arange(len(block)), [len(messages) for messages in block])
+        bounds = np.cumsum([0] + [len(messages) for messages in block]).tolist()
+        source = BlockNonces(used, nonce_trials(trials), at, rows, senders, per_message, bounds)
+        for r, messages in enumerate(block):
+            source.round(r)
+            frames = [cell for cell in messages for _ in range(per_message)]
+            assert [source.next() for _ in frames] == [each[cell].next() for cell in frames]
+            assert [c.count for c in bulk.values()] == [c.count for c in each.values()]
+            with pytest.raises(StopIteration):
+                source.next()
 
     @pytest.mark.parametrize("trial", [-1, 2**32, 2**40])
     def test_trial_out_of_range_rejected(self, trial):

@@ -312,10 +312,11 @@ class TestCertification:
             schedule, horizon, horizon)
         assert cert.horizon == horizon
 
-    @pytest.mark.parametrize("horizon", [10, 11])
+    @pytest.mark.parametrize("horizon", [10, 11, 40, 41])
     def test_last_whole_window_is_checked(self, horizon):
-        # only the last round is cut, so b=1 fails; at horizon 11 that round
-        # is a partial 2-window, which is not checked, and b=2 passes as at 10
+        # only the last round is cut, so b=1 fails (at 40 and 41 in the stack after
+        # its first unions); at an odd horizon that round is a partial 2-window,
+        # which is not checked, and b=2 passes as at the even one
         cut = DirectedGraph(3, frozenset({(2, 1)}))
         s = ScriptedSchedule([ring(3)] * (horizon - 1) + [cut], mode="once")
         cert = certify_uniform_connectivity(s, horizon=horizon)
@@ -337,20 +338,23 @@ class TestCertification:
         assert certify_uniform_connectivity(s, horizon=40).b_tilde == 2
         assert asked == [(0, 40)]
 
-    def test_one_connectivity_call_per_window_size(self, monkeypatch):
+    def test_a_window_size_is_swept_in_two_stacks_and_dropped_at_a_cut_first_one(
+            self, monkeypatch):
         checked = []
         strongly_connected = graphs._strongly_connected
         monkeypatch.setattr(graphs, "_strongly_connected",
                             lambda a: checked.append(a) or strongly_connected(a))
+        # a connected window size: its first 32 unions, then the other 168
         assert certify_uniform_connectivity(StaticSchedule(ring(6)), horizon=200).b_tilde == 1
-        assert [a.shape for a in checked] == [(200, 6, 6)]
-        # the cycling halves: one stack of the 40 rounds at b=1, of their 20 2-windows at b=2
+        assert [a.shape for a in checked] == [(32, 6, 6), (168, 6, 6)]
+        # the cycling halves: b=1 is dropped at its first 32 rounds, before the other 8
+        # are stacked; b=2 has 20 2-windows, all in its first stack
         checked.clear()
         half1 = DirectedGraph(4, frozenset({(2, 1), (3, 2)}))
         half2 = DirectedGraph(4, frozenset({(4, 3), (1, 4)}))
         s = ScriptedSchedule([half1, half2], mode="cycle")
         assert certify_uniform_connectivity(s, horizon=40).b_tilde == 2
-        assert [a.shape for a in checked] == [(40, 4, 4), (20, 4, 4)]
+        assert [a.shape for a in checked] == [(32, 4, 4), (20, 4, 4)]
 
     def test_short_once_schedule_is_exhausted_at_its_length(self):
         s = ScriptedSchedule([ring(3)] * 5, mode="once")

@@ -21,7 +21,10 @@ from cipheropt.channel import (
     TamperError,
     encode_payload,
 )
-from cipheropt.engine import Transport
+from cipheropt.engine import MessageRecord, Transport
+from cipheropt.graphs import DirectedGraph, RandomActivationSchedule
+from cipheropt.mixing import MixingParams
+from cipheropt.objectives import generate_sensor_fusion, problem_from_instance
 
 KEY = SharedKey.from_seed(3)
 
@@ -310,3 +313,123 @@ class TestBatchWire:
                 _send_batch_round(wire)
             assert sealed == [] and logs == [[], [], []]
             assert (wire.used == before).all()  # no counter moved, in any trial
+
+
+def _fields(rec):
+    """A logged message field by field, its data as bits (NaN equals itself)."""
+    return (rec.k, rec.sender, rec.receiver, rec.kind, np.array(rec.data).tobytes(), rec.plain,
+            rec.cipher)
+
+
+class TestBlockWire:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_a_block_ships_what_its_rounds_ship_one_by_one(self, data):
+        """A block of R rounds shipped round by round, or cut after its first rounds,
+        logs, seals and counts what as many `send_batch` calls do."""
+        m = data.draw(st.integers(2, 4))
+        trials = data.draw(st.lists(st.sampled_from([0, 1, 5, 2**31, 2**32 - 1]), min_size=1,
+                                    max_size=3, unique=True))
+        rows = np.array(sorted(data.draw(st.sets(st.integers(0, len(trials) - 1), min_size=1))))
+        rounds = data.draw(st.integers(1, 4))
+        played = data.draw(st.integers(1, rounds))
+        key = data.draw(st.sampled_from([KEY, None]))
+        k0 = data.draw(st.integers(0, 2**20))
+        adj = data.draw(arrays(np.bool_, (rounds, len(rows), m, m)))
+        adj &= ~np.eye(m, dtype=bool)
+        y = data.draw(arrays(np.float64, (rounds, len(rows), m, m, 2), elements=FLOATS))
+        used = data.draw(arrays(np.int64, (len(trials), m), elements=st.integers(0, 2**20)))
+        block_logs, round_logs = [[] for _ in trials], [[] for _ in trials]
+        blockwise = Transport(m, key, block_logs, trials)
+        by_round = Transport(m, key, round_logs, trials)
+        blockwise.used[...] = by_round.used[...] = used
+        wire = blockwise.block(k0, adj, 2, rows)
+        for r in range(played):
+            wire(r, y[r], -y[r], y[r, ..., 0])
+            by_round.send_batch(k0 + r, adj[r], y[r], -y[r], y[r, ..., 0], rows=rows)
+        assert [list(map(_fields, log)) for log in block_logs] == \
+            [list(map(_fields, log)) for log in round_logs]
+        assert (blockwise.used == by_round.used).all()
+        if key is not None:
+            for b, trial in enumerate(trials):
+                counters = {i: NonceCounter(i, trial) for i in range(1, m + 1)}
+                for i, c in counters.items():
+                    c.count = c.start + int(used[b, i - 1])
+                assert _nonces(block_logs[b]) == [counters[r.sender].next()
+                                                  for r in block_logs[b]]
+
+    @pytest.mark.parametrize("rows", [None, np.array([1, 2])], ids=["all-rows", "row-0-left"])
+    def test_a_block_crossing_a_trial_range_stops_at_the_crossing_round(self, monkeypatch, rows):
+        """Trial 1's sender 2 sends 3 frames a round and has room for 7: rounds 0 and 1
+        are sealed, logged and counted; round 2 raises and leaves no trace."""
+        real = engine.encrypt
+        sealed = []
+
+        def counting_encrypt(key, p, nonces):
+            sealed.append(p.k)
+            return real(key, p, nonces)
+
+        monkeypatch.setattr(engine, "encrypt", counting_encrypt)
+        adj = np.stack([_batch_adjacency(BATCH_EDGES)] * 3)
+        y = np.arange(3 * 54.0).reshape(3, 3, 3, 3, 2)
+        if rows is not None:
+            adj, y = adj[:, rows], y[:, rows]
+        logs, alone = [[], [], []], [[], [], []]
+        wire = Transport(3, KEY, logs, BATCH_TRIALS)
+        by_round = Transport(3, KEY, alone, BATCH_TRIALS)
+        wire.used[1, 1] = by_round.used[1, 1] = 2**32 - 7
+        ship = wire.block(7, adj, 2, rows)
+        for r in range(2):
+            ship(r, y[r], -y[r], y[r, ..., 0])
+            by_round.send_batch(7 + r, adj[r], y[r], -y[r], y[r, ..., 0], rows=rows)
+        shipped = len(sealed)
+        with pytest.raises(OverflowError, match=r"^nonce counter of sender 2 exhausted: 2\^32 "
+                                                r"messages in trial 1$"):
+            ship(2, y[2], -y[2], y[2, ..., 0])
+        assert sealed[:shipped] == [7] * (shipped // 2) + [8] * (shipped // 2)
+        assert len(sealed) == shipped  # nothing of round 2 was sealed
+        assert [list(map(_fields, log)) for log in logs] == \
+            [list(map(_fields, log)) for log in alone]  # rounds 7 and 8 only
+        assert {rec.k for log in logs for rec in log} == {7, 8}
+        assert (wire.used == by_round.used).all() and wire.used[1, 1] == 2**32 - 1
+
+
+def test_sealed_trials_stopping_inside_a_block_log_their_own_counters():
+    """Trials of a sealed stop-rule batch leave at different rounds inside 64-round
+    blocks: each logs the rounds it played, under its `NonceCounter` replay, and no
+    nonce repeats across the batch."""
+    m = 6
+    problem = problem_from_instance(generate_sensor_fusion(m=m, s=3, d=2, omega=0.01, seed=891))
+    complete = DirectedGraph(m, frozenset((l, i) for l in range(1, m + 1)
+                                          for i in range(1, m + 1) if l != i))
+    trials = [0, 1, 2, 3]
+    schedules = [RandomActivationSchedule(complete, 0.5, seed=t) for t in trials]
+    config = engine.RunConfig(step_size=1.1e-3, horizon=400, stop_residual=1e-3, seed=2,
+                              record_messages=True)
+    trajs = engine.run_trials([problem] * len(trials), schedules, MixingParams(c0=0.5 / m),
+                              config, trials)
+    stops = [traj.stopped_at for traj in trajs]
+    assert None not in stops and len(set(stops)) > 1
+    assert any(stop % 64 for stop in stops), stops  # some trial leaves inside a block
+    every = []
+    for trial, traj in zip(trials, trajs):
+        assert max(rec.k for rec in traj.messages) == traj.stopped_at - 1
+        counters = {i: NonceCounter(i, trial) for i in range(1, m + 1)}
+        assert _nonces(traj.messages) == [counters[r.sender].next() for r in traj.messages]
+        every += _nonces(traj.messages)
+    assert len(set(every)) == len(every)
+
+
+def test_a_logged_message_is_an_immutable_positional_record():
+    log = []
+    Transport(3, KEY, [log]).send(7, *wire_pairs([(2, 1)]), *(np.ones((3, 3, 2)),) * 2,
+                                  np.ones((3, 3)))
+    rec = log[-1]
+    assert type(rec) is MessageRecord
+    again = MessageRecord(rec.k, rec.sender, rec.receiver, rec.kind, rec.data, rec.plain,
+                          rec.cipher)
+    assert rec == again and (rec.k, rec.sender, rec.receiver, rec.kind, rec.data) == \
+        (7, 1, 2, KIND_W, (1.0,))
+    assert rec != MessageRecord(8, *again[1:])
+    with pytest.raises(AttributeError):
+        rec.k = 8
