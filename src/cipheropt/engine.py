@@ -15,23 +15,24 @@ numpy's own reductions, so the bits match a per-agent message loop
 whichever trials share the batch: one padded gather and one reduction
 sum every receiver (`_receive`). Masks and weights do not depend on the
 state, so the run derives them a block of rounds at a time: every running
-trial's adjacency for up to 64 rounds (fewer for wide trials or a large
-batch), one index plan (ranks, gather) over all of them and every A(k) of
-the block, from one weight call. One loop body (`_push_sum`) plays every
+trial's adjacency up to the last multiple of 64 rounds a cell budget
+reaches (1024 rounds at 2 agents, 256 at 4, 64 at 6, fewer for wide trials
+or a large batch), one index plan (ranks, gather) over all of them and
+every A(k) of the block, from one weight call (under a stopping rule, to
+the next multiple of 64 at most). One loop body (`_push_sum`) plays every
 push-sum round in place, over views built once per block, and `iterate` is
 a block of one round: each round reduces into its row of the block's
-[y | s | w] buffer and divides its estimates into the block's x buffer,
-and the weight call's A(k) array is the recorded one; between blocks a
-run is the last row it played, its [y | s | w], estimates and gradients.
-The mass is forced back to one when round 0's results land, which erases
-the random initial masses from the trajectory; every other round guards
-its division by the mass, with one reduction for a round whose masses all
-lie above the guard. Each round's local gradients come from one batched
-call. A run without a stopping rule takes all residuals of a block from
-one reduction once the block is played; a run with one takes them each
-round and ends the block where a trial meets its rule. The start is a
-block of one row, so a trial leaves the batch by one path at round 0 or
-later.
+[y | s | w] buffer and divides its estimates into the block's x buffer, and the
+weight call's A(k) array is the recorded one; between blocks a run is the
+last row it played, its [y | s | w], estimates and gradients. The mass is
+forced back to one when round 0's results land, which erases the random
+initial masses from the trajectory; every other round guards its division
+by the mass, with one reduction for a round whose masses all lie above the
+guard. Each round's local gradients come from one batched call. A run
+without a stopping rule takes all residuals of a block from one reduction
+once the block is played; a run with one takes them each round and ends the
+block where a trial meets its rule. The start is a block of one row, so a
+trial leaves the batch by one path at round 0 or later.
 
 Those per-edge shares are also what goes on the wire. The batch's one
 `Transport` plans a block's wire once, from the block's adjacencies: every
@@ -91,11 +92,13 @@ _WEIGHT_STREAM = 32
 W_EPS = 1e-12
 # A block of rounds covers at most `_BLOCK_CELLS` cells of each trial's (rounds,
 # m, m) adjacency, and as many of its A(k), and at most `_BATCH_CELLS` over the
-# whole batch; always at least one round. Blocks never straddle a multiple of
-# `BLOCK`, so each keyed stream hashes, and makes its pass, once per block. A
-# batch of up to 113 6-agent trials plays full 64-round blocks (1000 trials
-# play 7 rounds a block), while a sealed 48-agent trial plays one and keeps the
-# peak memory of a round at a time.
+# whole batch; always at least one round. Short of the horizon a block ends at
+# the last multiple of `BLOCK` the budgets reach (the next one under a stopping
+# rule, whose stop would throw the rest of a longer plan away), so each keyed
+# stream passes each 64-key block once, in order. A 2-agent run plays 1024-round
+# blocks, a 4-agent one 256, a batch of up to 113 6-agent trials 64 (1000 trials
+# play 7 rounds a block), and a sealed 48-agent trial one, with the peak memory
+# of a round at a time.
 _BLOCK_CELLS = 2**12
 _BATCH_CELLS = 2**18
 
@@ -535,40 +538,41 @@ def iterate(state, columns, problem: GlobalProblem, step, k, *, reset_mass=False
 def _push_sum(weights):
     """The kernel of the private algorithm and push-diging, under the A(k) that
     `weights(adj, plan, trials, k0)` gives a block of rounds: the one body of a
-    push-sum round, over the block's fixed views (the shares over the plan's
-    rows, their y, s and w cuts, the A(k) columns, z's receiver rows) and the
-    block's wire, planned once."""
+    push-sum round, zipped over per-round views built once per block (the A(k)
+    columns, the plan's gather rows and groups, z's receiver rows and its y, s
+    and w cuts, the x rows), with one shares buffer and the block's wire,
+    planned once."""
 
     def rounds_of(state, adj, trials, k0, gradients, wire, config, x, z, landed):
         rounds, nt, m, _ = adj.shape
-        width = z.shape[-1]
+        width, d = z.shape[-1], z.shape[-1] // 2
         plan = _RoundPlan(adj.reshape(rounds * nt, m, m), rounds, width)
         a = weights(adj, plan, trials, k0).reshape(adj.shape)
-        cols, sums = a[..., None], z.reshape(rounds, nt * m, width)
         shares = plan.shares[:-1].reshape(nt, m, m, width)
         jy, js, jw = _cut(shares)
+        step, reset = config.step_size, k0 == 0 and config.mass_reset
         prev, _, g = state
-        ship = None if wire is None else wire(k0, adj, width // 2)
-        for r in range(rounds):
-            k = k0 + r
-            np.multiply(cols[r], prev[:, None], out=shares)
+        ship = None if wire is None else wire(k0, adj, d)
+        views = zip(a[..., None], plan.gather, plan.groups, z.reshape(rounds, nt * m, width),
+                    *_cut(z), x, z)
+        for r, (cols, gather, groups, sums, y, s, w, xr, zr) in enumerate(views):
+            np.multiply(cols, prev[:, None], out=shares)
             if ship is not None:
                 ship(r, jy, js, jw)
-            jy -= config.step_size * js
-            _receive(plan.shares, plan.gather[r], plan.groups[r], width // 2, sums[r])
-            y, s, w = _cut(z[r])
-            if k == 0 and config.mass_reset:
-                w[...] = 1.0
+            jy -= step * js
+            _receive(plan.shares, gather, groups, d, sums)
+            if reset:  # round 0 of a run
+                w[...], reset = 1.0, False
             # one reduction clears an all-positive round; a NaN is never low (fmin skips it)
             elif not np.fmin.reduce(w, axis=None) >= W_EPS and (low := np.abs(w) < W_EPS).any():
                 b, j = np.argwhere(low)[0]
                 raise DegenerateStateError(f"trial {trials[b]} agent {j + 1} mass {w[b, j]:.3e} "
-                                           f"at k={k + 1} is inside the division guard")
-            np.divide(y, w[..., None], out=x[r])
-            g_next = gradients(x[r])
+                                           f"at k={k0 + r + 1} is inside the division guard")
+            np.divide(y, w[..., None], out=xr)
+            g_next = gradients(xr)
             s += g_next
             s -= g
-            g, prev = g_next, z[r]
+            g, prev = g_next, zr
             if landed is not None and landed(r):
                 break
         return r + 1, g, a
@@ -633,9 +637,11 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
     its trial number. `running` indexes the trials still in the batch, and
     each block reads their trial numbers, optima and residual scales, and
     their rows of the batch's one `Transport`, through it. A block ends at
-    the next multiple of `BLOCK`, within `_BLOCK_CELLS` per trial and
-    `_BATCH_CELLS` per batch, the horizon and the last round every schedule
-    can play, so no schedule is asked for a round the run cannot reach.
+    the horizon or the last round every schedule can play, so no schedule is
+    asked for a round the run cannot reach, where `_BLOCK_CELLS` per trial
+    and `_BATCH_CELLS` per batch reach it; else at the last multiple of
+    `BLOCK` they reach (under a stopping rule, the next one), or at the
+    budget when that falls short of the next.
 
     The state is the last row played, (z, x, g): the running trials' [y | s |
     w] (nt, m, 2d+1), estimates and gradients at them. The kernel
@@ -697,8 +703,11 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
         if not (nt := len(running)) or k == config.horizon:
             break
         ends = [schedules[j].length - k for j in running if schedules[j].length is not None]
-        rounds = max(1, min(BLOCK - k % BLOCK, config.horizon - k, _BLOCK_CELLS // (m * m),
-                            _BATCH_CELLS // (nt * m * m), *ends))
+        budget = min(_BLOCK_CELLS // (m * m), _BATCH_CELLS // (nt * m * m))
+        if stop is not None:  # a stop may end the block at any round
+            budget = min(budget, BLOCK - k % BLOCK)
+        grid = (k + budget) // BLOCK * BLOCK - k  # to the last multiple of BLOCK in budget
+        rounds = max(1, min(grid if grid > 0 else budget, config.horizon - k, *ends))
         adj = np.empty((rounds, nt, m, m), dtype=bool)
         for b, j in enumerate(running):
             adj[:, b] = schedules[j].adjacencies(k, rounds)

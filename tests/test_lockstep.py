@@ -7,10 +7,11 @@ sealed run, every plaintext and ciphertext byte. The kernel's array-drawn
 weights must also be the per-agent columns bit for bit. Both derive their
 masks and weights a block of rounds at a time, and a run without a stopping
 rule takes a block's residuals in one call, so the tests cross the block
-edges at 64 rounds, stop trials inside a block, count the rounds a
-schedule is asked for at once and count the keyed streams' block passes
-(`streams.KeyedStream`). The dense baselines must also match a plain
-per-trial loop of matrix products (`dense_oracle`).
+edges (at 64 rounds for 6 agents, 256 for 4, 1024 for 2), stop trials
+inside a block, play every block as one round against the default blocks,
+count the rounds a schedule is asked for at once and count the keyed
+streams' block passes (`streams.KeyedStream`). The dense baselines must
+also match a plain per-trial loop of matrix products (`dense_oracle`).
 """
 import re
 import tracemalloc
@@ -22,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cipheropt import cli
+from cipheropt import cli, engine
 from cipheropt.channel import SharedKey
 from cipheropt.engine import (
     W_EPS,
@@ -604,10 +605,11 @@ def test_batch_shape_is_checked():
 @pytest.mark.parametrize("stop", [False, True], ids=["to-horizon", "stop-mid-block"])
 @pytest.mark.parametrize("sealed", [False, True], ids=["plain", "sealed"])
 @pytest.mark.parametrize("algorithm", ["private", "push-diging", *DENSE])
-@pytest.mark.parametrize("horizon", [63, 64, 65, 130])
+@pytest.mark.parametrize("horizon", [63, 64, 65, 130, 257])
 def test_blocks_of_rounds_are_the_single_runs(horizon, algorithm, sealed, stop):
-    """Four agents, three trials: blocks of up to 64 rounds, cut short where a
-    trial stops, so the next block starts off the 64-round grid."""
+    """Four agents, three trials: blocks of up to 256 rounds (64 under a stopping
+    rule), cut short where a trial stops, so the next block starts off the
+    64-round grid."""
     m = 4
     ring = DirectedGraph(m, frozenset((i % m + 1, i) for i in range(1, m + 1)))
     case = dict(m=m, d=2, trials=[0, 1, 2], algorithm=algorithm, seed=3, instance=5,
@@ -946,3 +948,108 @@ def test_a_48_agent_trial_draws_its_keys_one_by_one(monkeypatch):
         RunConfig(step_size=1e-3, horizon=5, encryption=False))
     assert draws.passes == []
     assert draws.keys == [288, 2256] * 5
+
+
+# Small networks play long blocks: without a stopping rule a block ends at the
+# last multiple of `BLOCK` its cell budget reaches, 1024 rounds at 2 agents and
+# 256 at 4. The length of a block must move no bit of a run.
+TWO_CYCLE = DirectedGraph(2, frozenset({(1, 2), (2, 1)}))
+
+
+def desk_problem():
+    """The README's two-cycle certificate instance."""
+    return problem_from_instance(generate_sensor_fusion(m=2, s=2, d=2, omega=0.01, seed=3))
+
+
+DESK = RunConfig(step_size=1e-3, horizon=1100, encryption=False, record_states=True,
+                 record_weights=True)
+
+
+def desk_run():
+    return [desk_problem()], [StaticSchedule(TWO_CYCLE)], MixingParams(c0=0.49), DESK, [0]
+
+
+def sealed_pair_run():
+    config = replace(DESK, encryption=True, record_messages=True, seed=4)
+    return ([desk_problem()], [RandomActivationSchedule(TWO_CYCLE, 0.8, seed=6)],
+            MixingParams(c0=0.49), config, [0])
+
+
+def sealed_stop_batch():
+    """Four sealed 4-agent trials that leave at rounds 145, 29, 73 and 94, so
+    blocks start off the 64-round grid."""
+    m = 4
+    problem = problem_from_instance(generate_sensor_fusion(m=m, s=2, d=2, omega=0.01, seed=5))
+    config = RunConfig(step_size=2e-3, horizon=300, stop_residual=1e-4, seed=3,
+                       record_states=True, record_weights=True, record_messages=True)
+    return ([problem] * 4, [RandomActivationSchedule(complete(m), 0.5, seed=t) for t in range(4)],
+            MixingParams(c0=0.1), config, [0, 1, 2, 3])
+
+
+def assert_same_run(got, want):
+    """`assert_bit_identical`, and the optimum and every MessageRecord field."""
+    assert_bit_identical(got, want)
+    assert got.x_star.tobytes() == want.x_star.tobytes()
+    assert got.messages == want.messages
+
+
+@pytest.mark.parametrize("case, blocks", [
+    (desk_run, [[(0, 1024), (1024, 76)]]),
+    (sealed_pair_run, [[(0, 1024), (1024, 76)]]),
+    (sealed_stop_batch, [[(0, 64), (29, 35), (64, 64), (73, 55), (94, 34), (128, 64)][:n]
+                         for n in (6, 1, 3, 4)]),
+], ids=["desk", "sealed-pair", "sealed-stop-batch"])
+def test_one_round_blocks_are_the_long_block_runs(monkeypatch, case, blocks):
+    """With cell budgets that leave every block one round, each Trajectory is the
+    default one field by field."""
+    problems, schedules, params, config, trials = case()
+    counted = [CountingSchedule(schedule) for schedule in schedules]
+    wants = run_trials(problems, counted, params, config, trials)
+    assert [schedule.asked for schedule in counted] == blocks
+    if config.stop_residual is not None:
+        assert [want.stopped_at for want in wants] == [145, 29, 73, 94]
+    monkeypatch.setattr(engine, "_BLOCK_CELLS", 1)
+    monkeypatch.setattr(engine, "_BATCH_CELLS", 1)
+    counted = [CountingSchedule(schedule) for schedule in schedules]
+    gots = run_trials(problems, counted, params, config, trials)
+    for schedule, want in zip(counted, wants):
+        assert schedule.asked == [(k, 1) for k in range(want.iterations)]
+    for got, want in zip(gots, wants):
+        assert_same_run(got, want)
+    if config.record_messages:
+        assert all(want.messages for want in wants)
+
+
+def test_a_two_agent_run_plays_1024_round_blocks():
+    """The desk run of B0 + 60 = 4327 rounds plays 5 blocks, on the `BLOCK` grid;
+    under a stopping rule, which may end a block at any round, a block ends by the
+    next multiple of `BLOCK`."""
+    schedule = CountingSchedule(StaticSchedule(TWO_CYCLE))
+    run(desk_problem(), schedule, MixingParams(c0=0.49), replace(DESK, horizon=4327))
+    assert schedule.asked == [(0, 1024), (1024, 1024), (2048, 1024), (3072, 1024), (4096, 231)]
+    schedule = CountingSchedule(StaticSchedule(TWO_CYCLE))
+    traj = run(desk_problem(), schedule, MixingParams(c0=0.49),
+               replace(DESK, horizon=4327, stop_residual=1e-6))
+    assert traj.stopped_at == 101
+    assert schedule.asked == [(0, BLOCK), (BLOCK, BLOCK)]
+
+
+def test_a_batch_of_four_agent_trials_plays_256_round_blocks():
+    m = 4
+    problem = problem_from_instance(generate_sensor_fusion(m=m, s=2, d=2, omega=0.01, seed=5))
+    schedules = [CountingSchedule(RandomActivationSchedule(complete(m), 0.5, seed=t))
+                 for t in range(2)]
+    run_trials([problem] * 2, schedules, MixingParams(c0=0.1),
+               RunConfig(step_size=2e-3, horizon=600, encryption=False), [0, 1])
+    for schedule in schedules:
+        assert schedule.asked == [(0, 256), (256, 256), (512, 88)]
+
+
+def test_a_two_agent_run_passes_each_weight_block_once_in_order(monkeypatch):
+    """A 1024-round block walks its 16 64-key blocks in order: the desk run's
+    weight stream makes one pass at each of keys 0, 64, ..., 4288."""
+    draws = CountedDraws(monkeypatch)
+    run(desk_problem(), StaticSchedule(TWO_CYCLE), MixingParams(c0=0.49),
+        replace(DESK, horizon=4327))
+    assert draws.keys == []
+    assert draws.passes == [(0, (32, 0), start, 2) for start in range(0, 4327, BLOCK)]
