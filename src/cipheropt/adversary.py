@@ -19,9 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import HEADER_SIZE, KIND_S, KIND_W, KIND_Y, NONCE_SIZE, hex_dump_pair
-from .streams import check_width
-
-_SAMPLER_STREAM = 41
+from .streams import STREAMS, check_width, keyed_rng
 
 RANK_TOL = 1e-9
 
@@ -51,10 +49,6 @@ class AdversaryView:
     adversary: int
     target: int
     triples: dict = field(default_factory=dict)  # k -> JTriple
-
-    @property
-    def rounds(self):
-        return sorted(self.triples)
 
     def require(self, K: int):
         """ScenarioMismatchError unless a triple arrived in every round 0..K."""
@@ -319,7 +313,7 @@ def sample_gradient_solutions(report: InferenceReport, n: int, bound: float = 10
     _, sv, vt = np.linalg.svd(a)
     null_basis = vt[_rank(sv):].T  # columns span the solution space's directions
 
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_SAMPLER_STREAM,)))
+    rng = keyed_rng(seed, STREAMS["sampler"])
     coeffs = rng.uniform(-bound, bound, size=(n, null_basis.shape[1]))
     samples = particular[None, :] + coeffs @ null_basis.T
     report.samples = samples

@@ -52,10 +52,11 @@ KIND_W = "W"
 _KIND_BYTES = {KIND_Y: 0x59, KIND_S: 0x53, KIND_W: 0x57}
 _BYTE_KINDS = {v: k for k, v in _KIND_BYTES.items()}
 
-_HEADER = struct.Struct("<4sBIIIBH")  # magic, version, sender, receiver, k, kind, count
+# the clear header's fields, in wire order: every frame starts with one such record
 _FRAME_HEADER = [("magic", "S4"), ("version", "u1"), ("sender", "<u4"), ("receiver", "<u4"),
-                 ("k", "<u4"), ("kind", "u1"), ("count", "<u2")]  # the same, as numpy fields
-HEADER_SIZE = _HEADER.size
+                 ("k", "<u4"), ("kind", "u1"), ("count", "<u2")]
+_HEADER = np.dtype(_FRAME_HEADER)
+HEADER_SIZE = _HEADER.itemsize
 _ROUTE_SIZE = HEADER_SIZE - 2  # the header up to the count: magic .. kind
 NONCE_SIZE = 12
 TAG_SIZE = 16
@@ -292,14 +293,15 @@ def _header(sender, receiver, k, kind, count=0) -> bytes:
     for name, value in (("sender", sender), ("receiver", receiver), ("k", k)):
         if not 0 <= value <= _U32:
             raise ValueError(f"{name} must lie in 0..{_U32}, got {value}")
-    return _HEADER.pack(MAGIC, VERSION, sender, receiver, k, _KIND_BYTES[kind], count)
+    return np.array((MAGIC, VERSION, sender, receiver, k, _KIND_BYTES[kind], count),
+                    _HEADER).tobytes()
 
 
 def _read_header(raw: bytes):
     """(sender, receiver, k, kind, count) of a header; DecodeError if it is not one."""
     if len(raw) < HEADER_SIZE:
         raise DecodeError(f"short header: {len(raw)} bytes")
-    magic, version, sender, receiver, k, kind_byte, n = _HEADER.unpack_from(raw, 0)
+    magic, version, sender, receiver, k, kind_byte, n = np.frombuffer(raw, _HEADER, 1)[0].item()
     if magic != MAGIC:
         raise DecodeError("bad magic")
     if version != VERSION:

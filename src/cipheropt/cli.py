@@ -21,7 +21,7 @@ import numpy as np
 
 from . import adversary, engine, graphs, objectives, theory
 from .mixing import MixingParams
-from .streams import check_positive, check_seed, check_width
+from .streams import STREAMS, check_positive, check_seed, check_width
 
 
 class ConfigError(ValueError):
@@ -199,8 +199,8 @@ def _load_schedule(config: dict, trial: int):
     """The schedule of `trial`; a random_activation one draws from the trial's own
     seed, derived from schedule_seed, and at p = `activation` when that is set."""
     # distinct integer activation seed per trial, stable across runs
-    seed = int(np.random.SeedSequence(entropy=config["schedule_seed"], spawn_key=(12, trial))
-               .generate_state(1, dtype=np.uint64)[0])
+    seed = int(np.random.SeedSequence(entropy=config["schedule_seed"], spawn_key=(
+        STREAMS["activation_seed"], trial)).generate_state(1, dtype=np.uint64)[0])
     name = config["schedule"]
     packaged = name in ("fig5a", "fig5b")
     source = resources.files("cipheropt") / f"data/{name}.graph" if packaged else Path(name)
@@ -441,13 +441,14 @@ def cmd_privacy(config: dict) -> ExperimentResult:
 
 
 def _recovery_error(recovered: dict, truth: np.ndarray, rounds) -> float:
-    worst = 0.0
+    """Largest relative error of the recovered gradients over `rounds`; NaN if any is."""
+    errors = [0.0]
     for row, k in enumerate(rounds):
         true = truth[row]
         got = np.atleast_1d(np.asarray(recovered[k], dtype=float))
         scale = max(float(np.linalg.norm(true)), 1e-30)
-        worst = max(worst, float(np.linalg.norm(got - true)) / scale)
-    return worst
+        errors.append(float(np.linalg.norm(got - true)) / scale)
+    return float(np.max(errors))
 
 
 def cmd_theory(config: dict) -> ExperimentResult:

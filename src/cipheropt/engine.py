@@ -84,10 +84,8 @@ from .channel import (
 from .graphs import graph_at  # noqa: F401  (kept as engine.graph_at for perfbench's tracer)
 from .mixing import MixingParams, WeightColumn, assemble_weight_matrix, generate_weight_column
 from .objectives import GlobalProblem, optimal_solution
-from .streams import BLOCK, KeyedStream, check_non_negative, check_positive, check_seed
-
-_INIT_STREAM = 31
-_WEIGHT_STREAM = 32
+from .streams import (BLOCK, STREAMS, KeyedStream, check_non_negative, check_positive,
+                      check_seed, keyed_rng)
 
 W_EPS = 1e-12
 # A block of rounds covers at most `_BLOCK_CELLS` cells of each trial's (rounds,
@@ -223,8 +221,7 @@ def relative_residual(x, x_init, x_star, *, den=None):
 
 
 def _initial_positions(problem: GlobalProblem, config: RunConfig):
-    ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(_INIT_STREAM, config.trial))
-    rng = np.random.default_rng(ss)
+    rng = keyed_rng(config.seed, STREAMS["start"], config.trial)
     x0 = rng.standard_normal((problem.m, problem.d))
     w0 = rng.uniform(-1.0, 1.0, problem.m)
     if config.x0 is not None:
@@ -260,8 +257,7 @@ def draw_weight_columns(graph, params: MixingParams, seed, trial, k) -> dict:
     reference it is tested against.
     """
     m = graph.m
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(_WEIGHT_STREAM, trial, k))
-    block = np.random.default_rng(ss).random((m, _draws_per_agent(m)))
+    block = keyed_rng(seed, STREAMS["weights"], trial, k).random((m, _draws_per_agent(m)))
     return {
         i: generate_weight_column(i, graph.out_neighbors(i), k, params, block[i - 1])
         for i in range(1, m + 1)
@@ -298,7 +294,7 @@ class Transport:
     round, joined, must be byte for byte the round's frames: if not, or if an
     envelope fails authentication, the round fails with a TamperError that
     names the trial and the first message at fault. Without a key messages are
-    only framed, for the logs. `send` and `send_batch` ship one round, as a
+    only framed, for the logs. `send` ships one round of batch row 0, as a
     block of one.
     """
 
@@ -376,12 +372,6 @@ class Transport:
         adj = np.zeros((1, 1) + jw.shape, dtype=bool)
         adj[0, 0, receivers - 1, senders - 1] = True
         self.block(k, adj, jy.shape[-1])(0, jy[None], js[None], jw[None])
-
-    def send_batch(self, k, adj, jy, js, jw, rows=None):
-        """Ship round k of batch rows `rows` (all of them if None): a message over
-        every edge adj[b, r-1, i-1] of rows[b], from sender i to receiver r,
-        whose values are jy[b, r-1, i-1] (and js, jw)."""
-        self.block(k, adj[None], jy.shape[-1], rows)(0, jy, js, jw)
 
     def _reject(self, k, messages, frames, envelopes, opened):
         """Raise the TamperError that names the trial and the first frame of round k
@@ -468,7 +458,7 @@ def _drawn_weights(params: MixingParams, seed):
         u = np.empty((rounds, len(trials), m, n))
         for b, trial in enumerate(trials):
             if (stream := streams.get(trial)) is None:
-                stream = streams[trial] = KeyedStream(seed, (_WEIGHT_STREAM, trial))
+                stream = streams[trial] = KeyedStream(seed, (STREAMS["weights"], trial))
             stream.fill_span(k0, u[:, b])
         drawn = u.reshape(-1)[plan.edge_draws]
         # c0 < 1/m, checked by `run_trials`, leaves every column room for c0 floors

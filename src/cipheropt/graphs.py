@@ -17,10 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .streams import KeyedStream, check_seed
-
-# stream label for activation draws, keeps them disjoint from other uses of a seed
-_ACTIVATION_STREAM = 11
+from .streams import STREAMS, KeyedStream, check_seed, read_lines, write_lines
 
 
 class ScheduleExhausted(RuntimeError):
@@ -82,11 +79,6 @@ def _strongly_connected(a: np.ndarray) -> np.ndarray:
     while (new := steps @ seen & ~seen).any():
         seen |= new
     return seen.all(axis=(0, -2, -1))
-
-
-def is_strongly_connected(g: DirectedGraph) -> bool:
-    """True iff every ordered pair of distinct agents is joined by a directed path."""
-    return bool(_strongly_connected(g.matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +171,7 @@ class RandomActivationSchedule(_Schedule):
         self.seed = check_seed("activation seed", seed)
         self.m = base.m
         self._flat = np.flatnonzero(base.matrix)  # row-major: the sorted base edges
-        self._stream = KeyedStream(self.seed, (_ACTIVATION_STREAM,))
+        self._stream = KeyedStream(self.seed, (STREAMS["activation"],))
 
     def edge_masks(self, k: int, n: int) -> np.ndarray:
         """Row r: which of the sorted base edges are active at iteration k+r."""
@@ -275,8 +267,7 @@ def save_graph_file(schedule, path):
         lines += [f"edge {l} {i}" for (l, i) in schedule.base.sorted_edges()]
     else:
         raise TypeError(f"cannot serialize schedule of type {type(schedule).__name__}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def load_graph_file(path, seed=None):
@@ -290,31 +281,27 @@ def load_graph_file(path, seed=None):
     edges = {}  # (receiver, sender) -> "path:line"
     graphs = []
     current = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for n, raw in enumerate(fh, 1):
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            head, where = parts[0], f"{path}:{n}"
-            if head == "edge":
-                try:
-                    l, i = map(int, parts[1:])
-                except ValueError:
-                    raise ValueError(f"{where}: expected 'edge <receiver> <sender>'") from None
-                (current if current is not None else edges)[l, i] = where
-            elif head in ("begin", "end"):
-                # "begin graph" only outside a graph, "end graph" only inside one
-                if parts[1:] != ["graph"] or (head == "begin") != (current is None):
-                    raise ValueError(f"{where}: unexpected {' '.join(parts)!r}")
-                if head == "begin":
-                    current = {}
-                else:
-                    graphs.append(current)
-                    current = None
-            elif len(parts) == 1:
-                raise ValueError(f"{where}: {head!r} needs a value")
+    for parts, where in read_lines(path):
+        head = parts[0]
+        if head == "edge":
+            try:
+                l, i = map(int, parts[1:])
+            except ValueError:
+                raise ValueError(f"{where}: expected 'edge <receiver> <sender>'") from None
+            (current if current is not None else edges)[l, i] = where
+        elif head in ("begin", "end"):
+            # "begin graph" only outside a graph, "end graph" only inside one
+            if parts[1:] != ["graph"] or (head == "begin") != (current is None):
+                raise ValueError(f"{where}: unexpected {' '.join(parts)!r}")
+            if head == "begin":
+                current = {}
             else:
-                keys[head] = (" ".join(parts[1:]), where)
+                graphs.append(current)
+                current = None
+        elif len(parts) == 1:
+            raise ValueError(f"{where}: {head!r} needs a value")
+        else:
+            keys[head] = (" ".join(parts[1:]), where)
     if current is not None:
         raise ValueError(f"{path}: 'begin graph' without 'end graph'")
 

@@ -40,9 +40,6 @@ class WeightColumn:
     k: int
     entries: dict
 
-    def weight_for(self, receiver: int) -> float:
-        return self.entries.get(receiver, 0.0)
-
 
 def _raw_uniforms(stream, n):
     # stream is either a Generator or a pre-drawn vector of U[0,1) values

@@ -13,10 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .streams import check_positive, check_seed
-
-_INSTANCE_STREAM = 21
-_NOISE_STREAM = 22
+from .streams import STREAMS, check_positive, check_seed, keyed_rng, read_lines, write_lines
 
 
 class QuadraticSensorObjective:
@@ -35,8 +32,8 @@ class QuadraticSensorObjective:
         self.dim = self.measurement.shape[1]
         gram = self.measurement.T @ self.measurement
         eigs = np.linalg.eigvalsh(gram)
-        self._lipschitz = 2.0 * (float(eigs[-1]) + self.omega)
-        self._strong_convexity = 2.0 * (float(eigs[0]) + self.omega)
+        self.lipschitz = 2.0 * (float(eigs[-1]) + self.omega)
+        self.strong_convexity = 2.0 * (float(eigs[0]) + self.omega)
 
     def value(self, x):
         x = self._check(x)
@@ -52,14 +49,6 @@ class QuadraticSensorObjective:
         if x.shape != (self.dim,):
             raise ValueError(f"expected point of dimension {self.dim}, got shape {x.shape}")
         return x
-
-    @property
-    def lipschitz(self):
-        return self._lipschitz
-
-    @property
-    def strong_convexity(self):
-        return self._strong_convexity
 
 
 @dataclass(frozen=True)
@@ -166,7 +155,7 @@ def generate_sensor_fusion(m, s, d, omega, seed) -> SensorFusionInstance:
         raise ValueError("m, s, d must all be >= 1")
     omega = check_positive("omega", omega)
     seed = check_seed("instance_seed", seed)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_INSTANCE_STREAM,)))
+    rng = keyed_rng(seed, STREAMS["instance"])
     x_tilde = rng.uniform(0.0, 1.0, size=d)
     measurements = []
     noises = []
@@ -188,7 +177,7 @@ def with_noise(instance: SensorFusionInstance, seed) -> SensorFusionInstance:
     Used when trials redraw the observation noise while the measurement
     matrices stay pinned to the instance seed.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_NOISE_STREAM,)))
+    rng = keyed_rng(seed, STREAMS["noise"])
     noises = tuple(rng.standard_normal(instance.s) for _ in range(instance.m))
     return SensorFusionInstance(
         omega=instance.omega,
@@ -237,8 +226,7 @@ def save_instance(instance: SensorFusionInstance, path):
         flat = instance.measurements[i].ravel()
         lines.append(f"measurement {i + 1} " + " ".join(repr(float(v)) for v in flat))
         lines.append(f"noise {i + 1} " + " ".join(repr(float(v)) for v in instance.noises[i]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 _INSTANCE_KEYS = ("m", "s", "d", "omega", "x_tilde")
@@ -252,24 +240,20 @@ def load_instance(path) -> SensorFusionInstance:
     ValueError naming `path`.
     """
     lines = {}  # "m", ..., "measurement 1", ... -> (numbers, "path:line")
-    with open(path, "r", encoding="utf-8") as fh:
-        for n, raw in enumerate(fh, 1):
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            head, where = parts[0], f"{path}:{n}"
-            per_agent = head in _INSTANCE_ROWS
-            if not per_agent and head not in _INSTANCE_KEYS:
-                raise ValueError(f"{where}: unknown key {head!r}")
-            try:
-                key = f"{head} {int(parts[1])}" if per_agent else head
-                values = [float(v) for v in parts[1 + per_agent :]]
-            except (IndexError, ValueError):
-                values = []
-            if not values:
-                form = "<agent> <numbers>" if per_agent else "<numbers>"
-                raise ValueError(f"{where}: expected '{head} {form}'")
-            lines[key] = (values, where)
+    for parts, where in read_lines(path):
+        head = parts[0]
+        per_agent = head in _INSTANCE_ROWS
+        if not per_agent and head not in _INSTANCE_KEYS:
+            raise ValueError(f"{where}: unknown key {head!r}")
+        try:
+            key = f"{head} {int(parts[1])}" if per_agent else head
+            values = [float(v) for v in parts[1 + per_agent :]]
+        except (IndexError, ValueError):
+            values = []
+        if not values:
+            form = "<agent> <numbers>" if per_agent else "<numbers>"
+            raise ValueError(f"{where}: expected '{head} {form}'")
+        lines[key] = (values, where)
 
     def numbers(key, size):
         if key not in lines:

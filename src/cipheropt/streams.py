@@ -1,15 +1,15 @@
-"""Keyed uniform streams, numpy's own bit for bit, derived many keys at a time.
+"""Keyed uniform streams, numpy's own bit for bit, derived many keys at a time;
+the labels of every random stream a seed feeds; the checks of input numbers;
+and the line reader and writer of the description files.
 
-`KeyedStream(seed, prefix).fill(key, out)` fills `out` exactly as
+`KeyedStream(seed, prefix).fill_span(k0, out)` fills row i of `out` exactly as
 
-    np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=prefix + (key,))).random(out.shape)
+    keyed_rng(seed, *prefix, k0 + i).random(out[i].shape)
 
 would, without building a `SeedSequence`, a `PCG64` and a `Generator` per
-key, and `fill_span(k0, out)` does so for the keys k0, k0+1, ... into the
-rows of `out`. Both algorithms are public: `SeedSequence` is O'Neill's
-`seed_seq` hash on uint32 words, and `PCG64` is a 128-bit LCG with XSL-RR
-output (O'Neill, "PCG", HMC-CS-2014-0905). The seed and prefix words are
+key. Both algorithms are public: `SeedSequence` is O'Neill's `seed_seq` hash
+on uint32 words, and `PCG64` is a 128-bit LCG with XSL-RR output (O'Neill,
+"PCG", HMC-CS-2014-0905). The seed and prefix words are
 mixed into the four-word pool once; every key then adds one word, hashed
 with constants that depend only on its position. So a block of 64
 consecutive keys is hashed as uint32 vectors, and each key's PCG64 seeding
@@ -98,6 +98,30 @@ def _jumps(count) -> np.ndarray:
 
 
 _JUMPS = _jumps(_PASS_DRAWS)
+
+# The label of each random stream a seed feeds, the first word of its spawn key after
+# the seed: (seed, label, *key). Distinct, so no two uses of one seed share draws.
+STREAMS = {"activation": 11, "activation_seed": 12, "instance": 21, "noise": 22, "start": 31,
+           "weights": 32, "sampler": 41, "probes": 51}
+
+
+def keyed_rng(seed: int, *key) -> np.random.Generator:
+    """numpy's generator of the stream keyed (seed, *key)."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+def read_lines(path) -> list:
+    """The lines of the UTF-8 description file `path` that are neither blank nor a
+    `#` comment, each as (its words, "path:line")."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [(parts, f"{path}:{n}") for n, parts in enumerate(map(str.split, fh), 1)
+                if parts and not parts[0].startswith("#")]
+
+
+def write_lines(path, lines):
+    """Write `lines` to the UTF-8 description file `path`, one a line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def check_seed(name: str, value):
@@ -218,11 +242,5 @@ class KeyedStream:
                     self._gen.random(out=out[start + j - k0, ...])
             key = stop
         for key in range(key, end):  # two key words: numpy's own chain
-            ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.prefix + (key,))
-            np.random.default_rng(ss).random(out=out[key - k0, ...])
-        return out
-
-    def fill(self, key: int, out: np.ndarray) -> np.ndarray:
-        """Fill the float64 C-contiguous `out` with the uniforms of stream `key`."""
-        self.fill_span(key, out[None])
+            keyed_rng(self.seed, *self.prefix, key).random(out=out[key - k0, ...])
         return out

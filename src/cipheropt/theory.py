@@ -34,6 +34,8 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import fone, from_float, fzero, mpf_add, mpf_gt, mpf_mul
 
+from .streams import STREAMS, keyed_rng
+
 RANK_SLACK = 1e-12
 _PROBE_COLUMNS = 3  # columns of the random test matrices of `verify_contraction`
 
@@ -401,7 +403,7 @@ def verify_contraction(trajectory, b0: int, varepsilon, trials: int = 100,
     prods = np.broadcast_to(np.eye(m), (len(lo), m, m))
     for step in phi[lo + np.arange(b0)[:, None]]:  # step j: every window's j-th map
         prods = step @ prods
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(51,)))
+    rng = keyed_rng(0, STREAMS["probes"])
     max_ratio = consensus_residual = 0.0
     for prod in prods:
         d = rng.standard_normal((trials, m, _PROBE_COLUMNS))  # the numbers of `trials` draws

@@ -74,14 +74,14 @@ class TestCaptureView:
     def test_collects_complete_rounds_only(self, isolated_run):
         _, traj = isolated_run
         view = capture_view(traj.messages, adversary=2, target=1)
-        assert view.rounds == list(range(12))
+        assert sorted(view.triples) == list(range(12))
         t = view.triple(3)
         assert t.j_y.shape == (1,) and isinstance(t.j_w, float)
 
     def test_silent_target_gives_empty_view(self, isolated_run):
         _, traj = isolated_run
         view = capture_view(traj.messages, adversary=1, target=2)
-        assert view.rounds == []
+        assert sorted(view.triples) == []
         with pytest.raises(ScenarioMismatchError):
             view.triple(0)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import pickle
 import struct
@@ -22,12 +23,15 @@ from cipheropt.channel import (
     PlainPayload,
     SharedKey,
     TamperError,
+    _header,
+    _read_header,
     decode_payload,
     decrypt,
     encode_payload,
     encrypt,
     hex_dump_pair,
     nonce_trials,
+    pack_frames,
 )
 
 KEY = SharedKey.from_seed(0)
@@ -96,6 +100,35 @@ class TestFraming:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             PlainPayload(sender=1, receiver=2, k=0, kind="Q", data=(1.0,))
+
+
+WIDTHS = ((KIND_Y, 3), (KIND_S, 3), (KIND_W, 1))
+ROUTES = list(itertools.product([0, 2**32 - 1], repeat=3))  # (sender, receiver, k)
+
+
+def packed_frame(sender, receiver, k, kind):
+    """The `kind` frame `pack_frames` writes for one message over the route."""
+    frames = pack_frames(np.array([k]), np.array([sender]), np.array([receiver]), WIDTHS)
+    return frames[kind].tobytes()
+
+
+class TestHeaderLayout:
+    """`_header`, `_read_header` and `pack_frames` share one record layout."""
+
+    @pytest.mark.parametrize("kind,count", WIDTHS)
+    @pytest.mark.parametrize("sender,receiver,k", ROUTES)
+    def test_read_header_reads_what_pack_frames_wrote(self, sender, receiver, k, kind, count):
+        got = _read_header(packed_frame(sender, receiver, k, kind))
+        assert got == (sender, receiver, k, kind, count)
+        assert [type(v) for v in got] == [int, int, int, str, int]
+
+    @pytest.mark.parametrize("kind,count", WIDTHS)
+    @pytest.mark.parametrize("sender,receiver,k", ROUTES)
+    def test_header_is_the_packed_frame_start(self, sender, receiver, k, kind, count):
+        header = _header(sender, receiver, k, kind, count)
+        assert header == packed_frame(sender, receiver, k, kind)[:HEADER_SIZE]
+        assert header == struct.pack("<4sBIIIBH", b"PPDO", 1, sender, receiver, k,
+                                     ord(kind), count)  # the documented wire layout
 
 
 class TestKeys:

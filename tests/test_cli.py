@@ -4,6 +4,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
@@ -731,6 +732,14 @@ class TestPrivacyCommand:
         lines = (out / "privacy_distances.csv").read_text().splitlines()
         assert lines[0] == "sample,distance"
         assert len(lines) == 26
+
+    @pytest.mark.parametrize("recovered, truth", [
+        ({0: [math.nan, math.nan]}, [[1.0, 2.0]]),
+        ({0: [1.0, 2.5], 1: [math.nan, 1.0], 2: [3.0, 3.0]}, [[1.0, 2.0], [1.0, 1.0], [3.0, 3.0]]),
+    ], ids=["only-round", "later-round"])
+    def test_a_nan_recovery_is_no_perfect_one(self, recovered, truth):
+        # max(worst, nan) kept worst, so these read 0.0 and 0.25: exact recoveries
+        assert math.isnan(cli._recovery_error(recovered, np.array(truth), list(recovered)))
 
 
 class TestTheoryCommand:

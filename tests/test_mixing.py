@@ -78,7 +78,7 @@ class TestSingleColumn:
         lo = hi = 0.0
         for _ in range(400):
             col = generate_weight_column(1, [2], 0, PARAMS, rng)
-            w = col.weight_for(2)
+            w = col.entries.get(2, 0.0)
             assert -1.0 <= w <= 1.0
             lo, hi = min(lo, w), max(hi, w)
         assert lo < -0.5 and hi > 0.5  # actually exercises both halves
@@ -89,13 +89,13 @@ class TestSingleColumn:
         for _ in range(200):
             col = generate_weight_column(1, [2, 3, 4], 2, PARAMS, rng)
             for l in (2, 3, 4):
-                assert col.weight_for(l) <= (1.0 - PARAMS.c0) / d_out + 1e-15
+                assert col.entries.get(l, 0.0) <= (1.0 - PARAMS.c0) / d_out + 1e-15
 
     def test_prefers_predrawn_row(self):
         row = np.array([0.5, 0.5])
         col = generate_weight_column(1, [2, 3], 1, PARAMS, row)
         expected = PARAMS.c0 + 0.5 * ((1.0 - PARAMS.c0) / 2 - PARAMS.c0)
-        assert col.weight_for(2) == pytest.approx(expected)
+        assert col.entries.get(2, 0.0) == pytest.approx(expected)
 
     def test_short_predrawn_row_rejected(self):
         with pytest.raises(ValueError):

@@ -224,7 +224,7 @@ def _send_batch_round(wire, rows=None):
     adj = _batch_adjacency(BATCH_EDGES)
     if rows is not None:
         adj, y = adj[rows], y[rows]
-    wire.send_batch(7, adj, y, -y, y[..., 0], rows=rows)
+    wire.block(7, adj[None], 2, rows)(0, y, -y, y[..., 0])
 
 
 class TestBatchWire:
@@ -276,7 +276,8 @@ class TestBatchWire:
         alone_wires = [Transport(m, KEY, [log], [t]) for log, t in zip(alone, trials)]
         for k in range(rounds):
             rows = np.flatnonzero(np.array(leaves) > k)
-            wire.send_batch(k, adj[k, rows], y[k, rows], -y[k, rows], y[k, rows, ..., 0], rows=rows)
+            ship = wire.block(k, adj[k, rows][None], 2, rows)
+            ship(0, y[k, rows], -y[k, rows], y[k, rows, ..., 0])
             for b in rows:
                 alone_wires[b].send(k, *wire_pairs((np.argwhere(adj[k, b]) + 1).tolist()),
                                     y[k, b], -y[k, b], y[k, b, ..., 0])
@@ -326,7 +327,7 @@ class TestBlockWire:
     @given(st.data())
     def test_a_block_ships_what_its_rounds_ship_one_by_one(self, data):
         """A block of R rounds shipped round by round, or cut after its first rounds,
-        logs, seals and counts what as many `send_batch` calls do."""
+        logs, seals and counts what as many blocks of one round do."""
         m = data.draw(st.integers(2, 4))
         trials = data.draw(st.lists(st.sampled_from([0, 1, 5, 2**31, 2**32 - 1]), min_size=1,
                                     max_size=3, unique=True))
@@ -346,7 +347,7 @@ class TestBlockWire:
         wire = blockwise.block(k0, adj, 2, rows)
         for r in range(played):
             wire(r, y[r], -y[r], y[r, ..., 0])
-            by_round.send_batch(k0 + r, adj[r], y[r], -y[r], y[r, ..., 0], rows=rows)
+            by_round.block(k0 + r, adj[r][None], 2, rows)(0, y[r], -y[r], y[r, ..., 0])
         assert [list(map(_fields, log)) for log in block_logs] == \
             [list(map(_fields, log)) for log in round_logs]
         assert (blockwise.used == by_round.used).all()
@@ -381,7 +382,7 @@ class TestBlockWire:
         ship = wire.block(7, adj, 2, rows)
         for r in range(2):
             ship(r, y[r], -y[r], y[r, ..., 0])
-            by_round.send_batch(7 + r, adj[r], y[r], -y[r], y[r, ..., 0], rows=rows)
+            by_round.block(7 + r, adj[r][None], 2, rows)(0, y[r], -y[r], y[r, ..., 0])
         shipped = len(sealed)
         with pytest.raises(OverflowError, match=r"^nonce counter of sender 2 exhausted: 2\^32 "
                                                 r"messages in trial 1$"):
