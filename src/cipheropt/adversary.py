@@ -2,11 +2,13 @@
 
 The curious neighbor is a protocol-compliant agent j that keeps every triple
 it legitimately receives from a target i: the scaled state (J_y), the scaled
-tracker (J_s), and the scaled mass (J_w). Combined with knowledge of the
-update rules, those triples let it set up linear systems over the target's
-gradients. How far those systems pin the gradients down depends on when the
-target had a neighbor other than j; the three canonical topologies are
-labelled scenarios "a", "b", and "c" below, from safest to fully exposed.
+tracker (J_s), and the scaled mass (J_w). Its view holds them as round-indexed
+arrays, row k for round k, with a mask of the rounds whose triple arrived in
+full. Combined with knowledge of the update rules, those triples let it set
+up linear systems over the target's gradients. How far those systems pin the
+gradients down depends on when the target had a neighbor other than j; the
+three canonical topologies are labelled scenarios "a", "b", and "c" below,
+from safest to fully exposed.
 
 The eavesdropper never holds the key. Its report checks that nothing of the
 framed plaintext survives into the ciphertext bytes it can see.
@@ -28,41 +30,28 @@ class ScenarioMismatchError(ValueError):
     """The captured view lacks the messages the requested analysis assumes."""
 
 
-@dataclass(frozen=True)
-class JTriple:
-    """Everything agent j receives from target i in round k."""
-
-    k: int
-    j_y: np.ndarray
-    j_s: np.ndarray
-    j_w: float
-
-
 @dataclass
 class AdversaryView:
     """The §-enumerated exploitable information of a curious neighbor.
 
-    Holds only what agent j would see: triples addressed to it, plus its own
-    local quantities. No other agent's state enters this object.
+    Holds only what agent j would see: row k of `j_y`, `j_s` (rounds, d) and
+    `j_w` (rounds,) is the triple target i sent it in round k, and `held[k]`
+    says all three arrived (a row not held is NaN). No other agent's state
+    enters this object.
     """
 
     adversary: int
     target: int
-    triples: dict = field(default_factory=dict)  # k -> JTriple
+    j_y: np.ndarray
+    j_s: np.ndarray
+    j_w: np.ndarray
+    held: np.ndarray
 
     def require(self, K: int):
         """ScenarioMismatchError unless a triple arrived in every round 0..K."""
-        need = [k for k in range(K + 1) if k not in self.triples]
+        need = [k for k in range(K + 1) if k >= len(self.held) or not self.held[k]]
         if need:
             raise ScenarioMismatchError(f"missing triples for rounds {need}")
-
-    def triple(self, k: int) -> JTriple:
-        try:
-            return self.triples[k]
-        except KeyError:
-            raise ScenarioMismatchError(
-                f"adversary {self.adversary} holds no triple from {self.target} at k={k}"
-            ) from None
 
 
 @dataclass
@@ -70,10 +59,10 @@ class InferenceReport:
     scenario: str
     adversary: int
     target: int
-    recovered: dict = field(default_factory=dict)  # quantity -> {k: value}
+    rounds: tuple = ()  # the round of each row of every recovered series
+    recovered: dict = field(default_factory=dict)  # quantity -> array, one row per round
     gradient_matrix: np.ndarray | None = None
     gradient_rhs: np.ndarray | None = None
-    unknown_rounds: tuple = ()
     dim: int = 1
     rank: int | None = None
     dof: int | None = None
@@ -83,59 +72,45 @@ class InferenceReport:
     distance_stats: dict = field(default_factory=dict)
 
     def recovered_series(self, name: str) -> dict:
-        return self.recovered.get(name, {})
+        return dict(zip(self.rounds, self.recovered.get(name, ())))
 
 
 def capture_view(messages, adversary: int, target: int) -> AdversaryView:
     """Collect the triples j received from i out of a run's message log.
 
-    A round contributes a triple only once all three kinds arrived. A target
-    that never sent to j yields an empty view, which downstream analyses
-    reject as a scenario mismatch.
+    A round is held only once all three kinds arrived. A target that never
+    sent to j yields an empty view, which downstream analyses reject as a
+    scenario mismatch.
     """
-    partial = {}
+    sent = {KIND_Y: {}, KIND_S: {}, KIND_W: {}}
     for rec in messages:
-        if rec.sender != target or rec.receiver != adversary:
-            continue
-        slot = partial.setdefault(rec.k, {})
-        slot[rec.kind] = rec.data
-    view = AdversaryView(adversary=adversary, target=target)
-    for k, slot in partial.items():
-        if set(slot) != {KIND_Y, KIND_S, KIND_W}:
-            continue
-        view.triples[k] = JTriple(
-            k=k,
-            j_y=np.array(slot[KIND_Y]),
-            j_s=np.array(slot[KIND_S]),
-            j_w=slot[KIND_W][0],
-        )
-    return view
+        if rec.sender == target and rec.receiver == adversary:
+            sent[rec.kind][rec.k] = rec.data
+    full = sorted(sent[KIND_Y].keys() & sent[KIND_S].keys() & sent[KIND_W].keys())
+    rows = full[-1] + 1 if full else 0
+    d = len(sent[KIND_Y][full[0]]) if full else 0
+    held = np.zeros(rows, dtype=bool)
+    held[full] = True
+    j_y, j_s, j_w = np.full((rows, d), np.nan), np.full((rows, d), np.nan), np.full(rows, np.nan)
+    j_y[full] = [sent[KIND_Y][k] for k in full]
+    j_s[full] = [sent[KIND_S][k] for k in full]
+    j_w[full] = [sent[KIND_W][k][0] for k in full]
+    return AdversaryView(adversary, target, j_y, j_s, j_w, held)
 
 
-def _recover_states_from_unit_mass(view: AdversaryView, K: int):
-    """Masses, states, and trackers of the target for rounds 1..K.
+def _peel(view: AdversaryView, K: int):
+    """Masses, weights, states, trackers of the target for rounds 1..K, and the
+    gradient increments c_k = g(k+1) - g(k) for k = 1..K-1, one row per round.
 
     Uses the fact that the target's mass is exactly one when round-1
     messages are built, and that with j as the only neighbor the mass
     afterwards just sheds what it sends: w(k+1) = w(k) - J_w(k).
     """
-    w = {1: 1.0}
-    for k in range(1, K):
-        w[k + 1] = w[k] - view.triple(k).j_w
-    a = {}
-    y = {}
-    s = {}
-    for k in range(1, K + 1):
-        t = view.triple(k)
-        a[k] = t.j_w / w[k]
-        y[k] = t.j_y / a[k]
-        s[k] = t.j_s / a[k]
-    return w, a, y, s
-
-
-def _difference_rhs(view: AdversaryView, s: dict, K: int) -> dict:
-    """Per-round gradient increments c_k = g(k+1) - g(k) implied by the tracker."""
-    return {k: s[k + 1] - s[k] + view.triple(k).j_s for k in range(1, K)}
+    w = np.cumsum(np.concatenate([[1.0], -view.j_w[1:K]]))
+    a = view.j_w[1 : K + 1] / w
+    y = view.j_y[1 : K + 1] / a[:, None]
+    s = view.j_s[1 : K + 1] / a[:, None]
+    return w, a, y, s, s[1:] - s[:-1] + view.j_s[1:K]
 
 
 def _chain_matrix(K: int, d: int):
@@ -169,22 +144,19 @@ def infer_states_scenario_b(view: AdversaryView, K: int) -> InferenceReport:
     if K < 2:
         raise ValueError("need K >= 2 rounds of recovered trackers")
     view.require(K)
-    d = view.triples[1].j_y.shape[0]
-    w, a, y, s = _recover_states_from_unit_mass(view, K)
-    c = _difference_rhs(view, s, K)
-
+    d = view.j_y.shape[1]
+    w, a, y, s, c = _peel(view, K)
     matrix = _chain_matrix(K, d)
-    rhs = np.concatenate([c[k] for k in range(1, K)]) if K > 1 else np.zeros(0)
     rank, dof = _rank_and_dof(matrix)
 
     return InferenceReport(
         scenario="b",
         adversary=view.adversary,
         target=view.target,
+        rounds=tuple(range(1, K + 1)),
         recovered={"w": w, "a": a, "y": y, "s": s},
         gradient_matrix=matrix,
-        gradient_rhs=rhs,
-        unknown_rounds=tuple(range(1, K + 1)),
+        gradient_rhs=c.reshape(-1),
         dim=d,
         rank=rank,
         dof=dof,
@@ -202,9 +174,8 @@ def infer_scenario_a(view: AdversaryView, K: int) -> InferenceReport:
     if K < 2:
         raise ValueError("need K >= 2")
     view.require(K)
-    t1 = view.triple(1)
-    d = t1.j_y.shape[0]
-    x1 = t1.j_y / t1.j_w  # mass is exactly one in round 1
+    d = view.j_y.shape[1]
+    x1 = view.j_y[1:2] / view.j_w[1]  # mass is exactly one in round 1
 
     # Unknowns per round k=1..K: the gradient g(k) and the tracker s(k).
     # Each round k=1..K-1 yields d tracker-chain equations that now involve
@@ -212,17 +183,16 @@ def infer_scenario_a(view: AdversaryView, K: int) -> InferenceReport:
     # [-C | C] with C the chain matrix: (K-1)d equations in 2Kd unknowns.
     chain = _chain_matrix(K, d) + 0.0  # + 0.0 and 0.0 - leave no -0.0 entry
     matrix = np.hstack([0.0 - chain, chain])
-    rhs = np.concatenate([-view.triple(k).j_s for k in range(1, K)])
     rank, dof = _rank_and_dof(matrix)
 
     return InferenceReport(
         scenario="a",
         adversary=view.adversary,
         target=view.target,
-        recovered={"x": {1: x1}},
+        rounds=(1,),
+        recovered={"x": x1},
         gradient_matrix=matrix,
-        gradient_rhs=rhs,
-        unknown_rounds=tuple(range(1, K + 1)),
+        gradient_rhs=-view.j_s[1:K].reshape(-1),
         dim=d,
         rank=rank,
         dof=dof,
@@ -238,15 +208,12 @@ def infer_scenario_c(view: AdversaryView, K: int) -> InferenceReport:
     if K < 1:
         raise ValueError("need K >= 1")
     view.require(K)
-    w, a, y, s = _recover_states_from_unit_mass(view, K)
-    c = _difference_rhs(view, s, K)
-    g = {1: s[1] + view.triple(0).j_s}
-    for k in range(1, K):
-        g[k + 1] = g[k] + c[k]
+    w, a, y, s, c = _peel(view, K)
+    g = np.cumsum(np.concatenate([s[:1] + view.j_s[:1], c]), axis=0)
     return InferenceReport(scenario="c", adversary=view.adversary, target=view.target,
+                           rounds=tuple(range(1, K + 1)),
                            recovered={"w": w, "a": a, "y": y, "s": s, "g": g},
-                           unknown_rounds=tuple(range(1, K + 1)),
-                           dim=view.triples[1].j_y.shape[0], dof=0)
+                           dim=view.j_y.shape[1], dof=0)
 
 
 def attack_fixed_weight_baseline(view: AdversaryView, out_degree: int, K: int) -> InferenceReport:
@@ -256,35 +223,29 @@ def attack_fixed_weight_baseline(view: AdversaryView, out_degree: int, K: int) -
     raw mass, state, and tracker, and the tracker's own update replays all
     gradients starting from g(0) = s(0). A consistency residual against the
     expected mass trajectory flags a wrong weight guess (or a target that
-    was actually drawing random weights).
+    was actually drawing random weights); a NaN anywhere makes it NaN.
     """
     view.require(K)
     share = 1.0 / (out_degree + 1)
-    w = {}
-    y = {}
-    s = {}
-    for k in range(K + 1):
-        t = view.triple(k)
-        w[k] = t.j_w / share
-        y[k] = t.j_y / share
-        s[k] = t.j_s / share
+    w = view.j_w[: K + 1] / share
+    y = view.j_y[: K + 1] / share
+    s = view.j_s[: K + 1] / share
 
     # The mass starts at one and, with j the only neighbor, loses exactly
     # what it ships: both facts fail loudly under a wrong weight guess.
-    residual = abs(w[0] - 1.0)
-    for k in range(K):
-        residual = max(residual, abs(w[k + 1] - (w[k] - view.triple(k).j_w)))
+    residual = np.max(np.abs(np.concatenate([w[:1] - 1.0, w[1:] - (w[:-1] - view.j_w[:K])])))
 
-    g = {0: s[0]}
-    for k in range(K):
-        g[k + 1] = g[k] + s[k + 1] - s[k] + view.triple(k).j_s
+    g = np.empty_like(s)
+    g[0] = s[0]
+    for k in range(K):  # regrouping this sum would move bits
+        g[k + 1] = g[k] + s[k + 1] - s[k] + view.j_s[k]
     return InferenceReport(
         scenario="addopt",
         adversary=view.adversary,
         target=view.target,
+        rounds=tuple(range(K + 1)),
         recovered={"w": w, "y": y, "s": s, "g": g},
-        unknown_rounds=tuple(range(K + 1)),
-        dim=view.triples[0].j_y.shape[0],
+        dim=view.j_y.shape[1],
         rank=None,
         dof=0,
         consistency_residual=float(residual),
@@ -436,13 +397,8 @@ def report_to_text(report: InferenceReport) -> str:
     if report.consistency_residual is not None:
         lines.append(f"consistency_residual: {report.consistency_residual!r}")
     for name in sorted(report.recovered):
-        series = report.recovered[name]
-        for k in sorted(series):
-            val = series[k]
-            if isinstance(val, np.ndarray):
-                body = " ".join(repr(float(v)) for v in np.atleast_1d(val))
-            else:
-                body = repr(float(val))
+        for k, row in zip(report.rounds, report.recovered[name].tolist()):
+            body = " ".join(map(repr, row)) if isinstance(row, list) else repr(row)
             lines.append(f"recovered {name} {k} {body}")
     for key in sorted(report.distance_stats):
         lines.append(f"distance_{key}: {report.distance_stats[key]!r}")

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .streams import STREAMS, KeyedStream, check_seed, read_lines, write_lines
+from .streams import STREAMS, KeyedStream, check_seed, put_once, read_lines, write_lines
 
 
 class ScheduleExhausted(RuntimeError):
@@ -275,7 +275,8 @@ def load_graph_file(path, seed=None):
 
     seed overrides the file's activation seed when given, though a seed line is
     still checked; it is required if a random_activation file carries none. A
-    malformed line raises ValueError naming `path:line`.
+    malformed line, an unknown key or a repeated key line raises ValueError
+    naming `path:line`.
     """
     keys = {}  # name -> (text, "path:line")
     edges = {}  # (receiver, sender) -> "path:line"
@@ -298,10 +299,12 @@ def load_graph_file(path, seed=None):
             else:
                 graphs.append(current)
                 current = None
+        elif head not in ("m", "schedule", "mode", "p", "seed"):
+            raise ValueError(f"{where}: unknown key {head!r}")
         elif len(parts) == 1:
             raise ValueError(f"{where}: {head!r} needs a value")
         else:
-            keys[head] = (" ".join(parts[1:]), where)
+            put_once(keys, head, " ".join(parts[1:]), where)
     if current is not None:
         raise ValueError(f"{path}: 'begin graph' without 'end graph'")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .streams import STREAMS, check_positive, check_seed, keyed_rng, read_lines, write_lines
+from .streams import STREAMS, check_positive, check_seed, keyed_rng, put_once, read_lines, write_lines
 
 
 class QuadraticSensorObjective:
@@ -236,8 +236,8 @@ _INSTANCE_ROWS = ("measurement", "noise")  # one line per agent
 def load_instance(path) -> SensorFusionInstance:
     """Read an instance written by `save_instance`.
 
-    A malformed line raises ValueError naming `path:line`, a missing one
-    ValueError naming `path`.
+    A malformed or repeated line raises ValueError naming `path:line`, a
+    missing one ValueError naming `path`.
     """
     lines = {}  # "m", ..., "measurement 1", ... -> (numbers, "path:line")
     for parts, where in read_lines(path):
@@ -253,7 +253,7 @@ def load_instance(path) -> SensorFusionInstance:
         if not values:
             form = "<agent> <numbers>" if per_agent else "<numbers>"
             raise ValueError(f"{where}: expected '{head} {form}'")
-        lines[key] = (values, where)
+        put_once(lines, key, values, where)
 
     def numbers(key, size):
         if key not in lines:

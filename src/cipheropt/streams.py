@@ -118,6 +118,14 @@ def read_lines(path) -> list:
                 if parts and not parts[0].startswith("#")]
 
 
+def put_once(table: dict, key, value, where: str):
+    """table[key] = (value, where) for the line at `where`; a ValueError naming both
+    lines if an earlier one set `key`."""
+    if key in table:
+        raise ValueError(f"{where}: repeated {key!r} line, first at {table[key][1]}")
+    table[key] = (value, where)
+
+
 def write_lines(path, lines):
     """Write `lines` to the UTF-8 description file `path`, one a line."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -417,21 +417,12 @@ def verify_contraction(trajectory, b0: int, varepsilon, trials: int = 100,
     )
 
 
-@dataclass
-class TrajectorySeries:
-    """Norm sequences the lemma checks consume, indexed by round."""
-
-    r_norm: np.ndarray
-    v_norm: np.ndarray
-    u_check_norm: np.ndarray
-    x_check_norm: np.ndarray
-    y_bar_1: np.ndarray
-    x_star: np.ndarray
-    rounds: int
+NORM_ROWS = ("r", "v", "u_check", "x_check")  # the rows of `trajectory_series`
 
 
-def trajectory_series(trajectory, problem) -> TrajectorySeries:
-    """Distance, increment, and disagreement norms along a recorded run."""
+def trajectory_series(trajectory, problem) -> np.ndarray:
+    """Distance, increment, and disagreement norms along a recorded run: a
+    (4, K+1) array, one row per name of `NORM_ROWS`, column k round k."""
     xs = np.asarray(trajectory.x_series)
     if not len(xs):
         raise ValueError("trajectory was not recorded with full state")
@@ -439,14 +430,12 @@ def trajectory_series(trajectory, problem) -> TrajectorySeries:
         raise ValueError("trajectory holds 0 recorded rounds, need at least 1")
     grads = problem.gradients(xs)
     u = np.asarray(trajectory.s_series)[1:] / np.asarray(trajectory.w_series)[1:, :, None]
-    zero = np.zeros(1)  # no increment or disagreement is measured at round 0
-    return TrajectorySeries(
-        r_norm=_norms(xs - trajectory.x_star),
-        v_norm=np.concatenate([zero, _norms(grads[1:] - grads[:-1])]),
-        u_check_norm=np.concatenate([zero, _norms(_centred(u))]),
-        x_check_norm=np.concatenate([zero, _norms(_centred(xs[1:]))]),
-        y_bar_1=trajectory.y_series[1].mean(axis=0), x_star=trajectory.x_star, rounds=len(xs) - 1,
-    )
+    series = np.zeros((len(NORM_ROWS), len(xs)))  # no increment or disagreement at round 0
+    series[0] = _norms(xs - trajectory.x_star)
+    series[1, 1:] = _norms(grads[1:] - grads[:-1])
+    series[2, 1:] = _norms(_centred(u))
+    series[3, 1:] = _norms(_centred(xs[1:]))
+    return series
 
 
 @dataclass
@@ -556,13 +545,11 @@ def verify_lemma_inequalities(trajectory, problem, consts: TheoryConstants,
         raise ValueError(
             f"need at least B0={consts.b0} recorded rounds for the offset sums, got K={K} "
             f"of the {held} the trajectory holds")
-    series = trajectory_series(trajectory, problem)
-    names = ("r", "v", "u_check", "x_check")
-    norms = np.stack([getattr(series, f"{name}_norm")[: K + 1] for name in names])
+    norms = trajectory_series(trajectory, problem)[:, : K + 1]
     bad = ~np.isfinite(norms)
     if bad.any():
         k = int(bad.any(axis=0).argmax())
-        raise ValueError(f"the {names[int(bad[:, k].argmax())]} norm of round {k} is not finite")
+        raise ValueError(f"the {NORM_ROWS[int(bad[:, k].argmax())]} norm of round {k} is not finite")
 
     with mp.workdps(consts.dps):
         theta = mp.mpf(theta)
@@ -576,10 +563,11 @@ def verify_lemma_inequalities(trajectory, problem, consts: TheoryConstants,
             norms, norms[2:], theta, K, consts.b0)
 
         gains = _gains(consts, theta, eta)
-        b1 = mp.mpf(float(series.v_norm[1])) / theta
+        b1 = mp.mpf(float(norms[1, 1])) / theta
         b2 = tb0 / gap * u_sum
         b3 = tb0 / gap * x_sum
-        b4 = 2 * mp.sqrt(consts.m) * mp.mpf(float(np.linalg.norm(series.y_bar_1 - series.x_star)))
+        y_bar_1 = trajectory.y_series[1].mean(axis=0)
+        b4 = 2 * mp.sqrt(consts.m) * mp.mpf(float(np.linalg.norm(y_bar_1 - trajectory.x_star)))
 
         checks = [
             LemmaCheck("increments vs distance", v_max, gains.gamma1 * r_max + b1,

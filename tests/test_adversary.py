@@ -1,9 +1,15 @@
+import hashlib
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cipheropt.adversary import (
+    AdversaryView,
     EavesdropperReport,
     ScenarioMismatchError,
     attack_fixed_weight_baseline,
@@ -25,6 +31,7 @@ from cipheropt.channel import (
     encode_payload,
     encrypt,
 )
+from cipheropt.cli import main
 from cipheropt.engine import MessageRecord, RunConfig, run, run_baseline
 from cipheropt.graphs import DirectedGraph, ScriptedSchedule, StaticSchedule
 from cipheropt.mixing import MixingParams
@@ -74,25 +81,23 @@ class TestCaptureView:
     def test_collects_complete_rounds_only(self, isolated_run):
         _, traj = isolated_run
         view = capture_view(traj.messages, adversary=2, target=1)
-        assert sorted(view.triples) == list(range(12))
-        t = view.triple(3)
-        assert t.j_y.shape == (1,) and isinstance(t.j_w, float)
+        assert np.flatnonzero(view.held).tolist() == list(range(12))
+        assert view.j_y.shape == view.j_s.shape == (12, 1) and view.j_w.shape == (12,)
 
     def test_silent_target_gives_empty_view(self, isolated_run):
         _, traj = isolated_run
         view = capture_view(traj.messages, adversary=1, target=2)
-        assert sorted(view.triples) == []
+        assert np.flatnonzero(view.held).tolist() == []
         with pytest.raises(ScenarioMismatchError):
-            view.triple(0)
+            view.require(0)
 
     def test_triples_are_the_scaled_sends(self, isolated_run):
         _, traj = isolated_run
         view = capture_view(traj.messages, adversary=2, target=1)
         for k in (0, 1, 5):
             a = traj.weight_matrices[k][1, 0]  # weight 2 applies to 1's share
-            t = view.triple(k)
-            assert t.j_w == pytest.approx(a * traj.w_series[k][0], abs=0)
-            assert t.j_y == pytest.approx(a * traj.y_series[k][0], abs=0)
+            assert view.j_w[k] == pytest.approx(a * traj.w_series[k][0], abs=0)
+            assert view.j_y[k] == pytest.approx(a * traj.y_series[k][0], abs=0)
 
 
 class TestScenarioB:
@@ -102,11 +107,12 @@ class TestScenarioB:
         _, traj = isolated_run
         view = capture_view(traj.messages, adversary=2, target=1)
         report = infer_states_scenario_b(view, self.K)
-        for k in range(1, self.K + 1):
-            assert report.recovered["w"][k] == pytest.approx(traj.w_series[k][0], rel=1e-12)
-            assert report.recovered["a"][k] == pytest.approx(traj.weight_matrices[k][1, 0], rel=1e-12)
-            assert report.recovered["y"][k] == pytest.approx(traj.y_series[k][0], rel=1e-12)
-            assert report.recovered["s"][k] == pytest.approx(traj.s_series[k][0], rel=1e-12)
+        assert report.rounds == tuple(range(1, self.K + 1))
+        for row, k in enumerate(report.rounds):
+            assert report.recovered["w"][row] == pytest.approx(traj.w_series[k][0], rel=1e-12)
+            assert report.recovered["a"][row] == pytest.approx(traj.weight_matrices[k][1, 0], rel=1e-12)
+            assert report.recovered["y"][row] == pytest.approx(traj.y_series[k][0], rel=1e-12)
+            assert report.recovered["s"][row] == pytest.approx(traj.s_series[k][0], rel=1e-12)
 
     def test_gradient_system_is_one_short_per_dimension(self, isolated_run):
         _, traj = isolated_run
@@ -141,7 +147,7 @@ class TestScenarioB:
     def test_missing_rounds_rejected(self, isolated_run):
         _, traj = isolated_run
         view = capture_view(traj.messages, adversary=2, target=1)
-        del view.triples[3]
+        view.held[3] = False
         with pytest.raises(ScenarioMismatchError, match=r"\b3\b"):
             infer_states_scenario_b(view, self.K)
 
@@ -152,8 +158,8 @@ class TestScenarioA:
         traj = recorded_run(problem, LINGERING)
         view = capture_view(traj.messages, adversary=2, target=1)
         report = infer_scenario_a(view, 5)
-        assert set(report.recovered) == {"x"}
-        assert report.recovered["x"][1] == pytest.approx(traj.x_series[1][0], rel=1e-12)
+        assert set(report.recovered) == {"x"} and report.rounds == (1,)
+        assert report.recovered["x"][0] == pytest.approx(traj.x_series[1][0], rel=1e-12)
 
     def test_system_swamped_by_unknowns(self):
         problem = make_problem()
@@ -200,9 +206,10 @@ class TestScenarioC:
         report = infer_scenario_c(view, K)
         assert report.dof == 0
         truth = gradient_ground_truth(traj.x_series, problem, 1, range(1, K + 1))
-        for k in range(1, K + 1):
-            err = np.abs(report.recovered["g"][k] - truth[k - 1])
-            assert np.max(err) <= 1e-8 * (1.0 + np.max(np.abs(truth[k - 1])))
+        assert report.rounds == tuple(range(1, K + 1))
+        for row in range(K):
+            err = np.abs(report.recovered["g"][row] - truth[row])
+            assert np.max(err) <= 1e-8 * (1.0 + np.max(np.abs(truth[row])))
 
     def test_single_round_variant(self, pair_run):
         _, traj = pair_run
@@ -210,9 +217,77 @@ class TestScenarioC:
         full = infer_scenario_c(view, 4)
         short = infer_scenario_c(view, 1)
         assert set(short.recovered) == set(full.recovered)
+        assert short.rounds == (1,)
         for name, values in short.recovered.items():
-            assert list(values) == [1], name
-            assert np.asarray(values[1]).tobytes() == np.asarray(full.recovered[name][1]).tobytes()
+            assert len(values) == 1, name
+            assert values[0].tobytes() == full.recovered[name][0].tobytes()
+
+
+# The round-by-round loops over Python floats that the sliced and cumsummed
+# attacks replaced, kept as the oracle they must equal bit for bit.
+def loop_unit_mass(view, K):
+    w = {1: 1.0}
+    for k in range(1, K):
+        w[k + 1] = w[k] - float(view.j_w[k])
+    a = {k: float(view.j_w[k]) / w[k] for k in range(1, K + 1)}
+    y = {k: view.j_y[k] / a[k] for k in range(1, K + 1)}
+    s = {k: view.j_s[k] / a[k] for k in range(1, K + 1)}
+    c = {k: s[k + 1] - s[k] + view.j_s[k] for k in range(1, K)}
+    g = {1: s[1] + view.j_s[0]}
+    for k in range(1, K):
+        g[k + 1] = g[k] + c[k]
+    return {"w": w, "a": a, "y": y, "s": s, "g": g}, c
+
+
+def loop_fixed_weight(view, share, K):
+    got = {name: {k: getattr(view, f"j_{name}")[k] / share for k in range(K + 1)}
+           for name in ("w", "y", "s")}
+    w, s = got["w"], got["s"]
+    residual = abs(w[0] - 1.0)
+    for k in range(K):
+        residual = max(residual, abs(w[k + 1] - (w[k] - float(view.j_w[k]))))
+    got["g"] = {0: s[0]}
+    for k in range(K):
+        got["g"][k + 1] = got["g"][k] + s[k + 1] - s[k] + view.j_s[k]
+    return got, residual
+
+
+def same_bits(report, loops):
+    for name, series in report.recovered.items():
+        want = np.array([loops[name][k] for k in report.rounds])
+        assert series.tobytes() == want.tobytes(), name
+
+
+class TestAttacksEqualTheLoops:
+    @pytest.mark.parametrize("K", [2, 5, 11])
+    def test_scenario_b(self, isolated_run, K):
+        view = capture_view(isolated_run[1].messages, adversary=2, target=1)
+        report = infer_states_scenario_b(view, K)
+        loops, c = loop_unit_mass(view, K)
+        same_bits(report, loops)
+        assert report.gradient_rhs.tobytes() == np.concatenate([c[k] for k in range(1, K)]).tobytes()
+
+    @pytest.mark.parametrize("K", [1, 4, 9])
+    def test_scenario_c(self, pair_run, K):
+        view = capture_view(pair_run[1].messages, adversary=2, target=1)
+        same_bits(infer_scenario_c(view, K), loop_unit_mass(view, K)[0])
+
+    @pytest.mark.parametrize("out_degree, K", [(1, 0), (1, 9), (2, 7)])
+    def test_fixed_weight(self, baseline_run, out_degree, K):
+        view = capture_view(baseline_run[1].messages, adversary=2, target=1)
+        report = attack_fixed_weight_baseline(view, out_degree, K)
+        loops, residual = loop_fixed_weight(view, 1.0 / (out_degree + 1), K)
+        same_bits(report, loops)
+        assert report.consistency_residual == residual
+
+
+def test_a_zero_recovered_mass_warns():
+    # the target ships all its mass in round 1, so round 2's weight divides by zero
+    ones = np.ones((3, 1))
+    view = AdversaryView(2, 1, ones, ones, np.array([0.5, 1.0, 0.5]), np.ones(3, dtype=bool))
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        report = infer_scenario_c(view, 2)
+    assert report.recovered["w"].tolist() == [1.0, 0.0] and report.recovered["a"][1] == np.inf
 
 
 class TestFixedWeightAttack:
@@ -232,6 +307,15 @@ class TestFixedWeightAttack:
         view = capture_view(traj.messages, adversary=2, target=1)
         report = attack_fixed_weight_baseline(view, out_degree=2, K=8)
         assert report.consistency_residual > 0.1
+
+    def test_a_nan_mass_is_no_consistent_guess(self):
+        # halving masses with one NaN after round 0: a max over Python floats drops the
+        # NaN and reads 0.0, the residual of a perfect weight guess
+        ones = np.ones((4, 1))
+        view = AdversaryView(2, 1, ones, ones, np.array([0.5, 0.25, np.nan, 0.1]),
+                             np.ones(4, dtype=bool))
+        report = attack_fixed_weight_baseline(view, out_degree=1, K=3)
+        assert math.isnan(report.consistency_residual)
 
     def test_random_weight_run_fails_consistency(self, isolated_run):
         _, traj = isolated_run
@@ -400,3 +484,17 @@ class TestReportText:
         assert "scenario: b" in text
         assert "dof: 1" in text
         assert "recovered w 1 1.0" in text
+
+
+# The benchmark's committed digests of its audit pass; this file is only read.
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def test_privacy_artifacts_are_the_benchmark_reference(tmp_path):
+    full = json.loads(REFERENCE.read_text())["full"]
+    want = {key.split("/")[1]: digest for key, digest in full.items()
+            if key.startswith("audit/privacy_")}
+    assert len(want) == 5
+    assert main(["privacy", "--seed", "0", "--out", str(tmp_path)]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want}
+    assert got == want

@@ -436,6 +436,11 @@ class TestGraphFiles:
         ("m 2\nschedule random_activation\np nan\nseed 1\n", ":3: "),
         ("m 2\nschedule scripted\nmode bogus\nbegin graph\nedge 1 2\nend graph\n", ":3: "),
         ("m 2\nschedule scripted\nmode cycle\n", ": scripted schedule needs"),  # no graph
+        ("m 2\nschedule scripted\nmod cycle\nbegin graph\nedge 1 2\nend graph\nbegin graph\n"
+         "edge 2 1\nend graph\n", ":3: unknown key 'mod'"),
+        ("m 2\nschedul random_activation\np 0.5\nseed 1\nedge 2 1\n", ":2: unknown key"),
+        ("m 3\nschedule static\nedge 2 1\nm 2\n", ":4: repeated 'm' line, first at "),
+        ("m 2\nschedule random_activation\np 0.5\nseed 1\np 0.9\n", ":5: repeated 'p'"),
     ])
     def test_malformed_file_names_path_and_line(self, tmp_path, body, where):
         path = tmp_path / "bad.graph"
@@ -443,6 +448,15 @@ class TestGraphFiles:
         with pytest.raises(ValueError) as exc:
             load_graph_file(path)
         assert str(exc.value).startswith(f"{path}{where}")
+
+    def test_a_repeated_key_names_both_lines_and_a_repeated_edge_is_one_edge(self, tmp_path):
+        path = tmp_path / "g.graph"
+        path.write_text("m 2\nedge 2 1\nedge 2 1\nschedule static\nschedule static\n")
+        with pytest.raises(ValueError) as exc:
+            load_graph_file(path)
+        assert str(exc.value) == f"{path}:5: repeated 'schedule' line, first at {path}:4"
+        path.write_text("m 2\nedge 2 1\nedge 2 1\n")
+        assert load_graph_file(path).graph == DirectedGraph(2, frozenset({(2, 1)}))
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "g.graph"

@@ -184,6 +184,9 @@ class TestMalformedInstanceFiles:
         "fractional m": (lambda ls: ["m 2.5"] + ls[1:], 1, "m must be a positive whole"),
         "zero d": (lambda ls: ls[:2] + ["d 0"] + ls[3:], 3, "d must be a positive whole"),
         "unknown key": (lambda ls: ls + ["sigma 1.0"], 14, "unknown key 'sigma'"),
+        "repeated omega": (lambda ls: ls + ["omega 5.0"], 14, "repeated 'omega' line, first at"),
+        "repeated noise": (lambda ls: ls + [l for l in ls if l.startswith("noise 2 ")], 14,
+                           "repeated 'noise 2' line"),
         "short measurement": (lambda ls: ls[:5] + ["measurement 1 1.0 2.0"] + ls[6:], 6,
                               "'measurement 1' needs 6 numbers, got 2"),
         "long x_tilde": (lambda ls: ls[:4] + ["x_tilde 1 2 3"] + ls[5:], 5,

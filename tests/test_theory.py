@@ -441,16 +441,16 @@ def test_zero_round_runs_rejected_with_the_rounds_held_and_needed(desk):
 class TestTrajectorySeries:
     def test_distance_norms_square_to_residuals(self, desk, desk_run):
         problem, _ = desk
-        series = trajectory_series(desk_run, problem)
-        ratio = series.r_norm**2 / series.r_norm[0] ** 2
+        r_norm = trajectory_series(desk_run, problem)[0]
+        ratio = r_norm**2 / r_norm[0] ** 2
         assert np.allclose(ratio, desk_run.residuals, rtol=1e-10, atol=1e-300)
 
     def test_round_zero_has_no_increment(self, desk, desk_run):
         problem, _ = desk
         series = trajectory_series(desk_run, problem)
-        assert series.v_norm[0] == 0.0
-        assert series.v_norm[1] > 0.0
-        assert series.rounds == desk_run.iterations
+        assert series[1, 0] == 0.0
+        assert series[1, 1] > 0.0
+        assert series.shape == (4, desk_run.iterations + 1)
 
     def test_unrecorded_rejected(self, desk):
         problem, _ = desk
@@ -514,12 +514,19 @@ def recorded(request, desk, desk_run):
 
 
 class TestStackedPassesEqualTheLoops:
-    def test_trajectory_series(self, recorded):
-        problem, traj, _ = recorded
-        series = trajectory_series(traj, problem)
-        got = np.stack([series.r_norm, series.v_norm, series.u_check_norm, series.x_check_norm])
-        assert np.array_equal(got, loop_series(traj, problem))
-        assert np.array_equal(series.y_bar_1, traj.y_series[1].mean(axis=0))
+    def test_trajectory_series(self, recorded, desk):
+        problem, traj, b0 = recorded
+        want = loop_series(traj, problem)
+        assert np.array_equal(trajectory_series(traj, problem), want)
+        # the lemma's offsets b1 = v(1)/theta and b4 = 2 sqrt(m) |y_bar(1) - x*|
+        consts = dataclasses.replace(desk[1], m=problem.m, b0=b0)
+        report = verify_lemma_inequalities(traj, problem, consts, 1 - 1e-9)
+        with mp.workdps(consts.dps):
+            theta = mp.mpf(1 - 1e-9)
+            y_gap = np.linalg.norm(traj.y_series[1].mean(axis=0) - traj.x_star)
+            b1 = mp.mpf(float(want[1, 1])) / theta
+            b4 = 2 * mp.sqrt(problem.m) * mp.mpf(float(y_gap))
+        assert (report.checks[0].offset, report.checks[3].offset) == (b1, b4)
 
     @pytest.mark.parametrize("both_ends", [False, True], ids=["default-rounds", "both-ends"])
     def test_verify_contraction(self, recorded, both_ends):
@@ -613,10 +620,10 @@ class TestLemmaInequalities:
             theta = mp.mpf(theta)
             tb0 = theta ** consts.b0
             scale = tb0 / (tb0 - consts.varepsilon)
-            norms = {name: _theta_max(getattr(series, f"{name}_norm"), theta, series.rounds)
-                     for name in ("r", "v", "u_check", "x_check")}
-            offsets = [scale * _theta_prefix_sum(series.u_check_norm, theta, consts.b0),
-                       scale * _theta_prefix_sum(series.x_check_norm, theta, consts.b0)]
+            norms = {name: _theta_max(row, theta, series.shape[1] - 1)
+                     for name, row in zip(("r", "v", "u_check", "x_check"), series)}
+            offsets = [scale * _theta_prefix_sum(series[2], theta, consts.b0),
+                       scale * _theta_prefix_sum(series[3], theta, consts.b0)]
         assert report.theta == theta
         assert report.norms == norms
         assert [chk.offset for chk in report.checks[1:3]] == offsets
