@@ -16,18 +16,19 @@ An envelope on the wire is that header in clear, with count 0, then nonce
 (12 bytes), then ciphertext || 16-byte tag.
 
 Payloads and envelopes are immutable records that hold exactly those bytes
-and read their fields from them, so frames packed a round at once are sealed
+and read their fields from them, so frames packed a block at once are sealed
 and opened without being parsed or packed again.
 
-A block of rounds is packed at once (`pack_frames`): every header is set
-before the first round is sealed, and each round writes its values into its
-frames and cuts them (`cut_frames`).
+A played block of rounds is packed at once (`pack_frames`): every header
+set and every value written before the first round is sealed; each round's
+frames are then cut from it (`cut_frames`).
 
 Nonces are 8-byte counter || 4-byte sender, and trial t's counters run from
-t * 2^32. Each counter is fixed once a block's messages are known, so a
-block's frames, over every trial of a batch, take theirs from one
-`BlockNonces` array over the batch's (trial, sender) counters, a round at a
-time, and `open_envelopes` opens a round's envelopes in one pass.
+t * 2^32. Each counter is fixed once a block's messages are known, so every
+nonce of a block, over every trial of a batch, is laid out at once by
+`BlockNonces` over the batch's (trial, sender) counters and taken a round
+at a time; `encrypt` seals a frame under the nonce it is given, and
+`open_envelopes` opens a round's envelopes in one pass.
 """
 from __future__ import annotations
 
@@ -242,14 +243,13 @@ class BlockNonces:
     the order they come, so they are the nonces a `next()` per frame would
     give (the deterministic construction of NIST SP 800-38D, 8.2.1).
 
-    `round(r)` moves `used` on by round r's frames only, so a block that
-    ends early takes no counters for the rounds it did not play, and makes
-    `next` give round r's nonces in frame order. The round in which a
-    (row, sender) would leave its trial's range raises OverflowError from
-    `round`, before its counters move or any of its frames is sealed.
+    `round(r)` moves `used` on by round r's frames only and returns their
+    nonces in frame order. The round in which a (row, sender) would leave
+    its trial's range raises OverflowError from `round`, before its counters
+    move or any of its frames is sealed.
     """
 
-    __slots__ = ("used", "next", "_taken", "_bounds", "_nonces", "_crossing")
+    __slots__ = ("used", "_taken", "_bounds", "_nonces", "_crossing")
 
     def __init__(self, used, trials, at, rows, senders, per_message: int, bounds):
         nt, m = used.shape
@@ -279,13 +279,12 @@ class BlockNonces:
         nonces[..., 2] = senders[:n, None]
         self._nonces = nonces.view(f"V{NONCE_SIZE}").reshape(-1)
 
-    def round(self, r: int) -> "BlockNonces":
-        """The source of round r's nonces, its counters taken."""
+    def round(self, r: int) -> list:
+        """Round r's nonces, one bytes per frame, its counters taken."""
         if self._crossing is not None and self._crossing[0] == r:
             raise self._crossing[1]
         self.used += self._taken[r]
-        self.next = iter(self._nonces[self._bounds[r] : self._bounds[r + 1]].tolist()).__next__
-        return self
+        return self._nonces[self._bounds[r] : self._bounds[r + 1]].tolist()
 
 
 def _header(sender, receiver, k, kind, count=0) -> bytes:
@@ -373,11 +372,10 @@ def _aead(key_bytes: bytes) -> AESGCM:
 _new = object.__new__
 
 
-def encrypt(key: SharedKey, p: PlainPayload,
-            nonce_source: NonceCounter | BlockNonces) -> CipherEnvelope:
-    """Seal a payload under `nonce_source.next()`. The clear header is bound as
-    associated data."""
-    nonce = nonce_source.next()
+def encrypt(key: SharedKey, p: PlainPayload, nonce: bytes) -> CipherEnvelope:
+    """Seal a payload under `nonce`, which no other payload may take under `key`
+    (a `NonceCounter.next()` or a `BlockNonces.round` entry). The clear header
+    is bound as associated data."""
     frame = p._wire
     header = frame[:_ROUTE_SIZE] + b"\0\0"
     envelope = _new(CipherEnvelope)

@@ -34,15 +34,15 @@ once the block is played; a run with one takes them each round and ends the
 block where a trial meets its rule. The start is a block of one row, so a
 trial leaves the batch by one path at round 0 or later.
 
-Those per-edge shares are also what goes on the wire. The batch's one
-`Transport` plans a block's wire once, from the block's adjacencies: every
-round's messages, every running trial's, in a fixed order, one record
-array with all of the block's frame headers and, when encryption is on,
-every nonce of the block. Each round then writes its shares into its
-frames, seals each and opens all under AES-GCM, checks that every opened
-frame is byte for byte the frame sent, and logs each trial's traffic when
-asked, in one pass. The trajectory never reads from the transport, so
-sealed and plain runs are the same computation.
+Those per-edge shares are also what goes on the wire, but the kernel ships
+nothing: the run puts each played block on the batch's one `Transport` as
+per-edge values, A(k)[l, i] times the [y | s | w] sender i mixed that round,
+the kernel's own product (`_ship`). The transport packs the block's frames
+and lays out its nonces once; then, a round at a time, it seals each frame
+and opens all under AES-GCM, checks that every opened frame is byte for byte
+the frame sent, and logs each trial's traffic when asked. The trajectory
+never reads from the transport, so sealed and plain runs are the same
+computation.
 
 The fixed-weight baseline (`push-diging`) is the same kernel with uniform
 columns, so an eavesdropper or a curious neighbor sees exactly the traffic
@@ -53,7 +53,6 @@ matrix products and send nothing.
 from __future__ import annotations
 
 import math
-import numbers
 import reprlib
 import time
 from collections import deque
@@ -84,8 +83,8 @@ from .channel import (
 from .graphs import graph_at  # noqa: F401  (kept as engine.graph_at for perfbench's tracer)
 from .mixing import MixingParams, WeightColumn, assemble_weight_matrix, generate_weight_column
 from .objectives import GlobalProblem, optimal_solution
-from .streams import (BLOCK, STREAMS, KeyedStream, check_non_negative, check_positive,
-                      check_seed, keyed_rng)
+from .streams import (BLOCK, STREAMS, KeyedStream, check_count, check_non_negative,
+                      check_positive, check_seed, keyed_rng)
 
 W_EPS = 1e-12
 # A block of rounds covers at most `_BLOCK_CELLS` cells of each trial's (rounds,
@@ -122,10 +121,7 @@ class RunConfig:
     def __post_init__(self):
         self.seed = check_seed("seed", self.seed)
         self.trial = check_seed("trial", self.trial)
-        if isinstance(self.horizon, bool) or not isinstance(self.horizon, numbers.Integral):
-            raise ValueError(f"horizon must be a whole number of rounds, got {self.horizon!r}")
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
+        self.horizon = check_count("horizon", self.horizon)
         self.step_size = check_positive("step size", self.step_size)
         if self.stop_residual is not None:
             self.stop_residual = check_non_negative("stop residual", self.stop_residual)
@@ -282,7 +278,7 @@ _record = partial(tuple.__new__, MessageRecord)
 
 class Transport:
     """The wire under a batch of trials: per-edge values in, framed (and sealed)
-    messages out, planned a block of rounds at a time.
+    messages out, a played block of rounds at a time.
 
     `Transport(m, key, logs, trials)` is the wire of m agents in trials[b] at
     batch row b (trial 0 alone by default); logs[b], if `logs` is not None, gets
@@ -294,8 +290,7 @@ class Transport:
     round, joined, must be byte for byte the round's frames: if not, or if an
     envelope fails authentication, the round fails with a TamperError that
     names the trial and the first message at fault. Without a key messages are
-    only framed, for the logs. `send` ships one round of batch row 0, as a
-    block of one.
+    only framed, for the logs. `send` ships one round of batch row 0.
     """
 
     def __init__(self, m: int, key: SharedKey | None, logs: list | None, trials=(0,)):
@@ -303,48 +298,31 @@ class Transport:
         self.trials = nonce_trials(trials)
         self.used = np.zeros((len(self.trials), m), np.int64)
 
-    def block(self, k0, adj, d, rows=None):
-        """The wire of rounds k0 .. k0+len(adj)-1 of batch rows `rows` (all of them
-        if None): in round k0+r a message over every edge adj[r, b, l-1, i-1] of
-        rows[b], from sender i to receiver l, carrying d-vectors Y and S and a W.
-
-        It is planned once, here: every round's wire pairs, one record array with
-        every header of the block set (`pack_frames`) and, with a key, every
-        nonce of the block (`BlockNonces`). Call the returned `ship(r, jy, js,
-        jw)` for each round r played, in order, with jy[b, l-1, i-1] (and js,
-        jw) what sender i owes receiver l: it writes the round's values into its
-        frames and cuts them; with a key it takes only that round's counters,
-        seals each frame under its nonce by `encrypt` and opens the round in one
-        pass; and it logs the round's messages in one pass.
-        """
-        masks = adj.transpose(0, 1, 3, 2)  # [r, b, i-1, l-1]: a message from i to l
-        at, b, i, l = np.nonzero(masks)
-        rows = b if rows is None else rows[b]
-        senders, receivers = i + 1, l + 1
-        bounds = [0] + np.cumsum(np.bincount(at, minlength=len(adj))).tolist()
+    def ship(self, k0, at, rows, senders, receivers, values):
+        """Ship a played block: message t, in round k0 + at[t] (`at` ascending, a round's
+        messages in wire order), goes from senders[t] to receivers[t] of batch row rows[t]
+        and carries values[t] = [Y (d) | S (d) | W]. The block's frames are packed and
+        filled (`pack_frames`), and with a key its nonces laid out (`BlockNonces`), once;
+        then each round in turn takes its counters, is sealed frame by frame by `encrypt`
+        and opened in one pass, and is logged in one pass."""
+        d = values.shape[-1] // 2
+        bounds = [0] + np.cumsum(np.bincount(at)).tolist()
         packed = pack_frames(k0 + at, senders, receivers, ((KIND_Y, d), (KIND_S, d), (KIND_W, 1)))
-        data = [packed[kind]["data"] for kind in _KINDS]
-        source = None if self.key is None else BlockNonces(
+        parts = values[:, :d], values[:, d : 2 * d], values[:, 2 * d :]
+        for kind, part in zip(_KINDS, parts):
+            packed[kind]["data"] = part
+        nonces = None if self.key is None else BlockNonces(
             self.used, self.trials, at, rows, senders, len(_KINDS), bounds)
         if self.logs is not None:  # each frame's route and log, in frame order
             routes = [np.repeat(part, len(_KINDS)).tolist()
                       for part in (k0 + at, senders, receivers)] + [list(_KINDS) * len(at)]
             logs = list(map(self.logs.__getitem__, np.repeat(rows, len(_KINDS)).tolist()))
-
-        def ship(r, jy, js, jw):
-            s, e = bounds[r], bounds[r + 1]
-            if s == e:
-                return
-            if source is not None:
-                nonces = source.round(r)
-            values = [part.swapaxes(1, 2)[masks[r]] for part in (jy, js, jw[..., None])]
-            for field, v in zip(data, values):
-                field[s:e] = v
+        for r, (s, e) in enumerate(zip(bounds, bounds[1:])):
             frames = cut_frames(packed[s:e])
             envelopes = None
-            if source is not None:
+            if nonces is not None:
                 envelopes = list(map(encrypt, repeat(self.key), wrap_payloads(frames),
-                                     repeat(nonces)))
+                                     nonces.round(r)))
                 try:
                     opened = open_envelopes(self.key, envelopes)
                     intact = b"".join(opened) == packed[s:e].tobytes()
@@ -355,23 +333,21 @@ class Transport:
                                              receivers[s:e].tolist()), frames, envelopes, opened)
             if self.logs is not None:
                 datas = [None] * len(frames)
-                for j, v in enumerate(values):
-                    datas[j :: len(_KINDS)] = map(tuple, v.tolist())
+                for j, part in enumerate(parts):
+                    datas[j :: len(_KINDS)] = map(tuple, part[s:e].tolist())
                 ciphers = repeat(None) if envelopes is None else map(record_bytes, envelopes)
                 s, e = s * len(_KINDS), e * len(_KINDS)
                 records = map(_record, zip(*(part[s:e] for part in routes), datas, frames,
                                            ciphers))
                 deque(map(list.append, logs[s:e], records), maxlen=0)
 
-        return ship
-
     def send(self, k, senders, receivers, jy, js, jw):
         """Ship round k of batch row 0: one message from each senders[t] to
         receivers[t] (agents, in wire order); jy[r-1, i-1] (and js, jw) is what
         sender i owes receiver r."""
-        adj = np.zeros((1, 1) + jw.shape, dtype=bool)
-        adj[0, 0, receivers - 1, senders - 1] = True
-        self.block(k, adj, jy.shape[-1])(0, jy[None], js[None], jw[None])
+        at, to = np.zeros(len(senders), np.intp), (receivers - 1, senders - 1)
+        self.ship(k, at, at, senders, receivers,
+                  np.concatenate((jy[to], js[to], jw[to][:, None]), axis=1))
 
     def _reject(self, k, messages, frames, envelopes, opened):
         """Raise the TamperError that names the trial and the first frame of round k
@@ -516,13 +492,23 @@ def iterate(state, columns, problem: GlobalProblem, step, k, *, reset_mass=False
     for i, col in columns.items():
         for l in col.entries:
             adj[0, 0, l - 1, i - 1] = l != i
-    a = assemble_weight_matrix(columns.values(), m)
-    wire, trials = (None, [0]) if transport is None else (transport.block, transport.trials)
+    weights = assemble_weight_matrix(columns.values(), m)
+    trials = [0] if transport is None else transport.trials
     x_next, z_next = np.empty((1, 1, m, d)), np.empty((1, 1, m, 2 * d + 1))
-    kernel = _push_sum(lambda *_: a)
-    _, g, _ = kernel((z[None], x[None], g[None]), adj, trials, k, problem.gradients, wire,
-                     RunConfig(step, 1, mass_reset=reset_mass), x_next, z_next, None)
+    config = RunConfig(step, 1, mass_reset=reset_mass)
+    _, g, a = _push_sum(lambda *_: weights)((z[None], x[None], g[None]), adj, trials, k,
+                                            problem.gradients, config, x_next, z_next, None)
+    if transport is not None:
+        _ship(transport, k, adj, a, z[None, None], np.zeros(1, np.intp))
     return z_next[0, 0], x_next[0, 0], g[0]
+
+
+def _ship(transport, k0, adj, a, prev, rows):
+    """Put a played block on the wire: in round k0 + r, over each edge adj[r, b, l, i],
+    sender i+1 of batch row rows[b] sends receiver l+1 the share a[r, b, l, i] *
+    prev[r, b, i] of the [y | s | w] the round mixed, the kernel's own product."""
+    at, b, i, l = np.nonzero(adj.transpose(0, 1, 3, 2))  # wire order: sender, then receiver
+    transport.ship(k0, at, rows[b], i + 1, l + 1, a[at, b, l, i, None] * prev[at, b, i])
 
 
 def _push_sum(weights):
@@ -530,25 +516,21 @@ def _push_sum(weights):
     `weights(adj, plan, trials, k0)` gives a block of rounds: the one body of a
     push-sum round, zipped over per-round views built once per block (the A(k)
     columns, the plan's gather rows and groups, z's receiver rows and its y, s
-    and w cuts, the x rows), with one shares buffer and the block's wire,
-    planned once."""
+    and w cuts, the x rows), with one shares buffer."""
 
-    def rounds_of(state, adj, trials, k0, gradients, wire, config, x, z, landed):
+    def rounds_of(state, adj, trials, k0, gradients, config, x, z, landed):
         rounds, nt, m, _ = adj.shape
         width, d = z.shape[-1], z.shape[-1] // 2
         plan = _RoundPlan(adj.reshape(rounds * nt, m, m), rounds, width)
         a = weights(adj, plan, trials, k0).reshape(adj.shape)
         shares = plan.shares[:-1].reshape(nt, m, m, width)
-        jy, js, jw = _cut(shares)
+        jy, js, _ = _cut(shares)
         step, reset = config.step_size, k0 == 0 and config.mass_reset
         prev, _, g = state
-        ship = None if wire is None else wire(k0, adj, d)
         views = zip(a[..., None], plan.gather, plan.groups, z.reshape(rounds, nt * m, width),
                     *_cut(z), x, z)
         for r, (cols, gather, groups, sums, y, s, w, xr, zr) in enumerate(views):
             np.multiply(cols, prev[:, None], out=shares)
-            if ship is not None:
-                ship(r, jy, js, jw)
             jy -= step * js
             _receive(plan.shares, gather, groups, d, sums)
             if reset:  # round 0 of a run
@@ -578,7 +560,7 @@ def _uniform_matrix(adj, axis) -> np.ndarray:
     return a / a.sum(axis=axis, keepdims=True)
 
 
-def _subgradient_push(state, adj, trials, k0, gradients, wire, config, x, z, landed):
+def _subgradient_push(state, adj, trials, k0, gradients, config, x, z, landed):
     """Diminishing-step push-sum consensus plus a local (sub)gradient step:
     y is the pushed state, w the mass and x = (A y) / (A w) the estimate."""
     a = _uniform_matrix(adj, -2)
@@ -595,7 +577,7 @@ def _subgradient_push(state, adj, trials, k0, gradients, wire, config, x, z, lan
     return r + 1, g, None
 
 
-def _ab_push_pull(state, adj, trials, k0, gradients, wire, config, x, z, landed):
+def _ab_push_pull(state, adj, trials, k0, gradients, config, x, z, landed):
     """Row-stochastic pull on the estimates x, column-stochastic push on the
     tracker s of the local gradients g."""
     rows, cols = _uniform_matrix(adj, -1), _uniform_matrix(adj, -2)
@@ -635,22 +617,23 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
 
     The state is the last row played, (z, x, g): the running trials' [y | s |
     w] (nt, m, 2d+1), estimates and gradients at them. The kernel
-    `rounds_of(state, adj, trials, k0, gradients, wire, config, x, z, landed)`
-    plays a block from `state` over adjacencies adj[r, b], shipping each round
-    by the block's wire `wire(k0, adj, d)` plans once (`Transport.block` over the
-    running rows; None when nothing goes on the wire); for push-sum it is
-    `_push_sum`'s one round body over views built once per block, which
-    `iterate` plays as a block of one round. It writes round r's estimates to
-    the block's buffer x[r] and its [y | s | w] to z[r] (a dense kernel only
-    what it carries, to the last row). Under a stopping rule, `landed(r)` takes
-    round r's residuals and says if a trial met the rule, and the kernel ends
-    the block there; without one (`landed` None) the block's residuals come
-    from x in one call. The kernel returns the rounds played, the gradients
-    after the last and the block's A(k) (None for the dense kernels). The start
-    is a block of one row, round 0, with no A(k). After every block each
-    running trial keeps its slice of every recorded buffer, and the trials that
-    met the rule stop at the block's last round and leave the batch; each trial
-    joins its slices once, at the end.
+    `rounds_of(state, adj, trials, k0, gradients, config, x, z, landed)` plays
+    a block from `state` over adjacencies adj[r, b] and only does arithmetic;
+    for push-sum it is `_push_sum`'s one round body over views built once per
+    block, which `iterate` plays as a block of one round. It writes round r's
+    estimates to the block's buffer x[r] and its [y | s | w] to z[r] (a dense
+    kernel only what it carries, to the last row). Under a stopping rule,
+    `landed(r)` takes round r's residuals and says if a trial met the rule, and
+    the kernel ends the block there; without one (`landed` None) the block's
+    residuals come from x in one call. The kernel returns the rounds played,
+    the gradients after the last and the block's A(k) (None for the dense
+    kernels). With encryption or a message log on, the run then ships the
+    played rounds over the running rows (`_ship`): round r mixed the block's
+    start if r is 0, else z[r-1]. The start is a block of one row, round 0,
+    with no A(k), shipping nothing. After every block each running trial keeps
+    its slice of every recorded buffer, and the trials that met the rule stop
+    at the block's last round and leave the batch; each trial joins its slices
+    once, at the end.
     """
     configs = [config if t == config.trial else replace(config, trial=t) for t in trials]
     state = tuple(map(np.stack, zip(*(_initial_state(p, c) for p, c in zip(problems, configs)))))
@@ -709,9 +692,11 @@ def _run_lockstep(problems, schedules, config: RunConfig, trials, rounds_of,
             def landed(r, res=res, x=x, xs=xs, scale=scale):
                 res[r] = relative_residual(x[r], None, xs, den=scale)
                 return (res[r] <= stop).any()
-        wire = None if transport is None else partial(transport.block, rows=running)
         played, g, a = rounds_of(state, adj, [trials[j] for j in running], k, gradients,
-                                 wire, config, x, z, landed)
+                                 config, x, z, landed)
+        if transport is not None:
+            _ship(transport, k, adj[:played], a,
+                  np.concatenate((state[0][None], z[: played - 1])), running)
         r, k = played - 1, k + played
         state = z[r], x[r], g
         if stop is None:

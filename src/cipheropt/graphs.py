@@ -17,7 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .streams import STREAMS, KeyedStream, check_seed, put_once, read_lines, write_lines
+from .streams import (STREAMS, KeyedStream, check_count, check_seed, put_once, read_lines,
+                      write_lines)
 
 
 class ScheduleExhausted(RuntimeError):
@@ -32,8 +33,7 @@ class DirectedGraph:
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("agent count must be >= 1")
+        object.__setattr__(self, "m", check_count("m", self.m))
         object.__setattr__(self, "edges", frozenset(self.edges))
         for (l, i) in self.edges:
             if l == i:
@@ -254,20 +254,22 @@ def save_graph_file(schedule, path):
         lines.append("schedule static")
         lines += [f"edge {l} {i}" for (l, i) in schedule.graph.sorted_edges()]
     elif isinstance(schedule, ScriptedSchedule):
-        lines.append("schedule scripted")
-        lines.append(f"mode {schedule.mode}")
+        lines += ["schedule scripted", f"mode {schedule.mode}"]
         for g in schedule.graphs:
             lines.append("begin graph")
             lines += [f"edge {l} {i}" for (l, i) in g.sorted_edges()]
             lines.append("end graph")
     elif isinstance(schedule, RandomActivationSchedule):
-        lines.append("schedule random_activation")
-        lines.append(f"p {schedule.p!r}")
-        lines.append(f"seed {schedule.seed}")
+        lines += ["schedule random_activation", f"p {schedule.p!r}", f"seed {schedule.seed}"]
         lines += [f"edge {l} {i}" for (l, i) in schedule.base.sorted_edges()]
     else:
         raise TypeError(f"cannot serialize schedule of type {type(schedule).__name__}")
     write_lines(path, lines)
+
+
+# the lines each schedule kind reads besides m and schedule ("edge": outside a graph)
+_KIND_READS = {"static": ("edge",), "scripted": ("mode", "begin"),
+               "random_activation": ("p", "seed", "edge")}
 
 
 def load_graph_file(path, seed=None):
@@ -275,15 +277,18 @@ def load_graph_file(path, seed=None):
 
     seed overrides the file's activation seed when given, though a seed line is
     still checked; it is required if a random_activation file carries none. A
-    malformed line, an unknown key or a repeated key line raises ValueError
-    naming `path:line`.
+    malformed line, an unknown key, a repeated key line or a line the file's
+    schedule kind does not read raises ValueError naming `path:line`.
     """
     keys = {}  # name -> (text, "path:line")
     edges = {}  # (receiver, sender) -> "path:line"
     graphs = []
+    given = []  # (head, "path:line", text) of each line that only some kinds read
     current = None
     for parts, where in read_lines(path):
         head = parts[0]
+        if head in ("mode", "begin", "p", "seed") or head == "edge" and current is None:
+            given.append((head, where, " ".join(parts)))
         if head == "edge":
             try:
                 l, i = map(int, parts[1:])
@@ -331,6 +336,12 @@ def load_graph_file(path, seed=None):
         return DirectedGraph(m, frozenset(lines))
 
     kind = value("schedule", default="static")
+    if kind not in _KIND_READS:  # the default is known, so a schedule line named it
+        raise ValueError(f"{keys['schedule'][1]}: unknown schedule kind {kind!r}")
+    for head, where, text in given:
+        if head not in _KIND_READS[kind]:
+            outside = " outside a graph block" if head == "edge" else ""
+            raise ValueError(f"{where}: a {kind} schedule does not read {text!r}{outside}")
     if kind == "static":
         return StaticSchedule(graph(edges))
     if kind == "scripted":
@@ -338,10 +349,8 @@ def load_graph_file(path, seed=None):
             raise ValueError(f"{path}: scripted schedule needs a 'begin graph' block")
         gs = [graph(g) for g in graphs]
         return value("mode", lambda mode: ScriptedSchedule(gs, mode=mode), default="once")
-    if kind == "random_activation":
-        if seed is None or "seed" in keys:
-            line_seed = value("seed", lambda text: check_seed("seed", int(text)))
-            seed = line_seed if seed is None else seed
-        base = graph(edges)
-        return value("p", lambda p: RandomActivationSchedule(base, p=float(p), seed=seed))
-    raise ValueError(f"{path}: unknown schedule kind {kind!r}")
+    if seed is None or "seed" in keys:  # the kind left: random_activation
+        line_seed = value("seed", lambda text: check_seed("seed", int(text)))
+        seed = line_seed if seed is None else seed
+    base = graph(edges)
+    return value("p", lambda p: RandomActivationSchedule(base, p=float(p), seed=seed))

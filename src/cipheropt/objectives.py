@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .streams import STREAMS, check_positive, check_seed, keyed_rng, put_once, read_lines, write_lines
+from .streams import (STREAMS, check_count, check_positive, check_seed, keyed_rng, put_once,
+                      read_lines, write_lines)
 
 
 class QuadraticSensorObjective:
@@ -150,23 +151,19 @@ class GlobalProblem:
 
 def generate_sensor_fusion(m, s, d, omega, seed) -> SensorFusionInstance:
     """Draw an instance: M_i uniform on [0, 10], x_tilde uniform on [0, 1],
-    unit Gaussian noise. Deterministic per seed."""
-    if min(m, s, d) < 1:
-        raise ValueError("m, s, d must all be >= 1")
+    unit Gaussian noise; x_tilde, then each agent's M_i and noise. Deterministic per seed."""
+    m, s, d = (check_count(name, v) for name, v in (("m", m), ("s", s), ("d", d)))
     omega = check_positive("omega", omega)
     seed = check_seed("instance_seed", seed)
     rng = keyed_rng(seed, STREAMS["instance"])
     x_tilde = rng.uniform(0.0, 1.0, size=d)
-    measurements = []
-    noises = []
-    for _ in range(m):
-        measurements.append(rng.uniform(0.0, 10.0, size=(s, d)))
-        noises.append(rng.standard_normal(s))
+    measurements, noises = zip(*((rng.uniform(0.0, 10.0, size=(s, d)), rng.standard_normal(s))
+                                 for _ in range(m)))
     return SensorFusionInstance(
         omega=float(omega),
         x_tilde=x_tilde,
-        measurements=tuple(measurements),
-        noises=tuple(noises),
+        measurements=measurements,
+        noises=noises,
         seed=seed,
     )
 

@@ -140,6 +140,14 @@ def check_seed(name: str, value):
     return int(value)
 
 
+def check_count(name: str, value) -> int:
+    """`value` as an int if it is a whole number of at least 1 (not a bool), else a
+    ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a whole number of at least 1, got {value!r}")
+    return int(value)
+
+
 def check_positive(name: str, value) -> float:
     """`value` as a float if it is a positive, finite real number (not a bool), else
     a ValueError naming `name`."""

@@ -287,8 +287,8 @@ def test_10_wiretapped_traffic_reveals_nothing():
     key = SharedKey.from_seed(0)
     ctr = NonceCounter(3)
     payload = PlainPayload(sender=3, receiver=1, k=9, kind="W", data=(0.125,))
-    first = encrypt(key, payload, ctr).to_bytes()
-    second = encrypt(key, payload, ctr).to_bytes()
+    first = encrypt(key, payload, ctr.next()).to_bytes()
+    second = encrypt(key, payload, ctr.next()).to_bytes()
     assert first != second
     assert decrypt(key, CipherEnvelope.from_bytes(first)).data == payload.data
     assert decrypt(key, CipherEnvelope.from_bytes(second)).data == payload.data

@@ -414,7 +414,7 @@ class TestEavesdropper:
         payload = PlainPayload(sender=1, receiver=2, k=0, kind="W", data=(0.25,))
         records = []
         for _ in range(3):
-            env = encrypt(key, payload, ctr)
+            env = encrypt(key, payload, ctr.next())
             records.append(MessageRecord(0, 1, 2, "W", payload.data,
                                          encode_payload(payload), env.to_bytes()))
         report = eavesdropper_report(records)

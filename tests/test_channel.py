@@ -191,12 +191,9 @@ class TestNonces:
         bounds = np.cumsum([0] + [len(messages) for messages in block]).tolist()
         source = BlockNonces(used, nonce_trials(trials), at, rows, senders, per_message, bounds)
         for r, messages in enumerate(block):
-            source.round(r)
             frames = [cell for cell in messages for _ in range(per_message)]
-            assert [source.next() for _ in frames] == [each[cell].next() for cell in frames]
+            assert source.round(r) == [each[cell].next() for cell in frames]
             assert [c.count for c in bulk.values()] == [c.count for c in each.values()]
-            with pytest.raises(StopIteration):
-                source.next()
 
     @pytest.mark.parametrize("trial", [-1, 2**32, 2**40])
     def test_trial_out_of_range_rejected(self, trial):
@@ -208,22 +205,22 @@ class TestEncryption:
     def test_seal_and_open(self):
         counter = NonceCounter(sender=1)
         p = payload()
-        assert decrypt(KEY, encrypt(KEY, p, counter)) == p
+        assert decrypt(KEY, encrypt(KEY, p, counter.next())) == p
 
     def test_wire_round_trip(self):
         counter = NonceCounter(sender=1)
-        env = encrypt(KEY, payload(), counter)
+        env = encrypt(KEY, payload(), counter.next())
         again = CipherEnvelope.from_bytes(env.to_bytes())
         assert again == env
         assert decrypt(KEY, again) == payload()
 
     def test_envelope_size(self):
-        env = encrypt(KEY, payload(kind=KIND_W), NonceCounter(1))
+        env = encrypt(KEY, payload(kind=KIND_W), NonceCounter(1).next())
         # clear header + nonce + sealed frame + 16-byte tag
         assert len(env.to_bytes()) == HEADER_SIZE + NONCE_SIZE + 28 + 16
 
     def test_bit_flip_in_ciphertext_rejected(self):
-        env = encrypt(KEY, payload(), NonceCounter(1))
+        env = encrypt(KEY, payload(), NonceCounter(1).next())
         body = bytearray(env.ciphertext)
         body[5] ^= 0x01
         tampered = CipherEnvelope(env.sender, env.receiver, env.k, env.kind,
@@ -232,28 +229,28 @@ class TestEncryption:
             decrypt(KEY, tampered)
 
     def test_header_tampering_rejected(self):
-        env = encrypt(KEY, payload(), NonceCounter(1))
+        env = encrypt(KEY, payload(), NonceCounter(1).next())
         rerouted = CipherEnvelope(env.sender, 5, env.k, env.kind,
                                   env.nonce, env.ciphertext)
         with pytest.raises(TamperError):
             decrypt(KEY, rerouted)
 
     def test_kind_swap_rejected(self):
-        env = encrypt(KEY, payload(kind=KIND_S), NonceCounter(1))
+        env = encrypt(KEY, payload(kind=KIND_S), NonceCounter(1).next())
         relabeled = CipherEnvelope(env.sender, env.receiver, env.k, KIND_Y,
                                    env.nonce, env.ciphertext)
         with pytest.raises(TamperError):
             decrypt(KEY, relabeled)
 
     def test_wrong_key_rejected(self):
-        env = encrypt(KEY, payload(), NonceCounter(1))
+        env = encrypt(KEY, payload(), NonceCounter(1).next())
         with pytest.raises(TamperError):
             decrypt(SharedKey.from_seed(1), env)
 
     def test_identical_payloads_distinct_ciphertexts(self):
         counter = NonceCounter(sender=1)
         p = payload()
-        seen = {encrypt(KEY, p, counter).ciphertext for _ in range(50)}
+        seen = {encrypt(KEY, p, counter.next()).ciphertext for _ in range(50)}
         assert len(seen) == 50
 
     @pytest.mark.parametrize("nonce,ciphertext,message", [
@@ -273,7 +270,7 @@ class TestEncryption:
             CipherEnvelope.from_bytes(b"\x00" * 64)
 
     def test_envelope_header_count_is_ignored(self):
-        raw = bytearray(encrypt(KEY, payload(), NonceCounter(1)).to_bytes())
+        raw = bytearray(encrypt(KEY, payload(), NonceCounter(1).next()).to_bytes())
         raw[18:20] = struct.pack("<H", 2)
         env = CipherEnvelope.from_bytes(bytes(raw))
         assert env.to_bytes()[18:20] == b"\0\0"
@@ -282,7 +279,7 @@ class TestEncryption:
     @pytest.mark.parametrize("n", [0, 4, HEADER_SIZE - 1, HEADER_SIZE, 25,
                                    HEADER_SIZE + NONCE_SIZE + TAG_SIZE - 1])
     def test_short_envelope_bytes_rejected(self, n):
-        raw = encrypt(KEY, payload(), NonceCounter(1)).to_bytes()
+        raw = encrypt(KEY, payload(), NonceCounter(1).next()).to_bytes()
         with pytest.raises(DecodeError, match="short"):
             CipherEnvelope.from_bytes(raw[:n])
 
@@ -299,7 +296,7 @@ class TestRecords:
 
     @pytest.mark.parametrize("field", ["sender", "receiver", "k", "kind", "nonce", "ciphertext"])
     def test_envelope_rejects_assignment(self, field):
-        env = encrypt(KEY, payload(), NonceCounter(1))
+        env = encrypt(KEY, payload(), NonceCounter(1).next())
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(env, field, 1)
         with pytest.raises(AttributeError):
@@ -309,14 +306,14 @@ class TestRecords:
         p = PlainPayload(4, 9, 2**32 - 1, KIND_S, [1, -0.0, 2.5])
         assert (p.sender, p.receiver, p.k, p.kind) == (4, 9, 2**32 - 1, KIND_S)
         assert p.data == (1.0, -0.0, 2.5) and all(type(v) is float for v in p.data)
-        env = encrypt(KEY, p, NonceCounter(4))
+        env = encrypt(KEY, p, NonceCounter(4).next())
         assert (env.sender, env.receiver, env.k, env.kind) == (4, 9, 2**32 - 1, KIND_S)
         assert env.nonce == struct.pack("<QI", 0, 4)
         assert env == CipherEnvelope(4, 9, 2**32 - 1, KIND_S, env.nonce, env.ciphertext)
 
     def test_round_trips_compare_and_hash_equal(self):
         p = payload(data=(float("nan"), -0.0, 5e-324))
-        env = encrypt(KEY, p, NonceCounter(1))
+        env = encrypt(KEY, p, NonceCounter(1).next())
         again = CipherEnvelope.from_bytes(env.to_bytes())
         opened = decrypt(KEY, again)
         assert again == env and hash(again) == hash(env)
@@ -352,7 +349,7 @@ class TestRecords:
 
 class TestHexDump:
     def test_rows_cover_longest_side(self):
-        env = encrypt(KEY, payload(), NonceCounter(1))
+        env = encrypt(KEY, payload(), NonceCounter(1).next())
         plain = encode_payload(payload())
         dump = hex_dump_pair(plain, env.to_bytes())
         assert len(dump.splitlines()) == -(-len(env.to_bytes()) // 16)

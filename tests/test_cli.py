@@ -333,7 +333,8 @@ class TestConfigResolution:
         ("converge", {"problem": {"omega": -1}},
          "problem: omega must be positive and finite, got -1"),
         ("converge", {"problem": {"m": 2.5}}, "problem.m must be a whole number, got 2.5"),
-        ("converge", {"problem": {"m": 0}}, "problem: m, s, d must all be >= 1"),
+        ("converge", {"problem": {"m": 0}},
+         "problem: m must be a whole number of at least 1, got 0"),
         ("converge", {"problem": {"instance_seed": -1}},
          "problem: instance_seed must be a non-negative whole number, got -1"),
         ("privacy", {"box": -1}, "box: bound must be positive and finite, got -1.0"),

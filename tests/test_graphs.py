@@ -118,6 +118,15 @@ def schedules_on(draw, m, horizon):
 
 
 class TestDirectedGraph:
+    @pytest.mark.parametrize("m", [0, -1, 2.5, True, "3", None])
+    def test_agent_count_is_a_whole_number_of_at_least_one(self, m):
+        with pytest.raises(ValueError, match=r"^m must be a whole number of at least 1, got "):
+            DirectedGraph(m)
+
+    def test_a_numpy_agent_count_is_an_int(self):
+        g = DirectedGraph(np.int64(3), frozenset({(2, 1)}))
+        assert type(g.m) is int and g == DirectedGraph(3, frozenset({(2, 1)}))
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             DirectedGraph(2, frozenset({(1, 1)}))
@@ -441,6 +450,19 @@ class TestGraphFiles:
         ("m 2\nschedul random_activation\np 0.5\nseed 1\nedge 2 1\n", ":2: unknown key"),
         ("m 3\nschedule static\nedge 2 1\nm 2\n", ":4: repeated 'm' line, first at "),
         ("m 2\nschedule random_activation\np 0.5\nseed 1\np 0.9\n", ":5: repeated 'p'"),
+        # a line the file's schedule kind does not read
+        ("m 2\np 0.5\nseed 4\nedge 2 1\n", ":2: a static schedule does not read 'p 0.5'"),
+        ("m 2\nbegin graph\nedge 2 1\nend graph\n",
+         ":2: a static schedule does not read 'begin graph'"),
+        ("m 3\nschedule random_activation\np 0.5\nseed 1\nmode cycle\nedge 2 1\nbegin graph\n"
+         "edge 3 2\nend graph\n", ":5: a random_activation schedule does not read 'mode cycle'"),
+        ("m 2\nschedule scripted\nedge 1 2\nbegin graph\nedge 2 1\nend graph\n",
+         ":3: a scripted schedule does not read 'edge 1 2' outside a graph block"),
+        ("m 2\nschedule scripted\nbegin graph\nedge 2 1\nend graph\nseed 3\n",
+         ":6: a scripted schedule does not read 'seed 3'"),
+        ("m 2\nschedule static\nmode cycle\nmod once\n", ":4: unknown key 'mod'"),
+        ("m 2\nschedule static\nmode cycle\nmode once\n", ":4: repeated 'mode' line"),
+        ("m 2\nmode cycle\nschedule mystery\n", ":3: unknown schedule kind 'mystery'"),
     ])
     def test_malformed_file_names_path_and_line(self, tmp_path, body, where):
         path = tmp_path / "bad.graph"

@@ -1020,6 +1020,22 @@ def test_one_round_blocks_are_the_long_block_runs(monkeypatch, case, blocks):
         assert all(want.messages for want in wants)
 
 
+def test_every_logged_message_is_its_weight_times_its_senders_recorded_state():
+    """Each message i -> l of round k of a sealed stop-rule batch carries A(k)[l-1, i-1]
+    times sender i's recorded y, s and w at row k, bit for bit, in every trial."""
+    problems, schedules, params, config, trials = sealed_stop_batch()
+    trajs = run_trials(problems, schedules, params, config, trials)
+    assert [traj.stopped_at for traj in trajs] == [145, 29, 73, 94]
+    for traj in trajs:
+        series = {"Y": traj.y_series, "S": traj.s_series, "W": traj.w_series[..., None]}
+        assert {rec.k for rec in traj.messages} <= set(range(traj.iterations))
+        assert {rec.kind for rec in traj.messages} == set(series)
+        for rec in traj.messages:
+            share = traj.weight_matrices[rec.k, rec.receiver - 1, rec.sender - 1]
+            want = share * series[rec.kind][rec.k, rec.sender - 1]
+            assert np.array(rec.data).tobytes() == want.tobytes(), rec
+
+
 def test_a_two_agent_run_plays_1024_round_blocks():
     """The desk run of B0 + 60 = 4327 rounds plays 5 blocks, on the `BLOCK` grid;
     under a stopping rule, which may end a block at any round, a block ends by the

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,14 @@ class TestGeneration:
             assert mat.shape == (3, 2)
             assert np.all(mat >= 0.0) and np.all(mat <= 10.0)
         assert np.all(instance.x_tilde >= 0.0) and np.all(instance.x_tilde <= 1.0)
+
+    @pytest.mark.parametrize("field", ["m", "s", "d"])
+    @pytest.mark.parametrize("value", [0, 2.5, True, np.float64(2.0)])
+    def test_counts_are_whole_numbers_of_at_least_one(self, field, value):
+        counts = {"m": 2, "s": 2, "d": 2, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be a whole number of at least 1, "
+                                             f"got {re.escape(repr(value))}$"):
+            generate_sensor_fusion(**counts, omega=0.01, seed=4)
 
     def test_same_seed_same_instance(self):
         a = generate_sensor_fusion(m=3, s=2, d=2, omega=0.01, seed=4)

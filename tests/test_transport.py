@@ -1,4 +1,4 @@
-"""The transport frames each round at once; these pin its bytes and its checks."""
+"""The transport frames each played block at once; these pin its bytes and its checks."""
 import struct
 
 import numpy as np
@@ -219,12 +219,23 @@ def _batch_adjacency(edges_per_row, m=3):
     return adj
 
 
+def ship_rounds(wire, k0, adj, y, rows=None):
+    """Rounds k0 .. k0+len(adj)-1 of batch rows `rows` (all of them if None) in one
+    `ship` call, from per-round dense shares: in round k0+r, over each edge
+    adj[r, b, l-1, i-1], sender i sends receiver l Y = y[r, b, l-1, i-1], S = -Y
+    and W = Y[0]."""
+    at, b, i, l = np.nonzero(adj.transpose(0, 1, 3, 2))  # wire order
+    shares = y[at, b, l, i]
+    wire.ship(k0, at, b if rows is None else rows[b], i + 1, l + 1,
+              np.concatenate((shares, -shares, shares[:, :1]), axis=1))
+
+
 def _send_batch_round(wire, rows=None):
     y = np.arange(54.0).reshape(3, 3, 3, 2)
     adj = _batch_adjacency(BATCH_EDGES)
     if rows is not None:
         adj, y = adj[rows], y[rows]
-    wire.block(7, adj[None], 2, rows)(0, y, -y, y[..., 0])
+    ship_rounds(wire, 7, adj[None], y[None], rows)
 
 
 class TestBatchWire:
@@ -276,8 +287,7 @@ class TestBatchWire:
         alone_wires = [Transport(m, KEY, [log], [t]) for log, t in zip(alone, trials)]
         for k in range(rounds):
             rows = np.flatnonzero(np.array(leaves) > k)
-            ship = wire.block(k, adj[k, rows][None], 2, rows)
-            ship(0, y[k, rows], -y[k, rows], y[k, rows, ..., 0])
+            ship_rounds(wire, k, adj[k, rows][None], y[k, rows][None], rows)
             for b in rows:
                 alone_wires[b].send(k, *wire_pairs((np.argwhere(adj[k, b]) + 1).tolist()),
                                     y[k, b], -y[k, b], y[k, b, ..., 0])
@@ -326,8 +336,8 @@ class TestBlockWire:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_a_block_ships_what_its_rounds_ship_one_by_one(self, data):
-        """A block of R rounds shipped round by round, or cut after its first rounds,
-        logs, seals and counts what as many blocks of one round do."""
+        """A block of R rounds, or its first rounds, shipped in one call logs, seals
+        and counts what as many blocks of one round do."""
         m = data.draw(st.integers(2, 4))
         trials = data.draw(st.lists(st.sampled_from([0, 1, 5, 2**31, 2**32 - 1]), min_size=1,
                                     max_size=3, unique=True))
@@ -344,10 +354,9 @@ class TestBlockWire:
         blockwise = Transport(m, key, block_logs, trials)
         by_round = Transport(m, key, round_logs, trials)
         blockwise.used[...] = by_round.used[...] = used
-        wire = blockwise.block(k0, adj, 2, rows)
+        ship_rounds(blockwise, k0, adj[:played], y[:played], rows)
         for r in range(played):
-            wire(r, y[r], -y[r], y[r, ..., 0])
-            by_round.block(k0 + r, adj[r][None], 2, rows)(0, y[r], -y[r], y[r, ..., 0])
+            ship_rounds(by_round, k0 + r, adj[r][None], y[r][None], rows)
         assert [list(map(_fields, log)) for log in block_logs] == \
             [list(map(_fields, log)) for log in round_logs]
         assert (blockwise.used == by_round.used).all()
@@ -361,8 +370,9 @@ class TestBlockWire:
 
     @pytest.mark.parametrize("rows", [None, np.array([1, 2])], ids=["all-rows", "row-0-left"])
     def test_a_block_crossing_a_trial_range_stops_at_the_crossing_round(self, monkeypatch, rows):
-        """Trial 1's sender 2 sends 3 frames a round and has room for 7: rounds 0 and 1
-        are sealed, logged and counted; round 2 raises and leaves no trace."""
+        """Trial 1's sender 2 sends 3 frames a round and has room for 7: shipped in one
+        call, rounds 0 and 1 are sealed, logged and counted; round 2 raises and leaves
+        no trace."""
         real = engine.encrypt
         sealed = []
 
@@ -370,7 +380,6 @@ class TestBlockWire:
             sealed.append(p.k)
             return real(key, p, nonces)
 
-        monkeypatch.setattr(engine, "encrypt", counting_encrypt)
         adj = np.stack([_batch_adjacency(BATCH_EDGES)] * 3)
         y = np.arange(3 * 54.0).reshape(3, 3, 3, 3, 2)
         if rows is not None:
@@ -379,14 +388,13 @@ class TestBlockWire:
         wire = Transport(3, KEY, logs, BATCH_TRIALS)
         by_round = Transport(3, KEY, alone, BATCH_TRIALS)
         wire.used[1, 1] = by_round.used[1, 1] = 2**32 - 7
-        ship = wire.block(7, adj, 2, rows)
         for r in range(2):
-            ship(r, y[r], -y[r], y[r, ..., 0])
-            by_round.block(7 + r, adj[r][None], 2, rows)(0, y[r], -y[r], y[r, ..., 0])
-        shipped = len(sealed)
+            ship_rounds(by_round, 7 + r, adj[r][None], y[r][None], rows)
+        monkeypatch.setattr(engine, "encrypt", counting_encrypt)
         with pytest.raises(OverflowError, match=r"^nonce counter of sender 2 exhausted: 2\^32 "
                                                 r"messages in trial 1$"):
-            ship(2, y[2], -y[2], y[2, ..., 0])
+            ship_rounds(wire, 7, adj, y, rows)
+        shipped = 2 * 3 * int(adj[0].sum())  # rounds 7 and 8: a Y, an S and a W frame a message
         assert sealed[:shipped] == [7] * (shipped // 2) + [8] * (shipped // 2)
         assert len(sealed) == shipped  # nothing of round 2 was sealed
         assert [list(map(_fields, log)) for log in logs] == \
