@@ -15,7 +15,6 @@ framed plaintext survives into the ciphertext bytes it can see.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -352,25 +351,18 @@ def eavesdropper_report(messages) -> EavesdropperReport:
     cipher_windows = _windows(sealed)
     cipher_windows.sort()
     plain_windows = _windows([rec.plain for rec in messages])
+    plain_windows.sort()  # sorted queries walk the sorted ciphertext windows in one pass
     checked = len(plain_windows)
     hits = 0
     if len(cipher_windows):
         at = np.minimum(np.searchsorted(cipher_windows, plain_windows), len(cipher_windows) - 1)
         hits = int(np.count_nonzero(cipher_windows[at] == plain_windows))
 
-    counts = Counter()
-    by_payload = {}
+    by_payload = {}  # each payload's sealed blobs
     for rec, blob in zip(messages, sealed):
-        payload = rec.plain[HEADER_SIZE:]
-        counts[payload] += 1
-        by_payload.setdefault(payload, set()).add(blob)
-    repeated = 0
-    distinct = 0
-    for p, blobs in by_payload.items():
-        if counts[p] >= 2:
-            repeated += 1
-            if len(blobs) == counts[p]:
-                distinct += 1
+        by_payload.setdefault(rec.plain[HEADER_SIZE:], []).append(blob)
+    repeats = [blobs for blobs in by_payload.values() if len(blobs) >= 2]
+    distinct = sum(len(set(blobs)) == len(blobs) for blobs in repeats)
 
     dumps = [f"k={rec.k} {rec.sender}->{rec.receiver} kind={rec.kind}\n"
              + hex_dump_pair(rec.plain, rec.cipher) for rec in messages[:_DUMPS]]
@@ -378,7 +370,7 @@ def eavesdropper_report(messages) -> EavesdropperReport:
         messages=len(messages),
         windows_checked=checked,
         substring_hits=hits,
-        repeated_payloads=repeated,
+        repeated_payloads=len(repeats),
         repeated_with_distinct_ciphertext=distinct,
         hex_dump="\n\n".join(dumps),
     )

@@ -1,14 +1,16 @@
 """Experiment harness: converge / privacy / stoptime / theory subcommands.
 
-Configuration comes from a JSON file plus a handful of flag overrides; every
-artifact lands in the configured output directory as CSV or plain text.
-Exit codes: 0 on success, 1 for configuration problems, 2 for runtime
-failures.
+Configuration comes from a JSON file plus a handful of flag overrides. A
+command computes its artifacts as CSV or plain text and writes none of them;
+`main` writes them all to the configured output directory once the command has
+returned, so a command that fails leaves no output behind. Exit codes: 0 on
+success, 1 for configuration problems, 2 for runtime failures.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import numbers
@@ -89,7 +91,7 @@ _SUBCOMMAND_DEFAULTS = {
 
 @dataclass
 class ExperimentResult:
-    artifacts: list = field(default_factory=list)
+    files: dict = field(default_factory=dict)  # file name: text, in the order written
     summary: dict = field(default_factory=dict)
 
 
@@ -263,20 +265,18 @@ def _run_trials(config, problems, schedules, algorithm, run_config, trials):
                                       ALGORITHMS[algorithm][0], trials)
 
 
-def _write_csv(path: Path, header, rows):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+def _csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def cmd_converge(config: dict) -> ExperimentResult:
     algorithms = list(ALGORITHMS) if config["algorithm"] == "all" else [config["algorithm"]]
     base = _instance(config)
     horizon = config["horizon"]
-    out_dir = Path(config["out"])
     result = ExperimentResult()
 
     trials = range(config["trials"])
@@ -295,10 +295,8 @@ def cmd_converge(config: dict) -> ExperimentResult:
         for traj in _run_trials(config, problems, schedules, algorithm, rc, trials):
             total += traj.residuals
         mean = total / config["trials"]
-        path = out_dir / f"converge_{algorithm}.csv"
-        _write_csv(path, ["iteration", "mean_residual"],
-                   [(k, float(mean[k])) for k in range(horizon + 1)])
-        result.artifacts.append(str(path))
+        result.files[f"converge_{algorithm}.csv"] = _csv(
+            ["iteration", "mean_residual"], [(k, float(mean[k])) for k in range(horizon + 1)])
         result.summary[algorithm] = float(mean[-1])
     return result
 
@@ -309,13 +307,14 @@ def cmd_stoptime(config: dict) -> ExperimentResult:
     problem = _trial_problem(config, _instance(config), 0)
     algorithm = config["algorithm"] if config["algorithm"] != "all" else "algorithm1"
     step = _resolve_step(config, algorithm)
-    out_dir = Path(config["out"])
 
     sched = _schedule(config, 0)
     # a once schedule ends the runs it is shorter than, which then miss their criterion
     horizon = config["horizon"] if sched.length is None else min(config["horizon"], sched.length)
     rows = []
-    timing = []
+    # Wall time is inherently run-to-run noise, so it lives outside the
+    # deterministic CSV contract.
+    timing = "criterion encryption iterations wall_seconds seconds_per_iteration\n"
     for criterion in config["stop"]:
         for enc in ("on", "off"):
             rc = engine.RunConfig(
@@ -326,21 +325,12 @@ def cmd_stoptime(config: dict) -> ExperimentResult:
             reached = traj.stopped_at is not None
             iterations = traj.stopped_at if reached else traj.iterations
             rows.append((criterion, enc, iterations, int(reached)))
-            timing.append((criterion, enc, iterations, traj.elapsed))
+            per = traj.elapsed / iterations if iterations else 0.0
+            timing += f"{criterion!r} {enc} {iterations} {traj.elapsed:.6f} {per:.9f}\n"
 
-    csv_path = out_dir / "stoptime.csv"
-    _write_csv(csv_path, ["criterion", "encryption", "iterations", "reached"], rows)
-    # Wall time is inherently run-to-run noise, so it lives outside the
-    # deterministic CSV contract.
-    timing_path = out_dir / "stoptime_timing.txt"
-    timing_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(timing_path, "w") as fh:
-        fh.write("criterion encryption iterations wall_seconds seconds_per_iteration\n")
-        for criterion, enc, iterations, elapsed in timing:
-            per = elapsed / iterations if iterations else 0.0
-            fh.write(f"{criterion!r} {enc} {iterations} {elapsed:.6f} {per:.9f}\n")
     return ExperimentResult(
-        artifacts=[str(csv_path), str(timing_path)],
+        files={"stoptime.csv": _csv(["criterion", "encryption", "iterations", "reached"], rows),
+               "stoptime_timing.txt": timing},
         summary={f"{c:g}/{e}": i for c, e, i, _ in rows},
     )
 
@@ -371,8 +361,6 @@ def cmd_privacy(config: dict) -> ExperimentResult:
                 f"in every round 0..{K}")
     mixing = {name: _mixing(config, agents) for name, agents in (("b", m), ("c", 2))
               if name in scenarios}
-    out_dir = Path(config["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     result = ExperimentResult()
     encryption = config["encryption"] == "on"
     step = _resolve_step(config, "algorithm1")
@@ -391,29 +379,22 @@ def cmd_privacy(config: dict) -> ExperimentResult:
             report, n=config["samples"], bound=config["box"], seed=config["seed"],
             truth=truth.reshape(-1),
         )
-        path = out_dir / "privacy_scenario_b.txt"
-        path.write_text(adversary.report_to_text(report))
-        result.artifacts.append(str(path))
+        result.files["privacy_scenario_b.txt"] = adversary.report_to_text(report)
         result.summary["scenario_b_dof"] = report.dof
         result.summary["scenario_b_min_distance"] = report.distance_stats.get("min")
-        dist_path = out_dir / "privacy_distances.csv"
-        _write_csv(dist_path, ["sample", "distance"],
-                   list(enumerate(float(v) for v in report.distances)))
-        result.artifacts.append(str(dist_path))
+        result.files["privacy_distances.csv"] = _csv(
+            ["sample", "distance"], enumerate(float(v) for v in report.distances))
 
         if encryption:
             eav = adversary.eavesdropper_report(traj.messages)
-            dump = out_dir / "privacy_hexdump.txt"
-            with open(dump, "w") as fh:
-                fh.write(
-                    f"messages: {eav.messages}\n"
-                    f"plaintext windows checked: {eav.windows_checked}\n"
-                    f"windows found in ciphertext: {eav.substring_hits}\n"
-                    f"repeated payloads: {eav.repeated_payloads}\n"
-                    f"repeats with all-distinct ciphertexts: {eav.repeated_with_distinct_ciphertext}\n\n"
-                )
-                fh.write(eav.hex_dump + "\n")
-            result.artifacts.append(str(dump))
+            result.files["privacy_hexdump.txt"] = (
+                f"messages: {eav.messages}\n"
+                f"plaintext windows checked: {eav.windows_checked}\n"
+                f"windows found in ciphertext: {eav.substring_hits}\n"
+                f"repeated payloads: {eav.repeated_payloads}\n"
+                f"repeats with all-distinct ciphertexts: {eav.repeated_with_distinct_ciphertext}\n\n"
+                f"{eav.hex_dump}\n"
+            )
             result.summary["substring_hits"] = eav.substring_hits
 
     if "c" in scenarios or "addopt" in scenarios:
@@ -433,9 +414,8 @@ def cmd_privacy(config: dict) -> ExperimentResult:
                 adversary.capture_view(traj.messages, 2, 1), out_degree=1, K=K)
         truth = adversary.gradient_ground_truth(traj.x_series, problem, 1, range(first, K + 1))
         err = _recovery_error(report.recovered_series("g"), truth, range(first, K + 1))
-        path = out_dir / f"privacy_{stem}.txt"
-        path.write_text(adversary.report_to_text(report) + f"max_relative_error: {err!r}\n")
-        result.artifacts.append(str(path))
+        result.files[f"privacy_{stem}.txt"] = (adversary.report_to_text(report)
+                                               + f"max_relative_error: {err!r}\n")
         result.summary[f"{stem}_error"] = err
     return result
 
@@ -459,17 +439,13 @@ def cmd_theory(config: dict) -> ExperimentResult:
     )
     if connectivity.b_tilde is not None:  # the certificate reads c0
         _mixing(config, problem.m)
-    out_dir = Path(config["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "theory_certificate.txt"
 
     if connectivity.b_tilde is None:
-        path.write_text(
-            "certificate: none\n"
-            f"reason: no window up to {connectivity.horizon} rounds has all "
-            "strongly connected unions\n"
-        )
-        return ExperimentResult(artifacts=[str(path)], summary={"certificate": "none"})
+        text = ("certificate: none\n"
+                f"reason: no window up to {connectivity.horizon} rounds has all "
+                "strongly connected unions\n")
+        return ExperimentResult(files={"theory_certificate.txt": text},
+                                summary={"certificate": "none"})
 
     consts = theory.build_constants(
         c0=config["c0"], m=problem.m, b_tilde=connectivity.b_tilde,
@@ -490,9 +466,8 @@ def cmd_theory(config: dict) -> ExperimentResult:
             f"note: window certificate is empirical over {connectivity.horizon} "
             "rounds of a randomly activated schedule\n"
         )
-    path.write_text(text)
     return ExperimentResult(
-        artifacts=[str(path)],
+        files={"theory_certificate.txt": text},
         summary={"b_tilde": connectivity.b_tilde, "feasible": cert.feasible},
     )
 
@@ -532,14 +507,18 @@ def main(argv=None) -> int:
     try:
         config = resolve_config(args.command, args)
         result = COMMANDS[args.command](config)
+        out = Path(config["out"])
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in result.files.items():
+            (out / name).write_text(text, newline="")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    for path in result.artifacts:
-        print(f"wrote {path}")
+    for name in result.files:
+        print(f"wrote {out / name}")
     if result.summary:
         # strict JSON: a diverged run's non-finite numbers print as null
         summary = {key: None if isinstance(value, float) and not math.isfinite(value) else value

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -420,6 +421,22 @@ class TestEavesdropper:
         report = eavesdropper_report(records)
         assert report.repeated_payloads == 1
         assert report.repeated_with_distinct_ciphertext == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(sent=st.lists(st.tuples(st.sampled_from([b"a", b"b", b"c"]),
+                                   st.sampled_from([b"x", b"y", b"z"])), min_size=1, max_size=10))
+    def test_repeat_counts_are_the_count_and_set_oracle(self, sent):
+        """Payloads and sealed blobs from three values each, so payloads repeat and
+        some repeats reuse a blob."""
+        messages = [MessageRecord(0, 1, 2, "Y", (), bytes(HEADER_SIZE) + payload,
+                                  bytes(HEADER_SIZE + NONCE_SIZE) + blob) for payload, blob in sent]
+        counts = Counter(payload for payload, _ in sent)
+        blobs = {payload: {blob for p, blob in sent if p == payload} for payload in counts}
+        repeated = [payload for payload, n in counts.items() if n >= 2]
+        report = eavesdropper_report(messages)
+        assert report.repeated_payloads == len(repeated)
+        assert report.repeated_with_distinct_ciphertext == sum(
+            len(blobs[payload]) == counts[payload] for payload in repeated)
 
     def test_hex_dump_present(self, isolated_run):
         _, traj = isolated_run

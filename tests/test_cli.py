@@ -722,6 +722,19 @@ class TestPrivacyCommand:
         assert code in (0, 1)
         assert out.exists() == (code == 0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_run_that_fails_writes_nothing(self, tmp_path, capsys):
+        # push-DIGing's two-agent run hits the mass guard at k=40, after scenarios b
+        # and c have their artifacts: this used to write those four and exit 2
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"horizon": 40})
+        assert main(["privacy", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "error: DegenerateStateError:" in captured.err
+        assert "at k=40 " in captured.err
+        assert "wrote" not in captured.out
+        assert not out.exists()
+
     def test_capture_required(self, tmp_path):
         cfg = write_config(tmp_path, {"capture": False})
         assert main(["privacy", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
