@@ -15,9 +15,10 @@ Wire layout of a framed payload (all integers little-endian):
 An envelope on the wire is that header in clear, with count 0, then nonce
 (12 bytes), then ciphertext || 16-byte tag.
 
-Payloads and envelopes are immutable records that hold exactly those bytes
-and read their fields from them, so frames packed a block at once are sealed
-and opened without being parsed or packed again.
+Payloads and envelopes are `bytes`: a record is exactly those bytes and
+reads its fields from them, so frames packed a block at once are sealed and
+opened as they are, without being parsed or packed again. `wrap` makes a
+record of a copy of the bytes it is given, unchecked; the constructors check.
 
 A played block of rounds is packed at once (`pack_frames`): every header
 set and every value written before the first round is sealed; each round's
@@ -34,11 +35,9 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from collections import deque
-from dataclasses import dataclass
-from functools import lru_cache
-from itertools import repeat
-from operator import attrgetter, itemgetter
+from dataclasses import FrozenInstanceError, dataclass
+from functools import lru_cache, partial
+from operator import itemgetter
 
 import numpy as np
 from cryptography.exceptions import InvalidTag
@@ -95,34 +94,31 @@ class SharedKey:
         return cls(AESGCM.generate_key(bit_length=256))
 
 
-@dataclass(frozen=True, init=False)
-class _Record:
-    """An immutable record that is its bytes, `_wire`; sender, receiver, k and
-    kind are read from the header those bytes start with."""
+class _Record(bytes):
+    """An immutable record that is its bytes; sender, receiver, k and kind are
+    read from the header they start with."""
 
-    __slots__ = ("_wire",)
-    _wire: bytes
+    __slots__ = ()
 
     @classmethod
     def wrap(cls, wire: bytes):
-        """The record whose bytes are `wire`, taken as they are: unchecked, uncopied."""
-        rec = object.__new__(cls)
-        _set_wire(rec, wire)
-        return rec
+        """The record whose bytes are a copy of `wire`, taken as they are: unchecked."""
+        return bytes.__new__(cls, wire)
 
-    sender = property(lambda self: _read_header(self._wire)[0])
-    receiver = property(lambda self: _read_header(self._wire)[1])
-    k = property(lambda self: _read_header(self._wire)[2])
-    kind = property(lambda self: _read_header(self._wire)[3])
+    sender = property(lambda self: _read_header(self)[0])
+    receiver = property(lambda self: _read_header(self)[1])
+    k = property(lambda self: _read_header(self)[2])
+    kind = property(lambda self: _read_header(self)[3])
 
-    def __reduce__(self):
-        return type(self).wrap, (self._wire,)
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce_ex__(self, protocol):
+        return type(self).wrap, (bytes(self),)
 
 
-_set_wire = _Record._wire.__set__  # the one way to give a record its bytes
-
-
-@dataclass(frozen=True, init=False)
 class PlainPayload(_Record):
     """One weighted message: who, when, which kind, and the scaled numbers.
 
@@ -131,7 +127,7 @@ class PlainPayload(_Record):
 
     __slots__ = ()
 
-    def __init__(self, sender: int, receiver: int, k: int, kind: str, data):
+    def __new__(cls, sender: int, receiver: int, k: int, kind: str, data):
         if kind not in _KIND_BYTES:
             raise ValueError(f"kind must be one of Y, S, W, got {kind!r}")
         if kind == KIND_W and len(data) != 1:
@@ -141,13 +137,17 @@ class PlainPayload(_Record):
         if len(data) > 0xFFFF:
             raise ValueError(f"payload too long: {len(data)} entries")
         values = np.array([float(v) for v in data], dtype="<f8")
-        _set_wire(self, _header(sender, receiver, k, kind, len(values)) + values.tobytes())
+        return cls.wrap(_header(sender, receiver, k, kind, len(values)) + values.tobytes())
 
-    frame = property(lambda self: self._wire)
-    data = property(lambda self: tuple(np.frombuffer(self._wire, "<f8", offset=HEADER_SIZE).tolist()))
+    frame = property(bytes)
+    data = property(lambda self: tuple(np.frombuffer(self, "<f8", offset=HEADER_SIZE).tolist()))
 
 
-@dataclass(frozen=True, init=False)
+_NONCE_AT = itemgetter(slice(HEADER_SIZE, HEADER_SIZE + NONCE_SIZE))
+_SEALED_AT = itemgetter(slice(HEADER_SIZE + NONCE_SIZE, None))
+_HEADER_AT = itemgetter(slice(HEADER_SIZE))
+
+
 class CipherEnvelope(_Record):
     """Clear header, unique nonce, and AESGCM ciphertext (tag appended).
 
@@ -157,21 +157,21 @@ class CipherEnvelope(_Record):
 
     __slots__ = ()
 
-    def __init__(self, sender: int, receiver: int, k: int, kind: str, nonce: bytes,
-                 ciphertext: bytes):
+    def __new__(cls, sender: int, receiver: int, k: int, kind: str, nonce: bytes,
+                ciphertext: bytes):
         header = _header(sender, receiver, k, kind)
         if len(nonce) != NONCE_SIZE:
             raise ValueError(f"nonce must be {NONCE_SIZE} bytes, got {len(nonce)}")
         if len(ciphertext) < TAG_SIZE:
             raise ValueError(f"ciphertext must hold at least the {TAG_SIZE}-byte tag, "
                              f"got {len(ciphertext)} bytes")
-        _set_wire(self, header + bytes(nonce) + bytes(ciphertext))
+        return cls.wrap(header + bytes(nonce) + bytes(ciphertext))
 
-    nonce = property(lambda self: self._wire[HEADER_SIZE : HEADER_SIZE + NONCE_SIZE])
-    ciphertext = property(lambda self: self._wire[HEADER_SIZE + NONCE_SIZE :])
+    nonce = property(_NONCE_AT)
+    ciphertext = property(_SEALED_AT)
 
     def to_bytes(self) -> bytes:
-        return self._wire
+        return bytes(self)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "CipherEnvelope":
@@ -361,7 +361,7 @@ def decode_payload(raw: bytes) -> PlainPayload:
         raise DecodeError(f"length mismatch: header promises {n} entries")
     if n == 0 or (kind == KIND_W and n != 1):
         raise DecodeError(f"a {kind} payload cannot carry {n} entries")
-    return PlainPayload.wrap(bytes(raw))
+    return PlainPayload.wrap(raw)
 
 
 @lru_cache(maxsize=8)
@@ -369,40 +369,28 @@ def _aead(key_bytes: bytes) -> AESGCM:
     return AESGCM(key_bytes)
 
 
-_new = object.__new__
+_envelope = partial(bytes.__new__, CipherEnvelope)  # unchecked, as `CipherEnvelope.wrap`
 
 
 def encrypt(key: SharedKey, p: PlainPayload, nonce: bytes) -> CipherEnvelope:
     """Seal a payload under `nonce`, which no other payload may take under `key`
     (a `NonceCounter.next()` or a `BlockNonces.round` entry). The clear header
     is bound as associated data."""
-    frame = p._wire
-    header = frame[:_ROUTE_SIZE] + b"\0\0"
-    envelope = _new(CipherEnvelope)
-    _set_wire(envelope, header + nonce + _aead(key.key).encrypt(nonce, frame, header))
-    return envelope
+    header = p[:_ROUTE_SIZE] + b"\0\0"
+    return _envelope(header + nonce + _aead(key.key).encrypt(nonce, p, header))
 
 
 def wrap_payloads(frames) -> list:
     """`PlainPayload.wrap` of each of `frames`, in one pass."""
-    payloads = list(map(_new, repeat(PlainPayload, len(frames))))
-    deque(map(_set_wire, payloads, frames), maxlen=0)
-    return payloads
-
-
-record_bytes = attrgetter("_wire")  # a payload's or envelope's bytes, for a `map` over many
-_NONCE_AT = itemgetter(slice(HEADER_SIZE, HEADER_SIZE + NONCE_SIZE))
-_SEALED_AT = itemgetter(slice(HEADER_SIZE + NONCE_SIZE, None))
-_HEADER_AT = itemgetter(slice(HEADER_SIZE))
+    return list(map(partial(bytes.__new__, PlainPayload), frames))
 
 
 def open_envelopes(key: SharedKey, envelopes) -> list:
-    """The frames sealed in `envelopes`, opened in one pass, as bytes, unparsed;
-    TamperError if any fails authentication."""
-    wires = list(map(record_bytes, envelopes))
+    """The frames sealed in `envelopes` (a list of envelopes or of their bytes),
+    opened in one pass, as bytes, unparsed; TamperError if any fails authentication."""
     try:
-        return list(map(_aead(key.key).decrypt, map(_NONCE_AT, wires), map(_SEALED_AT, wires),
-                        map(_HEADER_AT, wires)))
+        return list(map(_aead(key.key).decrypt, map(_NONCE_AT, envelopes),
+                        map(_SEALED_AT, envelopes), map(_HEADER_AT, envelopes)))
     except InvalidTag as exc:
         raise TamperError("envelope failed authentication") from exc
 
@@ -411,7 +399,7 @@ def decrypt(key: SharedKey, e: CipherEnvelope) -> PlainPayload:
     """Open an envelope; TamperError on any authentication failure."""
     raw = open_envelopes(key, [e])[0]
     p = decode_payload(raw)
-    if raw[:_ROUTE_SIZE] != e._wire[:_ROUTE_SIZE]:
+    if raw[:_ROUTE_SIZE] != e[:_ROUTE_SIZE]:
         raise TamperError("header does not match sealed payload")
     return p
 

@@ -77,7 +77,6 @@ from .channel import (
     nonce_trials,
     open_envelopes,
     pack_frames,
-    record_bytes,
     wrap_payloads,
 )
 from .graphs import graph_at  # noqa: F401  (kept as engine.graph_at for perfbench's tracer)
@@ -335,7 +334,7 @@ class Transport:
                 datas = [None] * len(frames)
                 for j, part in enumerate(parts):
                     datas[j :: len(_KINDS)] = map(tuple, part[s:e].tolist())
-                ciphers = repeat(None) if envelopes is None else map(record_bytes, envelopes)
+                ciphers = repeat(None) if envelopes is None else map(bytes, envelopes)
                 s, e = s * len(_KINDS), e * len(_KINDS)
                 records = map(_record, zip(*(part[s:e] for part in routes), datas, frames,
                                            ciphers))

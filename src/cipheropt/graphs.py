@@ -90,27 +90,7 @@ def _check_index(k):
         raise ValueError("iteration index must be >= 0")
 
 
-class _Schedule:
-    """Shared by the schedules: how many rounds they can play."""
-
-    length = None  # rounds it can play; None when it plays forever
-
-
-class StaticSchedule(_Schedule):
-    """The same graph at every iteration."""
-
-    def __init__(self, graph: DirectedGraph):
-        self.graph = graph
-        self.m = graph.m
-
-    def adjacencies(self, k: int, n: int) -> np.ndarray:
-        """The graphs at iterations k .. k+n-1 as an (n, m, m) boolean array, True at
-        [r, l-1, i-1] for edge (l, i) at iteration k+r; callers only read it."""
-        _check_index(k)
-        return np.broadcast_to(self.graph.matrix, (n, self.m, self.m))
-
-
-class ScriptedSchedule(_Schedule):
+class ScriptedSchedule:
     """A fixed list of graphs played back by iteration index.
 
     mode "once"  : k past the list raises ScheduleExhausted
@@ -147,11 +127,20 @@ class ScriptedSchedule(_Schedule):
         return ks
 
     def adjacencies(self, k: int, n: int) -> np.ndarray:
-        """`StaticSchedule.adjacencies` of the graphs played at iterations k .. k+n-1."""
+        """The graphs at iterations k .. k+n-1 as an (n, m, m) boolean array, True at
+        [r, l-1, i-1] for edge (l, i) at iteration k+r; callers only read it."""
         return self._matrices[self._positions(k, n)]
 
 
-class RandomActivationSchedule(_Schedule):
+class StaticSchedule(ScriptedSchedule):
+    """The same graph at every iteration: the script of one graph, held."""
+
+    def __init__(self, graph: DirectedGraph):
+        super().__init__([graph], mode="hold")
+        self.graph = graph
+
+
+class RandomActivationSchedule:
     """Each base edge is kept independently with probability p at every k.
 
     The draw for iteration k is numpy's uniform stream keyed (seed, 11, k),
@@ -162,6 +151,8 @@ class RandomActivationSchedule(_Schedule):
     up to 64 base edges, from one vectorized PCG64 pass per 64 iterations,
     kept until the next block is asked for; with more, one generator each.
     """
+
+    length = None  # it plays forever
 
     def __init__(self, base: DirectedGraph, p: float, seed: int):
         if not (0.0 < p <= 1.0):
@@ -179,7 +170,7 @@ class RandomActivationSchedule(_Schedule):
         return self._stream.fill_span(k, np.empty((n, len(self._flat)))) < self.p
 
     def adjacencies(self, k: int, n: int) -> np.ndarray:
-        """`StaticSchedule.adjacencies` of the graphs at iterations k .. k+n-1, from
+        """`ScriptedSchedule.adjacencies` of the graphs at iterations k .. k+n-1, from
         their edge masks."""
         a = np.zeros((n, self.m * self.m), dtype=bool)
         a[:, self._flat] = self.edge_masks(k, n)
@@ -216,11 +207,6 @@ class ConnectivityCertificate:
         return None if self.b_tilde is None else 2 * self.b_tilde - 1
 
 
-# unions of a window size swept before the rest: on five fig5b trial schedules, every
-# window size that fails has a cut union among its first 21
-_FIRST_UNIONS = 32
-
-
 def certify_uniform_connectivity(schedule, horizon=200) -> ConnectivityCertificate:
     """Smallest window B such that every length-B union graph over the horizon
     is strongly connected.
@@ -235,10 +221,7 @@ def certify_uniform_connectivity(schedule, horizon=200) -> ConnectivityCertifica
     probabilistic = isinstance(schedule, RandomActivationSchedule)
     for b in range(1, horizon + 1):
         windows = adj[: horizon // b * b].reshape(-1, b, m, m)
-        # the first unions, then the rest: a window size with a cut union among its
-        # first ones is dropped before the rest are stacked and swept
-        if all(_strongly_connected(part.any(axis=1)).all()
-               for part in (windows[:_FIRST_UNIONS], windows[_FIRST_UNIONS:]) if len(part)):
+        if _strongly_connected(windows.any(axis=1)).all():
             return ConnectivityCertificate(b_tilde=b, horizon=horizon, probabilistic=probabilistic)
     return ConnectivityCertificate(b_tilde=None, horizon=horizon, probabilistic=probabilistic)
 

@@ -198,6 +198,11 @@ class TestSchedules:
     def test_static_schedule_constant(self):
         s = StaticSchedule(ring(3))
         assert graph_at(s, 0) == graph_at(s, 10**6)
+        # it plays the script of its one graph, held
+        held = ScriptedSchedule([ring(3)], "hold")
+        for k, n in ((0, 1), (7, 300), (10**6, 3)):
+            assert np.array_equal(s.adjacencies(k, n), held.adjacencies(k, n))
+        assert s.length is None
 
     def test_scripted_once_exhausts(self):
         s = ScriptedSchedule([ring(3)], mode="once")
@@ -346,24 +351,6 @@ class TestCertification:
         monkeypatch.setattr(DirectedGraph, "__post_init__", no_graphs)
         assert certify_uniform_connectivity(s, horizon=40).b_tilde == 2
         assert asked == [(0, 40)]
-
-    def test_a_window_size_is_swept_in_two_stacks_and_dropped_at_a_cut_first_one(
-            self, monkeypatch):
-        checked = []
-        strongly_connected = graphs._strongly_connected
-        monkeypatch.setattr(graphs, "_strongly_connected",
-                            lambda a: checked.append(a) or strongly_connected(a))
-        # a connected window size: its first 32 unions, then the other 168
-        assert certify_uniform_connectivity(StaticSchedule(ring(6)), horizon=200).b_tilde == 1
-        assert [a.shape for a in checked] == [(32, 6, 6), (168, 6, 6)]
-        # the cycling halves: b=1 is dropped at its first 32 rounds, before the other 8
-        # are stacked; b=2 has 20 2-windows, all in its first stack
-        checked.clear()
-        half1 = DirectedGraph(4, frozenset({(2, 1), (3, 2)}))
-        half2 = DirectedGraph(4, frozenset({(4, 3), (1, 4)}))
-        s = ScriptedSchedule([half1, half2], mode="cycle")
-        assert certify_uniform_connectivity(s, horizon=40).b_tilde == 2
-        assert [a.shape for a in checked] == [(32, 4, 4), (20, 4, 4)]
 
     def test_short_once_schedule_is_exhausted_at_its_length(self):
         s = ScriptedSchedule([ring(3)] * 5, mode="once")

@@ -20,9 +20,10 @@ from cipheropt.channel import (
     SharedKey,
     TamperError,
     encode_payload,
+    open_envelopes,
 )
 from cipheropt.engine import MessageRecord, Transport
-from cipheropt.graphs import DirectedGraph, RandomActivationSchedule
+from cipheropt.graphs import DirectedGraph, RandomActivationSchedule, StaticSchedule
 from cipheropt.mixing import MixingParams
 from cipheropt.objectives import generate_sensor_fusion, problem_from_instance
 
@@ -427,6 +428,18 @@ def test_sealed_trials_stopping_inside_a_block_log_their_own_counters():
         assert _nonces(traj.messages) == [counters[r.sender].next() for r in traj.messages]
         every += _nonces(traj.messages)
     assert len(set(every)) == len(every)
+
+
+def test_a_logged_envelope_opens_as_logged():
+    """A sealed run logs each envelope as its wire bytes, exact `bytes`, and those
+    bytes open to the frames logged beside them."""
+    problem = problem_from_instance(generate_sensor_fusion(m=3, s=2, d=2, omega=0.01, seed=5))
+    ring = StaticSchedule(DirectedGraph(3, frozenset({(2, 1), (3, 2), (1, 3)})))
+    config = engine.RunConfig(step_size=1e-3, horizon=5, seed=3, record_messages=True)
+    messages = engine.run(problem, ring, MixingParams(c0=0.3), config).messages
+    assert len(messages) == 45 and {type(rec.cipher) for rec in messages} == {bytes}
+    assert open_envelopes(SharedKey.from_seed(3), [rec.cipher for rec in messages]) == \
+        [rec.plain for rec in messages]
 
 
 def test_a_logged_message_is_an_immutable_positional_record():
