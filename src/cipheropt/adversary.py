@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import HEADER_SIZE, KIND_S, KIND_W, KIND_Y, NONCE_SIZE, hex_dump_pair
-from .streams import STREAMS, check_width, keyed_rng
+from .streams import STREAMS, check_count, check_width, keyed_rng
 
 RANK_TOL = 1e-9
 
@@ -258,11 +258,9 @@ def sample_gradient_solutions(report: InferenceReport, n: int, bound: float = 10
     Solutions are the minimum-norm particular solution plus null-space
     combinations with coefficients uniform on [-bound, bound]. When the true
     gradient sequence is supplied, each sample gets the summed relative
-    Euclidean distance to it. `bound` is put to `check_width`, n must be at least 1.
+    Euclidean distance to it. `bound` is put to `check_width`, n to `check_count`.
     """
-    bound = check_width("bound", bound)
-    if n < 1:
-        raise ValueError(f"need at least one sample, got n={n}")
+    bound, n = check_width("bound", bound), check_count("n", n)
     if report.gradient_matrix is None:
         raise ValueError("report carries no gradient system")
     if report.dof is None or report.dof < 1:

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import adversary, engine, graphs, objectives, theory
 from .mixing import MixingParams
-from .streams import STREAMS, check_positive, check_seed, check_width
+from .streams import STREAMS, check_count, check_positive, check_seed, check_width
 
 
 class ConfigError(ValueError):
@@ -144,19 +143,13 @@ def resolve_config(command: str, args) -> dict:
             raise ConfigError(f"--stop: {exc}") from None
     config = _merge(config, overrides, "flags")
 
-    counts = {name: config[name] for name in _COUNT_KEYS}
-    counts.update({f"problem.{name}": config["problem"][name] for name in ("m", "s", "d")})
-    for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{name} must be a whole number, got {value!r}")
-    for name in ("trials", "horizon", "certify_horizon", "samples"):
-        if config[name] < 1:
-            raise ConfigError(f"{name} must be at least 1")
-    for name in ("seed", "schedule_seed"):
-        try:
+    try:
+        for name in _COUNT_KEYS:
+            config[name] = check_count(name, config[name])
+        for name in ("seed", "schedule_seed"):
             config[name] = check_seed(name, config[name])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     for name, kind in (("capture", bool), ("redraw_noise", bool), ("schedule", str), ("out", str)):
         if not isinstance(config[name], kind):
             what = "text" if kind is str else "true or false"
@@ -437,9 +430,6 @@ def cmd_theory(config: dict) -> ExperimentResult:
     connectivity = graphs.certify_uniform_connectivity(
         sched, horizon=config["certify_horizon"]
     )
-    if connectivity.b_tilde is not None:  # the certificate reads c0
-        _mixing(config, problem.m)
-
     if connectivity.b_tilde is None:
         text = ("certificate: none\n"
                 f"reason: no window up to {connectivity.horizon} rounds has all "
@@ -447,6 +437,7 @@ def cmd_theory(config: dict) -> ExperimentResult:
         return ExperimentResult(files={"theory_certificate.txt": text},
                                 summary={"certificate": "none"})
 
+    _mixing(config, problem.m)  # the certificate reads c0
     consts = theory.build_constants(
         c0=config["c0"], m=problem.m, b_tilde=connectivity.b_tilde,
         l_hat=problem.l_hat, l_bar=problem.l_bar,

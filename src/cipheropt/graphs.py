@@ -85,11 +85,6 @@ def _strongly_connected(a: np.ndarray) -> np.ndarray:
 # Schedules
 # ---------------------------------------------------------------------------
 
-def _check_index(k):
-    if k < 0:
-        raise ValueError("iteration index must be >= 0")
-
-
 class ScriptedSchedule:
     """A fixed list of graphs played back by iteration index.
 
@@ -114,7 +109,6 @@ class ScriptedSchedule:
 
     def _positions(self, k: int, n: int) -> np.ndarray:
         """Which graph plays at each of the iterations k .. k+n-1."""
-        _check_index(k)
         count = len(self.graphs)
         ks = np.arange(k, k + n)
         if self.mode == "cycle":
@@ -128,8 +122,9 @@ class ScriptedSchedule:
 
     def adjacencies(self, k: int, n: int) -> np.ndarray:
         """The graphs at iterations k .. k+n-1 as an (n, m, m) boolean array, True at
-        [r, l-1, i-1] for edge (l, i) at iteration k+r; callers only read it."""
-        return self._matrices[self._positions(k, n)]
+        [r, l-1, i-1] for edge (l, i) at iteration k+r; callers only read it. k and n
+        must be non-negative whole numbers (`check_seed`)."""
+        return self._matrices[self._positions(check_seed("k", k), check_seed("n", n))]
 
 
 class StaticSchedule(ScriptedSchedule):
@@ -165,16 +160,18 @@ class RandomActivationSchedule:
         self._stream = KeyedStream(self.seed, (STREAMS["activation"],))
 
     def edge_masks(self, k: int, n: int) -> np.ndarray:
-        """Row r: which of the sorted base edges are active at iteration k+r."""
-        _check_index(k)
+        """Row r: which of the sorted base edges are active at iteration k+r; k and n
+        as `ScriptedSchedule.adjacencies` takes them."""
+        k, n = check_seed("k", k), check_seed("n", n)
         return self._stream.fill_span(k, np.empty((n, len(self._flat)))) < self.p
 
     def adjacencies(self, k: int, n: int) -> np.ndarray:
         """`ScriptedSchedule.adjacencies` of the graphs at iterations k .. k+n-1, from
         their edge masks."""
-        a = np.zeros((n, self.m * self.m), dtype=bool)
-        a[:, self._flat] = self.edge_masks(k, n)
-        return a.reshape(n, self.m, self.m)
+        masks = self.edge_masks(k, n)
+        a = np.zeros((len(masks), self.m * self.m), dtype=bool)
+        a[:, self._flat] = masks
+        return a.reshape(len(masks), self.m, self.m)
 
 
 def graph_at(schedule, k: int) -> DirectedGraph:
@@ -214,8 +211,7 @@ def certify_uniform_connectivity(schedule, horizon=200) -> ConnectivityCertifica
     Windows are aligned: for window b the unions of E(t*b) .. E(t*b + b - 1)
     are checked for every t with t*b + b - 1 < horizon.
     """
-    if horizon < 1:
-        raise ValueError(f"need a horizon of at least 1, got {horizon}")
+    horizon = check_count("horizon", horizon)
     adj = schedule.adjacencies(0, horizon)
     m = schedule.m
     probabilistic = isinstance(schedule, RandomActivationSchedule)

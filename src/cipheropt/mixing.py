@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import check_positive, check_width
+from .streams import check_positive, check_seed, check_width
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def _raw_uniforms(stream, n):
 
 
 def generate_weight_column(i, out_neighbors, k, params: MixingParams, stream) -> WeightColumn:
-    """Draw agent i's weight column for iteration k.
+    """Draw agent i's weight column for iteration k (`check_seed`).
 
     out_neighbors are the receivers of i at iteration k (sorted internally so
     the draw-to-receiver pairing is canonical). stream supplies the raw
@@ -60,9 +60,7 @@ def generate_weight_column(i, out_neighbors, k, params: MixingParams, stream) ->
     receivers = sorted(out_neighbors)
     if i in receivers:
         raise ValueError(f"agent {i} cannot be its own out-neighbor")
-    d_out = len(receivers)
-    if k < 0:
-        raise ValueError("iteration index must be >= 0")
+    d_out, k = len(receivers), check_seed("k", k)
     if not (params.c0 > 0.0) or (d_out > 0 and k >= 1 and params.c0 * (d_out + 1) >= 1.0):
         raise ValueError(
             f"c0={params.c0} leaves no room for {d_out} out-weights plus the diagonal"

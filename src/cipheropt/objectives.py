@@ -9,7 +9,7 @@ rejects anything else.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -175,14 +175,8 @@ def with_noise(instance: SensorFusionInstance, seed) -> SensorFusionInstance:
     matrices stay pinned to the instance seed.
     """
     rng = keyed_rng(seed, STREAMS["noise"])
-    noises = tuple(rng.standard_normal(instance.s) for _ in range(instance.m))
-    return SensorFusionInstance(
-        omega=instance.omega,
-        x_tilde=instance.x_tilde,
-        measurements=instance.measurements,
-        noises=noises,
-        seed=instance.seed,
-    )
+    return replace(
+        instance, noises=tuple(rng.standard_normal(instance.s) for _ in range(instance.m)))
 
 
 def problem_from_instance(instance: SensorFusionInstance) -> GlobalProblem:

@@ -106,8 +106,9 @@ STREAMS = {"activation": 11, "activation_seed": 12, "instance": 21, "noise": 22,
 
 
 def keyed_rng(seed: int, *key) -> np.random.Generator:
-    """numpy's generator of the stream keyed (seed, *key)."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    """numpy's generator of the stream keyed (seed, *key); seed is put to `check_seed`."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=check_seed("seed", seed),
+                                                        spawn_key=key))
 
 
 def read_lines(path) -> list:
@@ -188,7 +189,8 @@ class KeyedStream:
     def __init__(self, seed: int, prefix: tuple):
         if not prefix:
             raise ValueError("a keyed stream needs a non-empty prefix")
-        self.seed, self.prefix = seed, tuple(prefix)
+        self.seed = check_seed("seed", seed)
+        self.prefix = tuple(check_seed(f"prefix[{i}]", p) for i, p in enumerate(prefix))
         # With a spawn key the assembled entropy is the seed padded to the pool
         # size, the prefix words and the key word, so the key word is hashed
         # after all the others, with constants fixed by their count.

@@ -34,7 +34,7 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import fone, from_float, fzero, mpf_add, mpf_gt, mpf_mul
 
-from .streams import STREAMS, keyed_rng
+from .streams import STREAMS, check_count, check_positive, keyed_rng
 
 RANK_SLACK = 1e-12
 _PROBE_COLUMNS = 3  # columns of the random test matrices of `verify_contraction`
@@ -140,11 +140,17 @@ def contraction_params(c0, m: int, b: int, b0: int | None = None) -> tuple:
 
 def build_constants(c0, m: int, b_tilde: int, l_hat, l_bar, mu_hat, mu_bar,
                     b0: int | None = None, alpha=1.0, beta=1.0) -> TheoryConstants:
-    """Assemble every analysis constant for one problem/graph pairing."""
-    if mu_bar <= 0:
-        raise ConstantsError("average strong convexity must be positive")
-    if not all(math.isfinite(v) and v > 0 for v in (alpha, beta)):
-        raise ConstantsError(f"alpha and beta must be positive and finite, got {alpha}, {beta}")
+    """Assemble every analysis constant for one problem/graph pairing. m, b_tilde and
+    a given b0 are put to `check_count`, the curvature constants and alpha and beta
+    to `check_positive`; a ConstantsError names the first that fails."""
+    try:
+        m, b_tilde = check_count("m", m), check_count("b_tilde", b_tilde)
+        b0 = None if b0 is None else check_count("b0", b0)
+        reals = {"l_hat": l_hat, "l_bar": l_bar, "mu_hat": mu_hat, "mu_bar": mu_bar,
+                 "alpha": alpha, "beta": beta}
+        l_hat, l_bar, mu_hat, mu_bar, alpha, beta = (check_positive(*kv) for kv in reals.items())
+    except ValueError as exc:
+        raise ConstantsError(str(exc)) from None
     b = 2 * b_tilde - 1
     b0, sigma, epsilon, varepsilon = contraction_params(c0, m, b, b0)
     dps = working_precision(float(c0), m, b)
@@ -324,11 +330,10 @@ def theorem1_certificate(consts: TheoryConstants) -> Certificate:
 
 
 def check_theta_b0(theta: float, b0: int) -> bool:
-    """Geometric-sum bound: (1 - theta^b0)/(1 - theta) never exceeds b0."""
+    """Geometric-sum bound: (1 - theta^b0)/(1 - theta) never exceeds the count b0."""
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0, 1)")
-    if b0 < 1:
-        raise ValueError("b0 must be at least 1")
+    b0 = check_count("b0", b0)
     lhs = -math.expm1(b0 * math.log(theta)) / -math.expm1(math.log(theta))
     return lhs <= b0 * (1 + RANK_SLACK) + RANK_SLACK
 
@@ -373,8 +378,9 @@ def verify_contraction(trajectory, b0: int, varepsilon, trials: int = 100,
     through as well; it must stay fixed up to rounding. Each of `rounds`
     must end a whole window: b0 - 1 <= round <= the last recorded round.
     A window that reads a non-finite weight or mass raises ValueError,
-    naming the first such round.
+    naming the first such round. b0 and trials are put to `check_count`.
     """
+    b0, trials = check_count("b0", b0), check_count("trials", trials)
     if not (trajectory.config.record_weights and trajectory.config.record_states):
         raise ValueError("trajectory lacks recorded weight matrices or masses")
     mats = np.asarray(trajectory.weight_matrices)

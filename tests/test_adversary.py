@@ -332,10 +332,10 @@ class TestSolutionSampling:
         resid = report.samples @ report.gradient_matrix.T - report.gradient_rhs[None, :]
         assert np.max(np.abs(resid)) <= 1e-8
 
-    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("n", [0, -3, 2.5, True])
     def test_no_samples_rejected(self, sampled_report, n):
         report, _ = sampled_report
-        with pytest.raises(ValueError, match=rf"^need at least one sample, got n={n}$"):
+        with pytest.raises(ValueError, match=rf"^n must be a whole number of at least 1, got {n}$"):
             sample_gradient_solutions(report, n, bound=10.0, seed=1)
 
     def test_sample_spread_spans_the_free_direction(self, sampled_report):

@@ -165,7 +165,8 @@ class TestConfigResolution:
         cfg = write_config(tmp_path, {**SMALL, field: 2.5})
         out = tmp_path / "out"
         assert main(["converge", "--config", cfg, "--out", str(out)]) == 1
-        assert f"config error: {field} must be a whole number, got 2.5" in capsys.readouterr().err
+        assert (f"config error: {field} must be a whole number of at least 1, got 2.5"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_negative_seed_flag_exits_1_naming_the_field(self, tmp_path, capsys):
@@ -256,7 +257,7 @@ class TestConfigResolution:
                            st.text(max_size=3), st.none()))
     def test_fractional_or_bool_problem_count_in_file(self, tmp_path, field, value):
         cfg = write_config(tmp_path, {"problem": {field: value}})
-        with pytest.raises(ConfigError, match=f"^problem.{field} must be a whole number"):
+        with pytest.raises(ConfigError, match=f"^problem: {field} must be a whole number"):
             resolve_config("converge", parse("converge", "--config", cfg))
 
     @settings(max_examples=80, deadline=None,
@@ -332,7 +333,8 @@ class TestConfigResolution:
         ("converge", {"activation": 2}, "activation: activation probability must lie in (0, 1]"),
         ("converge", {"problem": {"omega": -1}},
          "problem: omega must be positive and finite, got -1"),
-        ("converge", {"problem": {"m": 2.5}}, "problem.m must be a whole number, got 2.5"),
+        ("converge", {"problem": {"m": 2.5}},
+         "problem: m must be a whole number of at least 1, got 2.5"),
         ("converge", {"problem": {"m": 0}},
          "problem: m must be a whole number of at least 1, got 0"),
         ("converge", {"problem": {"instance_seed": -1}},
@@ -518,10 +520,11 @@ class TestExitCodes:
         assert f"config error: {path}:2:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, payload, message", [
-        ("privacy", {"horizon": 0}, "horizon must be at least 1"),
-        ("converge", {"horizon": 0}, "horizon must be at least 1"),
-        ("theory", {"certify_horizon": 0}, "certify_horizon must be at least 1"),
-        ("privacy", {"samples": 0}, "samples must be at least 1"),
+        ("privacy", {"horizon": 0}, "horizon must be a whole number of at least 1, got 0"),
+        ("converge", {"horizon": 0}, "horizon must be a whole number of at least 1, got 0"),
+        ("theory", {"certify_horizon": 0},
+         "certify_horizon must be a whole number of at least 1, got 0"),
+        ("privacy", {"samples": 0}, "samples must be a whole number of at least 1, got 0"),
         ("privacy", {"target": 9},
          "adversary and target must be two different agents of 1..3, got 2 and 9"),
         ("privacy", {"adversary": 1, "target": 1},

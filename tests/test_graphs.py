@@ -227,6 +227,14 @@ class TestSchedules:
         with pytest.raises(ValueError):
             graph_at(StaticSchedule(ring(3)), -1)
 
+    @pytest.mark.parametrize("k, n", [(1.5, 2), (True, 2), (-1, 2), (0, -1), (0, 2.0)])
+    def test_bad_index_or_count_rejected_alike_by_both_kinds(self, k, n):
+        name, value = ("n", n) if k == 0 else ("k", k)
+        for schedule in (StaticSchedule(ring(3)), RandomActivationSchedule(ring(3), 0.5, seed=0)):
+            with pytest.raises(ValueError, match=rf"^{name} must be a non-negative whole number, "
+                                                 rf"got {value}$"):
+                schedule.adjacencies(k, n)
+
     def test_random_activation_replayable(self):
         s = RandomActivationSchedule(ring(5), 0.6, seed=42)
         first = [graph_at(s, k) for k in range(20)]
@@ -357,9 +365,11 @@ class TestCertification:
         with pytest.raises(ScheduleExhausted, match=r"^scripted schedule has 5 graphs, asked for k=5$"):
             certify_uniform_connectivity(s, horizon=8)
 
-    def test_bad_horizon_rejected(self):
-        with pytest.raises(ValueError, match=r"^need a horizon of at least 1, got 0$"):
-            certify_uniform_connectivity(StaticSchedule(ring(3)), horizon=0)
+    @pytest.mark.parametrize("horizon", [0, 2.5, True])
+    def test_bad_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match=rf"^horizon must be a whole number of at least 1, "
+                                             rf"got {horizon}$"):
+            certify_uniform_connectivity(StaticSchedule(ring(3)), horizon=horizon)
 
 
 class TestGraphFiles:

@@ -101,6 +101,11 @@ class TestSingleColumn:
         with pytest.raises(ValueError):
             generate_weight_column(1, [2, 3], 1, PARAMS, np.array([0.5]))
 
+    @pytest.mark.parametrize("k", [-1, 1.5, True])
+    def test_bad_iteration_index_rejected(self, k):
+        with pytest.raises(ValueError, match=rf"^k must be a non-negative whole number, got {k}$"):
+            generate_weight_column(1, [2, 3], k, PARAMS, np.random.default_rng(0))
+
     def test_self_neighbor_rejected(self):
         with pytest.raises(ValueError):
             generate_weight_column(1, [1, 2], 1, PARAMS, np.random.default_rng(0))

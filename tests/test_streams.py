@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cipheropt.streams import _PASS_DRAWS, STREAMS, KeyedStream
+from cipheropt.streams import _PASS_DRAWS, STREAMS, KeyedStream, keyed_rng
 
 
 def numpy_stream(seed, prefix, key, shape):
@@ -57,6 +57,24 @@ def test_keys_at_and_past_one_word(key):
 def test_empty_prefix_rejected():
     with pytest.raises(ValueError, match="prefix"):
         KeyedStream(0, ())
+
+
+@pytest.mark.parametrize("seed, prefix, name, value", [
+    (True, (32,), "seed", True), (-1, (32,), "seed", -1), (1.0, (32,), "seed", 1.0),
+    (0, (32, True), r"prefix\[1\]", True), (0, (-1,), r"prefix\[0\]", -1)],
+    ids=["seed-bool", "seed-negative", "seed-fractional", "prefix-bool", "prefix-negative"])
+def test_bool_fractional_or_negative_seed_or_prefix_rejected(seed, prefix, name, value):
+    # True would draw seed 1's stream
+    with pytest.raises(ValueError, match=rf"^{name} must be a non-negative whole number, "
+                                         rf"got {value}$"):
+        KeyedStream(seed, prefix)
+
+
+@pytest.mark.parametrize("seed", [True, -1, 1.0])
+def test_keyed_rng_refuses_a_bool_fractional_or_negative_seed(seed):
+    with pytest.raises(ValueError, match=rf"^seed must be a non-negative whole number, "
+                                         rf"got {seed}$"):
+        keyed_rng(seed, STREAMS["noise"])
 
 
 # `fill_span(k0, out)` draws keys k0 .. k0+n-1 into out's rows: keys of at most

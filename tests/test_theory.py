@@ -204,13 +204,22 @@ class TestConstants:
             build_constants(0.49, 2, 1, problem.l_hat, problem.l_bar,
                             problem.mu_hat, problem.mu_bar, alpha=-1.0)
 
-    @pytest.mark.parametrize("weights", [{"alpha": float("nan")}, {"beta": float("nan")},
-                                         {"alpha": float("inf")}, {"beta": -float("inf")}])
+    @pytest.mark.parametrize("weights", [
+        {"alpha": float("nan")}, {"beta": float("nan")}, {"alpha": float("inf")},
+        {"beta": -float("inf")},
+        *({name: value} for name in ("l_hat", "l_bar", "mu_hat", "mu_bar")
+          for value in (float("nan"), float("inf"), -float("inf"), 0.0, -1.0)),
+        *({name: value} for name in ("m", "b_tilde") for value in (1.5, True, 0)),
+        {"b0": 2.5}])
     def test_non_finite_alpha_or_beta_rejected(self, desk, weights):
         problem, _ = desk
-        with pytest.raises(ConstantsError, match="alpha and beta must be positive and finite"):
-            build_constants(0.49, 2, 1, problem.l_hat, problem.l_bar,
-                            problem.mu_hat, problem.mu_bar, **weights)
+        ((name, value),) = weights.items()
+        counts = ("m", "b_tilde", "b0")
+        kind = "a whole number of at least 1" if name in counts else "positive and finite"
+        given = {"c0": 0.49, "m": 2, "b_tilde": 1, "l_hat": problem.l_hat, "l_bar": problem.l_bar,
+                 "mu_hat": problem.mu_hat, "mu_bar": problem.mu_bar, **weights}
+        with pytest.raises(ConstantsError, match=rf"^{name} must be {kind}, got {value!r}$"):
+            build_constants(**given)
 
 
 class TestCertificate:
@@ -341,8 +350,10 @@ class TestGeometricBound:
             check_theta_b0(0.0, 5)
         with pytest.raises(ValueError):
             check_theta_b0(1.0, 5)
-        with pytest.raises(ValueError):
-            check_theta_b0(0.5, 0)
+        for b0 in (0, 2.5):
+            with pytest.raises(ValueError, match=rf"^b0 must be a whole number of at least 1, "
+                                                 rf"got {b0}$"):
+                check_theta_b0(0.5, b0)
 
 
 class TestCenteredNorm:
@@ -392,6 +403,14 @@ class TestContractionOnRecordedRuns:
         with pytest.raises(ValueError, match=rf"^round {end} ends no window of 5 recorded "
                                              rf"rounds \(need 4 <= round <= {k_max}\)$"):
             verify_contraction(desk_run, 5, 0.9, trials=1, rounds=[end])
+
+    @pytest.mark.parametrize("given", [{"b0": 0}, {"b0": True}, {"b0": 2.5}, {"trials": 0},
+                                       {"trials": 2.5}])
+    def test_bad_window_or_trial_count_rejected(self, desk_run, given):
+        ((name, value),) = given.items()
+        with pytest.raises(ValueError, match=rf"^{name} must be a whole number of at least 1, "
+                                             rf"got {value}$"):
+            verify_contraction(desk_run, **{"b0": 5, "varepsilon": 0.9, **given})
 
     def test_short_runs_rejected(self, desk, desk_run):
         _, consts = desk
